@@ -10,6 +10,7 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -136,26 +137,18 @@ def cmd_predict(cfg: RunConfig) -> int:
         raise DataError(f"{cfg.weights}: manifest has no normalizer state; "
                         "was it written by `botclf train`?")
     stream = dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy)
+    classes = params.arch.classes
+    names = [label_map.names[i] if i < len(label_map.names) else str(i)
+             for i in range(classes)]
+    line = "%d,%s," + ",".join(["%.9f"] * classes) + "\n"
     out = open(cfg.report, "w", encoding="utf-8") if cfg.report else sys.stdout
     try:
-        buffer = []
-        def flush():
-            if not buffer:
-                return
-            x = np.asarray([spec.normalize(r.features) for r in buffer],
-                           dtype=params.dtype)[:, :, None]
-            probs, _ = network.forward(params, x, mode="infer")
-            for row in probs:
-                idx = int(row.argmax())
-                name = label_map.names[idx] if idx < len(label_map.names) else str(idx)
-                probs_txt = ",".join(f"{p:.9f}" for p in row)
-                out.write(f"{idx},{name},{probs_txt}\n")
-            buffer.clear()
-        for rec in stream:
-            buffer.append(rec)
-            if len(buffer) >= 512:
-                flush()
-        flush()
+        records = iter(stream)
+        while chunk := list(islice(records, network.INFER_CHUNK)):
+            x = spec.normalize(np.array([rec.features for rec in chunk]))
+            probs = network.predict_proba(params, x[:, :, None])
+            out.write("".join([line % (idx, names[idx], *row) for idx, row
+                               in zip(probs.argmax(axis=1).tolist(), probs.tolist())]))
     finally:
         if out is not sys.stdout:
             out.close()

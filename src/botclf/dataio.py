@@ -214,14 +214,14 @@ class Dataset:
 
 def to_dataset(records, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:
     """Normalize a record iterable into arrays; labels kept when all present."""
-    feats = []
+    raw = []
     labels = []
     for rec in records:
-        feats.append(feature_spec.normalize(rec.features))
+        raw.append(rec.features)
         labels.append(rec.label)
-    if not feats:
+    if not raw:
         raise DataError("no records to materialize")
-    features = np.asarray(feats, dtype=dtype)
+    features = feature_spec.normalize(np.array(raw)).astype(dtype, copy=False)
     if any(lb is None for lb in labels):
         return Dataset(features=features, labels=None)
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64))

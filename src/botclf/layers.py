@@ -231,6 +231,35 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None):
     return h_seq, cache
 
 
+def gru_infer(x: np.ndarray, p: GRUParams) -> np.ndarray:
+    """Forward-only `gru_forward` from a zero state, without a cache.
+
+    The input projections of all three gates are computed for every step
+    at once before the time loop, and the z and r recurrent products
+    share one matmul per step. Only the order of the floating-point
+    operations differs from `gru_forward`: the pre-activation sums, and
+    the update written as h + z * (hcand - h).
+    """
+    b, t, c = x.shape
+    units = p.units
+    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1)
+    bias = np.concatenate([p.b_z + p.rb_z, p.b_r + p.rb_r, p.b_h])
+    # time-major [T, B, 3U], so each step reads one contiguous block
+    x_proj = x.transpose(1, 0, 2).reshape(t * b, c) @ w
+    x_proj += bias
+    x_proj = x_proj.reshape(t, b, 3 * units)
+    u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
+    h = np.zeros((b, units), dtype=x.dtype)
+    h_seq = np.empty((b, t, units), dtype=x.dtype)
+    for i in range(t):
+        zr = sigmoid(x_proj[i, :, :2 * units] + h @ u_zr)
+        z, r = zr[:, :units], zr[:, units:]
+        hcand = tanh(x_proj[i, :, 2 * units:] + r * (h @ p.u_h + p.rb_h))
+        h = h + z * (hcand - h)
+        h_seq[:, i, :] = h
+    return h_seq
+
+
 def gru_backward(cache: Cache, dh_seq: np.ndarray):
     """Backprop through time; returns (dx, grads, dh0)."""
     d = cache.consume("gru")

@@ -200,13 +200,22 @@ def accuracy_ci(accuracy: float, n: int, z: float = 1.96):
 def cohen_kappa(observed_accuracy: float, actual_counts, predicted_counts) -> float:
     """Chance-corrected agreement from marginal counts.
 
-    p_e is the expected agreement of independent raters with the given
-    actual/predicted marginals; population size is the sum of the actual
-    marginals. Degenerate p_e = 1 maps to 1.0 for perfect agreement and
-    0.0 otherwise.
+    p_e = sum(actual_i * predicted_i) / N^2 is the expected agreement of
+    independent raters with the given marginals, where N is the sum of the
+    actual marginals. The two vectors must have one nonnegative count per
+    class (DataError otherwise), but their totals may differ: a published
+    table can drop rows from the predicted side (acceptance criterion 4's
+    reference marginals differ by 40 of 731,867 rows), and p_e is still
+    normalised by the actual total squared. Degenerate p_e = 1 maps to 1.0
+    for perfect agreement and 0.0 otherwise.
     """
     actual = np.asarray(actual_counts, dtype=np.float64)
     predicted = np.asarray(predicted_counts, dtype=np.float64)
+    if actual.ndim != 1 or actual.shape != predicted.shape:
+        raise DataError(f"actual and predicted marginals must be vectors of one length, "
+                        f"got shapes {actual.shape} and {predicted.shape}")
+    if (actual < 0).any() or (predicted < 0).any():
+        raise DataError("marginal counts must be nonnegative")
     n = actual.sum()
     if n <= 0:
         raise DataError("population must be positive")

@@ -10,15 +10,19 @@ width, class count ...) are configurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import layers
-from .errors import ShapeError, WeightFormatError
+from .errors import NumericError, ShapeError, WeightFormatError
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
 from .numerics import DOUBLE, init_he_uniform, init_truncated_normal, resolve_dtype, substream
+
+# rows per pass of the inference engine; bounds its working memory
+INFER_CHUNK = 512
 
 MANIFEST_MAGIC = "botclf-weights"
 MANIFEST_VERSION = 1
@@ -141,6 +145,12 @@ class ForwardCaches:
     dense_out: layers.Cache
 
 
+def _check_input(a: Architecture, x: np.ndarray) -> None:
+    if x.ndim != 3 or x.shape[1] != a.seq_len or x.shape[2] != a.in_channels:
+        raise ShapeError(
+            f"expected input of shape (batch, {a.seq_len}, {a.in_channels}), got {x.shape}")
+
+
 def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     """x: [B, seq_len, in_channels] -> (probs [B, classes], caches).
 
@@ -151,9 +161,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = np.asarray(x)
-    if x.ndim != 3 or x.shape[1] != a.seq_len or x.shape[2] != a.in_channels:
-        raise ShapeError(
-            f"expected input of shape (batch, {a.seq_len}, {a.in_channels}), got {x.shape}")
+    _check_input(a, x)
 
     conv_y, c_conv = layers.conv1d_forward(x, params.conv)
     bn_y, c_bn = layers.batchnorm_forward(conv_y, params.bn, training=(mode == "train"))
@@ -173,6 +181,72 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     caches = ForwardCaches(c_conv, c_bn, c_act, c_pool, c_gru, c_flat,
                            c_concat, c_hidden, c_out)
     return probs, caches
+
+
+def _folded_conv(params: NetworkParameters) -> Conv1DParams:
+    """Conv kernels and bias with the infer-mode batchnorm affine map folded in.
+
+    bn(conv(x)) = scale * (cols @ K + b - mean) + beta
+                = cols @ (K * scale) + ((b - mean) * scale + beta)
+    with scale = gamma / sqrt(moving_var + epsilon) per filter.
+    """
+    bn = params.bn
+    scale = bn.gamma / np.sqrt(bn.moving_var + bn.epsilon)
+    return Conv1DParams(kernels=params.conv.kernels * scale,
+                        bias=(params.conv.bias - bn.moving_mean) * scale + bn.beta)
+
+
+def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams) -> np.ndarray:
+    """max over time of `layers.conv1d_forward(x, conv)`: [B, T, C] -> [B, filters].
+
+    One [B, filters] window product per time step, max-accumulated, so the
+    [B, T, filters] conv output is never stored. The bias is added after
+    the max, which is exact: rounding y + b is monotone in y.
+    """
+    k, c_in, filters = conv.kernels.shape
+    pad_l = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_l, k - 1 - pad_l), (0, 0)))
+    w = conv.kernels.reshape(k * c_in, filters)
+    out = xp[:, :k, :].reshape(-1, k * c_in) @ w
+    for i in range(1, x.shape[1]):
+        np.maximum(out, xp[:, i:i + k, :].reshape(-1, k * c_in) @ w, out=out)
+    return out + conv.bias
+
+
+def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
+    """x: [N, seq_len, in_channels] -> class probabilities [N, classes].
+
+    The same function as `forward(params, x, mode="infer")`, computed in
+    chunks of INFER_CHUNK rows with no caches. The batchnorm is folded
+    into the conv, and max pooling runs before the conv activation: every
+    activation kind is monotone non-decreasing, so max over time commutes
+    with it and the activation sees [B, filters] instead of
+    [B, seq_len, filters]. Raises NumericError if any probability is
+    non-finite, so a broken model never yields a prediction.
+    """
+    a = params.arch
+    x = np.asarray(x, dtype=params.dtype)
+    _check_input(a, x)
+    conv = _folded_conv(params)
+    out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
+    for start in range(0, x.shape[0], INFER_CHUNK):
+        xb = x[start:start + INFER_CHUNK]
+        if a.pooling == "max":
+            pooled, _ = layers.activation_forward(_conv_max_over_time(xb, conv),
+                                                  a.conv_activation)
+        else:
+            conv_y, _ = layers.conv1d_forward(xb, conv)
+            pooled = layers.activation_forward(conv_y, a.conv_activation)[0].mean(axis=1)
+        gru_y = layers.gru_infer(xb, params.gru)
+        concat_y = np.concatenate([pooled, gru_y.reshape(xb.shape[0], -1)], axis=1)
+        hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, a.dense_activation)
+        probs, _ = layers.dense_forward(hidden_y, params.dense_out, "softmax")
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite class probabilities for "
+                               f"{int((~finite).sum())} of {xb.shape[0]} rows in a batch")
+        out[start:start + xb.shape[0]] = probs
+    return out
 
 
 def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray):
@@ -318,7 +392,7 @@ def load_manifest(path):
     """Parse a manifest into ({name: array}, {meta key: value}).
 
     Raises WeightFormatError (with the byte offset of the offending line)
-    on truncation or malformed content.
+    on truncation, malformed content or a non-finite value.
     """
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
@@ -330,9 +404,14 @@ def load_manifest(path):
         parts = header.split()
         if len(parts) != 2 or parts[0] != MANIFEST_MAGIC:
             raise WeightFormatError(f"{path}: not a weight manifest (at byte 0)")
-        if int(parts[1]) != MANIFEST_VERSION:
+        try:
+            version = int(parts[1])
+        except ValueError:
+            version = None
+        if version != MANIFEST_VERSION:
             raise WeightFormatError(
-                f"{path}: unsupported manifest version {parts[1]} (expected {MANIFEST_VERSION})")
+                f"{path}: unsupported manifest version {parts[1]!r} "
+                f"(expected {MANIFEST_VERSION}) (at byte 0)")
         offset += len(header.encode("utf-8"))
         pending_name = None
         pending_shape = None
@@ -379,11 +458,16 @@ def load_manifest(path):
                     raise WeightFormatError(
                         f"{path}: unexpected content {fields_[0]!r} (at byte {line_start})")
                 try:
-                    pending_values.extend(float(tok) for tok in fields_)
+                    values = [float(tok) for tok in fields_]
                 except ValueError:
                     raise WeightFormatError(
                         f"{path}: non-numeric value in tensor {pending_name} "
                         f"(at byte {line_start})") from None
+                if not all(map(math.isfinite, values)):
+                    raise WeightFormatError(
+                        f"{path}: non-finite value in tensor {pending_name} "
+                        f"(at byte {line_start})")
+                pending_values.extend(values)
         finish_tensor(offset)
     return tensors, meta
 

@@ -131,20 +131,13 @@ def _split_indices(n: int, fraction: float, seed: int,
     return perm[n_val:], perm[:n_val]
 
 
-def _epoch_eval(params, features, labels, classes, batch_size=512):
+def _epoch_eval(params, features, labels, classes):
     """Infer-mode loss and accuracy over a fixed set."""
     if labels.size == 0:
         return float("nan"), float("nan")
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, labels.size, batch_size):
-        xb = features[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        probs, _ = network.forward(params, xb, mode="infer")
-        loss, _ = cross_entropy(probs, _one_hot(yb, classes, probs.dtype))
-        total_loss += loss * yb.size
-        correct += int((probs.argmax(axis=1) == yb).sum())
-    return total_loss / labels.size, correct / labels.size
+    probs = network.predict_proba(params, features)
+    loss, _ = cross_entropy(probs, _one_hot(labels, classes, probs.dtype))
+    return loss, int((probs.argmax(axis=1) == labels).sum()) / labels.size
 
 
 def fit(params: NetworkParameters, dataset, config: TrainConfig,
@@ -204,7 +197,7 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     return params, history
 
 
-def evaluate(params: NetworkParameters, dataset, batch_size: int = 512):
+def evaluate(params: NetworkParameters, dataset):
     """Infer-mode pass over a labeled dataset -> (ConfusionMatrix, mean loss)."""
     arch = params.arch
     features = np.asarray(dataset.features, dtype=params.dtype)
@@ -217,18 +210,10 @@ def evaluate(params: NetworkParameters, dataset, batch_size: int = 512):
     if features.ndim != 2 or features.shape[1] != arch.seq_len:
         raise DataError(f"records must have {arch.seq_len} features, "
                         f"got feature array of shape {features.shape}")
-    x_all = features[:, :, None]
-    predicted = np.empty(labels.size, dtype=np.int64)
-    total_loss = 0.0
-    for start in range(0, labels.size, batch_size):
-        xb = x_all[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        probs, _ = network.forward(params, xb, mode="infer")
-        loss, _ = cross_entropy(probs, _one_hot(yb, arch.classes, probs.dtype))
-        total_loss += loss * yb.size
-        predicted[start:start + batch_size] = probs.argmax(axis=1)
-    cm = ConfusionMatrix.from_labels(labels, predicted, arch.classes)
-    return cm, total_loss / labels.size
+    probs = network.predict_proba(params, features[:, :, None])
+    loss, _ = cross_entropy(probs, _one_hot(labels, arch.classes, probs.dtype))
+    cm = ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), arch.classes)
+    return cm, loss
 
 
 # --------------------------------------------------------------------------

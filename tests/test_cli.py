@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from botclf import cli, metrics, synth
+from botclf import cli, dataio, metrics, network, synth
 from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
+from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 
 
 @pytest.fixture
@@ -23,6 +24,18 @@ def eval_csv(tmp_path):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def trained_weights(tmp_path_factory):
+    """A one-epoch model with its normalizer, shared by read-only tests."""
+    folder = tmp_path_factory.mktemp("model")
+    data = folder / "train.csv"
+    synth.write_csv(data, 3000, seed=3, noise=0.03)
+    weights = folder / "model.weights"
+    assert run(["train", "--data", data, "--weights", weights,
+                "--seed", "6", "--epochs", "1"]) == EXIT_OK
+    return weights
 
 
 class TestSummary:
@@ -140,6 +153,78 @@ class TestPredict:
             assert idx == int(np.argmax(probs))
             assert name  # display name resolved from the label map
         assert 0 <= idx <= 5
+
+
+    def test_chunked_output_matches_reference_forward(self, tmp_path, trained_weights):
+        # 1100 valid rows cross two 512-row chunk boundaries; one malformed
+        # row in the middle is skipped
+        plain = tmp_path / "plain.csv"
+        synth.write_csv(plain, 1100, seed=8, noise=0.15, labeled=False)
+        lines = plain.read_text().splitlines(keepends=True)
+        lines.insert(600, "not,a,number\n")
+        plain.write_text("".join(lines))
+        out_path = tmp_path / "preds.txt"
+        assert run(["predict", "--data", plain, "--weights", trained_weights,
+                    "--report", out_path]) == EXIT_OK
+
+        tensors, meta = network.load_manifest(trained_weights)
+        params = network.params_from_manifest(tensors, meta)
+        spec = FeatureSpec(mins=tensors["norm.min"], maxs=tensors["norm.max"])
+        rows = [spec.normalize(r.features) for r in dataio.stream_csv(plain, feature_spec=spec)]
+        expect, _ = network.forward(params, np.asarray(rows)[:, :, None], mode="infer")
+        got = out_path.read_text().splitlines()
+        assert len(rows) == len(got) == 1100
+        for line, ref in zip(got, expect):
+            fields = line.split(",")
+            idx = int(fields[0])
+            assert idx == int(ref.argmax())
+            assert fields[1] == DEFAULT_LABEL_MAP.names[idx]
+            assert np.abs(np.array(fields[2:], dtype=float) - ref).max() <= 1e-9
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_weight_is_data_error(self, tmp_path, trained_weights, eval_csv,
+                                             command, capsys):
+        text = trained_weights.read_text()
+        start = text.index("\n", text.index("tensor dense_out.bias")) + 1
+        bad = tmp_path / "nan.weights"
+        bad.write_text(text[:start] + "nan" + text[text.index(" ", start):])
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"non-finite value in tensor dense_out.bias (at byte {start})" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_unparsable_header_is_data_error(self, tmp_path, eval_csv, command, capsys):
+        bad = tmp_path / "x.weights"
+        bad.write_text("botclf-weights x\n")
+        assert run([command, "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "(at byte 0)" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_output_is_numeric_error(self, tmp_path, trained_weights, eval_csv,
+                                                command, capsys):
+        tensors, meta = network.load_manifest(trained_weights)
+        params = network.params_from_manifest(tensors, meta)
+        # finite weights whose output logits are all +inf
+        params.dense_hidden.bias[:] = 1e308
+        params.dense_out.weights[:] = 1e308
+        bad = tmp_path / "overflow.weights"
+        network.save_weights(params, bad,
+                             extras={k: tensors[k] for k in ("norm.min", "norm.max")},
+                             meta={k: meta[k] for k in ("feature_names", "class_names",
+                                                        "class_pairs")})
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_NUMERIC
+        assert "non-finite class probabilities" in capsys.readouterr().err
+        assert not out_path.exists() or "nan" not in out_path.read_text()
 
 
 class TestGradcheck:

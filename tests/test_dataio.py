@@ -8,6 +8,7 @@ from botclf import dataio, synth
 from botclf.dataio import (CsvSchema, FeatureSpec, FlowRecord, LabelMap,
                            DEFAULT_FEATURES, DEFAULT_LABEL_MAP)
 from botclf.errors import DataError, NotFittedError, SchemaError
+from botclf.numerics import make_rng
 
 FEATURES_4 = ("f0", "f1", "f2", "f3")
 
@@ -222,6 +223,21 @@ class TestDatasetAndBatches:
         dist = ds.class_distribution()
         assert dist.sum() == 40
         assert len(dist) == 6
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_to_dataset_equals_per_row_normalize(self, dtype):
+        # column 2 is constant on the fitted range; rows reach outside it
+        spec = FeatureSpec(names=FEATURES_4, mins=np.array([0.0, -1.0, 3.0, 1e-3]),
+                           maxs=np.array([1.0, 7.5, 3.0, 2e6]))
+        rows = make_rng(5).uniform(-4.0, 4e6, size=(300, 4))
+        rows[::7, 2] = 3.0
+        records = [FlowRecord(features=r, label=i % 6) for i, r in enumerate(rows)]
+        ds = dataio.to_dataset(records, spec, dtype=dtype)
+        expect = np.asarray([spec.normalize(r) for r in rows], dtype=dtype)
+        assert ds.features.dtype == dtype
+        assert np.array_equal(ds.features, expect)
+        assert (ds.features == 0.0).any() and (ds.features == 1.0).any()
+        assert not ds.features[:, 2].any()
 
     def test_to_dataset_requires_fitted_spec(self, fixture_csv):
         spec = FeatureSpec(names=FEATURES_4)

@@ -221,6 +221,17 @@ class TestOverallStats:
         expect = (0.8 - p_e) / (1 - p_e)
         assert metrics.cohen_kappa(0.8, actual, predicted) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("predicted", [[100], [40, 40], [40, 40, 20, 0]])
+    def test_kappa_rejects_marginals_of_another_length(self, predicted):
+        with pytest.raises(DataError, match="one length"):
+            metrics.cohen_kappa(0.9, [30, 50, 20], predicted)
+
+    def test_kappa_rejects_negative_counts(self):
+        with pytest.raises(DataError, match="nonnegative"):
+            metrics.cohen_kappa(0.9, [30, 50, 20], [60, 50, -10])
+        with pytest.raises(DataError, match="nonnegative"):
+            metrics.cohen_kappa(0.9, [-30, 110, 20], [40, 40, 20])
+
     def test_rci_half_informative(self):
         # predictions carry no information about the actual class
         cm = ConfusionMatrix([[25, 25], [25, 25]])

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from botclf import layers, network
-from botclf.errors import ShapeError, WeightFormatError
+from botclf import layers, network, synth, training
+from botclf.errors import NumericError, ShapeError, WeightFormatError
 from botclf.network import Architecture
 from botclf.numerics import make_rng
 
@@ -79,6 +79,8 @@ class TestForward:
         p = network.build(0)
         with pytest.raises(ShapeError, match="16"):
             network.forward(p, np.zeros((2, 12, 1)), mode="infer")
+        with pytest.raises(ShapeError, match="16"):
+            network.predict_proba(p, np.zeros((2, 12, 1)))
 
     def test_composition_oracle(self):
         # forward must equal applying the individual layer ops by hand
@@ -111,6 +113,54 @@ class TestForward:
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         rows = [r.name for r in network.summary(p).rows]
         assert "GlobalAveragePooling1D" in rows
+
+
+def _briefly_trained(dtype, arch=Architecture()):
+    """Parameters after one short epoch, so the batchnorm moving statistics
+    are far from their initial values, with a third of the gammas negated."""
+    p = network.build(31, arch, dtype=dtype)
+    training.fit(p, synth.make_dataset(300, seed=32, noise=0.1),
+                 training.TrainConfig(epochs=1, seed=33))
+    p.bn.gamma[::3] *= -1.0
+    return p
+
+
+class TestPredictProba:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return {dtype: _briefly_trained(dtype) for dtype in (np.float64, np.float32)}
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
+    def test_matches_reference_forward(self, trained, n):
+        x = make_rng(n).uniform(0, 1, size=(n, 16, 1))
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            p = trained[dtype]
+            assert not np.allclose(p.bn.moving_var, 1.0)
+            expect, _ = network.forward(p, x.astype(dtype), mode="infer")
+            got = network.predict_proba(p, x.astype(dtype))
+            assert got.shape == (n, 6) and got.dtype == dtype
+            assert np.abs(got - expect).max() <= tol
+            if dtype == np.float64:
+                npt.assert_array_equal(got.argmax(axis=1), expect.argmax(axis=1))
+
+    @pytest.mark.parametrize("pooling, activation",
+                             [("avg", "relu"), ("max", "tanh"), ("avg", "linear")])
+    def test_other_pooling_and_activation(self, pooling, activation):
+        p = _briefly_trained(np.float64, Architecture(pooling=pooling,
+                                                      conv_activation=activation))
+        x = make_rng(34).uniform(0, 1, size=(600, 16, 1))
+        expect, _ = network.forward(p, x, mode="infer")
+        assert np.abs(network.predict_proba(p, x) - expect).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_output_raises(self):
+        p = network.build(35)
+        p.dense_hidden.bias[:] = 1e308   # finite weights whose logits overflow
+        p.dense_out.weights[:] = 1e308
+        x = make_rng(36).uniform(0, 1, size=(600, 16, 1))
+        with pytest.raises(NumericError, match="non-finite"):
+            network.predict_proba(p, x)
 
 
 class TestSummary:
@@ -188,6 +238,26 @@ class TestWeightsIO:
         path.write_text("botclf-weights 99\n")
         with pytest.raises(WeightFormatError, match="version"):
             network.load_weights(path)
+
+    @pytest.mark.parametrize("header", ["botclf-weights x", "botclf-weights 1.0"])
+    def test_unparsable_version_rejected(self, tmp_path, header):
+        path = tmp_path / "w.weights"
+        path.write_text(header + "\n")
+        with pytest.raises(WeightFormatError, match=r"version .*\(at byte 0\)"):
+            network.load_weights(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_at_its_line(self, tmp_path, token):
+        p = network.build(19)
+        path = tmp_path / "w.weights"
+        network.save_weights(p, path)
+        text = path.read_text()
+        start = text.index("\n", text.index("tensor dense_out.bias")) + 1
+        bad = tmp_path / "nan.weights"
+        bad.write_text(text[:start] + token + text[text.index(" ", start):])
+        with pytest.raises(WeightFormatError,
+                           match=rf"non-finite value in tensor dense_out.bias \(at byte {start}\)"):
+            network.load_weights(bad)
 
     def test_not_a_manifest(self, tmp_path):
         path = tmp_path / "junk.weights"
