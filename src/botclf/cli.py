@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from itertools import islice
 
@@ -18,6 +19,7 @@ from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
 from .dataio import CsvSchema, FeatureSpec, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError, NumericError
+from .fileio import atomic_write
 from .network import Architecture
 from .numerics import resolve_dtype
 
@@ -82,7 +84,7 @@ def cmd_train(cfg: RunConfig) -> int:
         lines.append(stats.line())
 
     training.fit(params, dataset, train_cfg, progress_sink=sink)
-    with open(stats_path, "w", encoding="utf-8") as fh:
+    with atomic_write(stats_path) as fh:
         fh.write("\n".join(lines) + "\n")
     meta = {"feature_names": ",".join(fitted.names),
             "class_names": ",".join(label_map.names),
@@ -124,7 +126,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     print()
     print(rep.render_class_table())
     if cfg.report:
-        with open(cfg.report, "w", encoding="utf-8") as fh:
+        with atomic_write(cfg.report) as fh:
             fh.write(rep.to_json() + "\n")
         log.info("wrote metrics report to %s", cfg.report)
     return EXIT_OK
@@ -141,17 +143,13 @@ def cmd_predict(cfg: RunConfig) -> int:
     names = [label_map.names[i] if i < len(label_map.names) else str(i)
              for i in range(classes)]
     line = "%d,%s," + ",".join(["%.9f"] * classes) + "\n"
-    out = open(cfg.report, "w", encoding="utf-8") if cfg.report else sys.stdout
-    try:
+    with atomic_write(cfg.report) if cfg.report else nullcontext(sys.stdout) as out:
         records = iter(stream)
         while chunk := list(islice(records, network.INFER_CHUNK)):
             x = spec.normalize(np.array([rec.features for rec in chunk]))
             probs = network.predict_proba(params, x[:, :, None])
             out.write("".join([line % (idx, names[idx], *row) for idx, row
                                in zip(probs.argmax(axis=1).tolist(), probs.tolist())]))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

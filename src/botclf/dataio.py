@@ -112,8 +112,8 @@ class CsvStream:
 
     Malformed rows (non-numeric feature cells, unmappable labels) are
     skipped and counted under the default policy ("skip"); policy "fail"
-    raises on the first bad row. A missing feature or label column is
-    always fatal.
+    raises on the first bad row. A missing feature or label column, or
+    bytes that are not UTF-8, are always fatal.
     """
 
     def __init__(self, path, schema: CsvSchema = CsvSchema(),
@@ -130,6 +130,13 @@ class CsvStream:
         self.skipped = 0
 
     def __iter__(self):
+        try:
+            yield from self._records()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: not UTF-8 text "
+                            f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+    def _records(self):
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh, delimiter=self.schema.delimiter)
             header = reader.fieldnames or []

@@ -195,109 +195,144 @@ def batchnorm_backward(cache: Cache, dy: np.ndarray):
 # GRU (returns the full hidden-state sequence)
 
 
+def _gru_input_projection(x: np.ndarray, p: GRUParams) -> np.ndarray:
+    """Input-side pre-activations of the three gates for every step at once.
+
+    x: [B, T, input_dim] -> time-major [T, B, 3 * units], columns z | r | h,
+    so each step reads one contiguous block. Holds x W_* plus the biases
+    b_z + rb_z, b_r + rb_r and b_h; rb_h stays out, as it sits inside the
+    reset product.
+    """
+    b, t, c = x.shape
+    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1)
+    proj = x.transpose(1, 0, 2).reshape(t * b, c) @ w
+    proj += np.concatenate([p.b_z + p.rb_z, p.b_r + p.rb_r, p.b_h])
+    return proj.reshape(t, b, 3 * p.units)
+
+
 def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None):
     """x: [B, T, input_dim] -> h_seq: [B, T, units].
 
     Per step: z = sigma(x W_z + h U_z + b_z + rb_z)
               r = sigma(x W_r + h U_r + b_r + rb_r)
               hcand = tanh(x W_h + b_h + r * (h U_h + rb_h))
-              h <- (1 - z) * h + z * hcand
+              h <- (1 - z) * h + z * hcand, computed as h + z * (hcand - h)
+
+    The input projection runs before the time loop (`_gru_input_projection`);
+    each step does one h [U_z | U_r] and one h U_h product. The states
+    entering each step, z | r, the reset product's inner term and hcand are
+    kept time-major, [T, B, .], for `gru_backward`.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
         raise ShapeError(f"gru expects input dim {input_dim}, got input shape {x.shape}")
     b, t, _ = x.shape
     units = p.units
+    proj = _gru_input_projection(x, p)
+    dtype = proj.dtype
+    hs = np.empty((t + 1, b, units), dtype=dtype)  # hs[i]: the state entering step i
     if h0 is None:
-        h = np.zeros((b, units), dtype=x.dtype)
+        hs[0] = 0.0
     else:
         h0 = np.asarray(h0)
         if h0.shape[-1] != units:
             raise ShapeError(f"gru h0 must have {units} units, got shape {h0.shape}")
-        h = np.broadcast_to(h0, (b, units)).astype(x.dtype, copy=True)
-    h_seq = np.empty((b, t, units), dtype=x.dtype)
-    steps = []
+        hs[0] = np.broadcast_to(h0, (b, units))
+    zr = np.empty((t, b, 2 * units), dtype=dtype)
+    inner = np.empty((t, b, units), dtype=dtype)
+    hcand = np.empty((t, b, units), dtype=dtype)
+    proj_zr, proj_h = proj[:, :, :2 * units], proj[:, :, 2 * units:]
+    u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
     for i in range(t):
-        xt = x[:, i, :]
-        z = sigmoid(xt @ p.w_z + h @ p.u_z + p.b_z + p.rb_z)
-        r = sigmoid(xt @ p.w_r + h @ p.u_r + p.b_r + p.rb_r)
-        inner = h @ p.u_h + p.rb_h
-        hcand = tanh(xt @ p.w_h + p.b_h + r * inner)
-        h_new = (1.0 - z) * h + z * hcand
-        steps.append((xt, h, z, r, inner, hcand))
-        h_seq[:, i, :] = h_new
-        h = h_new
-    cache = Cache({"steps": steps, "params": p, "in_shape": x.shape})
+        h, zr_i, inner_i, hcand_i, h_new = hs[i], zr[i], inner[i], hcand[i], hs[i + 1]
+        np.matmul(h, u_zr, out=zr_i)
+        zr_i += proj_zr[i]
+        sigmoid(zr_i, out=zr_i)
+        np.matmul(h, p.u_h, out=inner_i)
+        inner_i += p.rb_h
+        np.multiply(zr_i[:, units:], inner_i, out=hcand_i)
+        hcand_i += proj_h[i]
+        np.tanh(hcand_i, out=hcand_i)
+        np.subtract(hcand_i, h, out=h_new)
+        h_new *= zr_i[:, :units]
+        h_new += h
+    h_seq = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+    cache = Cache({"x": x, "params": p, "hs": hs, "zr": zr, "inner": inner,
+                   "hcand": hcand})
     return h_seq, cache
 
 
 def gru_infer(x: np.ndarray, p: GRUParams) -> np.ndarray:
     """Forward-only `gru_forward` from a zero state, without a cache.
 
-    The input projections of all three gates are computed for every step
-    at once before the time loop, and the z and r recurrent products
-    share one matmul per step. Only the order of the floating-point
-    operations differs from `gru_forward`: the pre-activation sums, and
-    the update written as h + z * (hcand - h).
+    The same operations in the same order, so the same hidden states, with
+    only the running state kept between steps.
     """
-    b, t, c = x.shape
+    b, t, _ = x.shape
     units = p.units
-    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1)
-    bias = np.concatenate([p.b_z + p.rb_z, p.b_r + p.rb_r, p.b_h])
-    # time-major [T, B, 3U], so each step reads one contiguous block
-    x_proj = x.transpose(1, 0, 2).reshape(t * b, c) @ w
-    x_proj += bias
-    x_proj = x_proj.reshape(t, b, 3 * units)
+    proj = _gru_input_projection(x, p)
     u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
-    h = np.zeros((b, units), dtype=x.dtype)
-    h_seq = np.empty((b, t, units), dtype=x.dtype)
+    h = np.zeros((b, units), dtype=proj.dtype)
+    h_seq = np.empty((b, t, units), dtype=proj.dtype)
     for i in range(t):
-        zr = sigmoid(x_proj[i, :, :2 * units] + h @ u_zr)
+        zr = sigmoid(proj[i, :, :2 * units] + h @ u_zr)
         z, r = zr[:, :units], zr[:, units:]
-        hcand = tanh(x_proj[i, :, 2 * units:] + r * (h @ p.u_h + p.rb_h))
+        hcand = tanh(proj[i, :, 2 * units:] + r * (h @ p.u_h + p.rb_h))
         h = h + z * (hcand - h)
         h_seq[:, i, :] = h
     return h_seq
 
 
 def gru_backward(cache: Cache, dh_seq: np.ndarray):
-    """Backprop through time; returns (dx, grads, dh0)."""
+    """Backprop through time; returns (dx, grads, dh0).
+
+    Only the recurrence runs inside the reversed time loop: it writes each
+    step's pre-activation gradients into one time-major stack, columns
+    da_h | da_z | da_r | d_inner (d_inner being the gradient of h U_h + rb_h).
+    After the loop, one product over all B*T rows gives the W_* gradients,
+    one the U_* gradients, one row sum every bias gradient and one product dx.
+    """
     d = cache.consume("gru")
-    steps, p = d["steps"], d["params"]
-    b, t, input_dim = d["in_shape"]
-    grads = {name: np.zeros_like(getattr(p, name)) for name in GRU_FIELDS}
-    dx = np.empty((b, t, input_dim), dtype=dh_seq.dtype)
-    dh_next = np.zeros((b, p.units), dtype=dh_seq.dtype)
+    x, p, hs = d["x"], d["params"], d["hs"]
+    zr, inner, hcand = d["zr"], d["inner"], d["hcand"]
+    b, t, input_dim = x.shape
+    units = p.units
+    z, r, h_prev = zr[:, :, :units], zr[:, :, units:], hs[:-1]
+    # factors of the per-step gate gradients, computed for all steps at once
+    dzr = zr * (1.0 - zr)
+    coef_h = z * (1.0 - hcand * hcand)
+    coef_z = (hcand - h_prev) * dzr[:, :, :units]
+    coef_r = inner * dzr[:, :, units:]
+    keep = 1.0 - z
+    g = np.empty((t, b, 4 * units), dtype=hs.dtype)
+    g_h, g_z, g_r, g_inner = (g[:, :, k * units:(k + 1) * units] for k in range(4))
+    g_rec = g[:, :, units:]  # da_z | da_r | d_inner, the terms that reach h_prev
+    u_rec_t = np.ascontiguousarray(np.concatenate([p.u_z, p.u_r, p.u_h], axis=1).T)
+    dh_tm = dh_seq.transpose(1, 0, 2)
+    dh_next = np.zeros((b, units), dtype=dh_seq.dtype)
     for i in range(t - 1, -1, -1):
-        xt, h_prev, z, r, inner, hcand = steps[i]
-        dh = dh_seq[:, i, :] + dh_next
-        dz = dh * (hcand - h_prev)
-        da_z = dz * z * (1.0 - z)
-        dhcand = dh * z
-        da_h = dhcand * (1.0 - hcand * hcand)
-        dr = da_h * inner
-        da_r = dr * r * (1.0 - r)
-        dinner = da_h * r
+        dh = dh_tm[i] + dh_next
+        np.multiply(dh, coef_h[i], out=g_h[i])
+        np.multiply(dh, coef_z[i], out=g_z[i])
+        np.multiply(g_h[i], coef_r[i], out=g_r[i])
+        np.multiply(g_h[i], r[i], out=g_inner[i])
+        dh_next = g_rec[i] @ u_rec_t
+        dh *= keep[i]
+        dh_next += dh
 
-        grads["w_z"] += xt.T @ da_z
-        grads["u_z"] += h_prev.T @ da_z
-        grads["b_z"] += da_z.sum(axis=0)
-        grads["rb_z"] += da_z.sum(axis=0)
-        grads["w_r"] += xt.T @ da_r
-        grads["u_r"] += h_prev.T @ da_r
-        grads["b_r"] += da_r.sum(axis=0)
-        grads["rb_r"] += da_r.sum(axis=0)
-        grads["w_h"] += xt.T @ da_h
-        grads["b_h"] += da_h.sum(axis=0)
-        grads["u_h"] += h_prev.T @ dinner
-        grads["rb_h"] += dinner.sum(axis=0)
-
-        dx[:, i, :] = da_z @ p.w_z.T + da_r @ p.w_r.T + da_h @ p.w_h.T
-        dh_next = (dh * (1.0 - z)
-                   + da_z @ p.u_z.T
-                   + da_r @ p.u_r.T
-                   + dinner @ p.u_h.T)
-    return dx, grads, dh_next
+    rows = g.reshape(t * b, 4 * units)
+    gate_rows = rows[:, :3 * units]  # da_h | da_z | da_r
+    dw = x.transpose(1, 0, 2).reshape(t * b, input_dim).T @ gate_rows
+    du = h_prev.reshape(t * b, units).T @ rows[:, units:]
+    db = rows.sum(axis=0)
+    w_hzr = np.concatenate([p.w_h, p.w_z, p.w_r], axis=1)
+    dx = (gate_rows @ w_hzr.T).reshape(t, b, input_dim).transpose(1, 0, 2)
+    grads = {"w_h": dw[:, :units], "w_z": dw[:, units:2 * units], "w_r": dw[:, 2 * units:],
+             "u_z": du[:, :units], "u_r": du[:, units:2 * units], "u_h": du[:, 2 * units:],
+             "b_h": db[:units], "b_z": db[units:2 * units], "b_r": db[2 * units:3 * units],
+             "rb_z": db[units:2 * units].copy(), "rb_r": db[2 * units:3 * units].copy(),
+             "rb_h": db[3 * units:]}
+    return np.ascontiguousarray(dx), grads, dh_next
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import layers
 from .errors import NumericError, ShapeError, WeightFormatError
+from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
 from .numerics import DOUBLE, init_he_uniform, init_truncated_normal, resolve_dtype, substream
@@ -349,12 +350,16 @@ def _arch_from_meta(meta: dict) -> Architecture:
         if f.name not in meta:
             continue
         raw = meta[f.name]
-        if f.type == "int":
-            kwargs[f.name] = int(raw)
-        elif f.type == "float":
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
+        try:
+            if f.type == "int":
+                kwargs[f.name] = int(raw)
+            elif f.type == "float":
+                kwargs[f.name] = float(raw)
+            else:
+                kwargs[f.name] = raw
+        except ValueError:
+            raise WeightFormatError(
+                f"manifest meta {f.name}: expected {f.type}, got {raw!r}") from None
     return replace(Architecture(), **kwargs)
 
 
@@ -366,7 +371,8 @@ def save_weights(params: NetworkParameters, path,
     name-keyed, so a reordered file still loads. Values are decimal and
     round-trip bit-exactly at the stored precision. `extras` lets callers
     persist additional named arrays (e.g. normalizer state) in the same
-    file; `meta` adds string key/value pairs.
+    file; `meta` adds string key/value pairs. The file is replaced
+    atomically: a failed save leaves the previous one intact.
     """
     tensors = list(params.named_arrays())
     if extras:
@@ -375,7 +381,7 @@ def save_weights(params: NetworkParameters, path,
     all_meta.update(_arch_meta(params.arch))
     if meta:
         all_meta.update(meta)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{MANIFEST_MAGIC} {MANIFEST_VERSION}\n")
         for key in sorted(all_meta):
             fh.write(f"meta {key} {all_meta[key]}\n")
@@ -392,13 +398,23 @@ def load_manifest(path):
     """Parse a manifest into ({name: array}, {meta key: value}).
 
     Raises WeightFormatError (with the byte offset of the offending line)
-    on truncation, malformed content or a non-finite value.
+    on truncation, malformed content, a non-finite value or bytes that are
+    not UTF-8.
     """
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
     offset = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
+
+    def decode(raw: bytes, at_byte: int) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFormatError(f"{path}: not UTF-8 text "
+                                    f"(at byte {at_byte + exc.start})") from None
+
+    with open(path, "rb") as fh:
+        raw_header = fh.readline()
+        header = decode(raw_header, 0)
         if not header:
             raise WeightFormatError(f"{path}: empty weight manifest (at byte 0)")
         parts = header.split()
@@ -412,7 +428,7 @@ def load_manifest(path):
             raise WeightFormatError(
                 f"{path}: unsupported manifest version {parts[1]!r} "
                 f"(expected {MANIFEST_VERSION}) (at byte 0)")
-        offset += len(header.encode("utf-8"))
+        offset += len(raw_header)
         pending_name = None
         pending_shape = None
         pending_values: list[float] = []
@@ -431,10 +447,10 @@ def load_manifest(path):
             pending_shape = None
             pending_values = []
 
-        for line in fh:
+        for raw in fh:
             line_start = offset
-            offset += len(line.encode("utf-8"))
-            stripped = line.strip()
+            offset += len(raw)
+            stripped = decode(raw, line_start).strip()
             if not stripped:
                 continue
             fields_ = stripped.split()
@@ -475,7 +491,10 @@ def load_manifest(path):
 def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     """Assemble NetworkParameters from parsed manifest content."""
     arch = _arch_from_meta(meta)
-    dtype = resolve_dtype(meta.get("precision", "double"))
+    try:
+        dtype = resolve_dtype(meta.get("precision", "double"))
+    except ValueError as exc:
+        raise WeightFormatError(f"manifest meta precision: {exc}") from None
     reference = build(0, arch, dtype=dtype)
     expected = dict(reference.named_arrays())
     missing = [n for n in expected if n not in tensors]

@@ -54,11 +54,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)), overflow-safe, output in (0, 1)."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)), output in [0, 1].
+
+    Evaluated as 0.5 * (1 + tanh(x / 2)), which cannot overflow, in four
+    passes over one array: a new one, or `out` (which may be `x` itself).
+    """
     x = np.asarray(x)
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, 0.5))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def d_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -89,6 +89,82 @@ def gru_oracle(x, p, h0=None):
     return out
 
 
+def sigmoid_two_branch(x):
+    """1 / (1 + exp(-x)) from exp(-|x|), which never overflows."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def gru_stepwise_forward(x, p, h0=None):
+    """One-step-at-a-time GRU forward: every product is per step and per gate.
+
+    Returns (h_seq [B, T, units], steps), where steps[i] holds
+    (x_t, h_prev, z, r, inner, hcand) for `gru_stepwise_backward`.
+    """
+    b, t, _ = x.shape
+    units = p.units
+    if h0 is None:
+        h = np.zeros((b, units), dtype=x.dtype)
+    else:
+        h = np.broadcast_to(h0, (b, units)).astype(x.dtype, copy=True)
+    h_seq = np.empty((b, t, units), dtype=x.dtype)
+    steps = []
+    for i in range(t):
+        xt = x[:, i, :]
+        z = sigmoid_two_branch(xt @ p.w_z + h @ p.u_z + p.b_z + p.rb_z)
+        r = sigmoid_two_branch(xt @ p.w_r + h @ p.u_r + p.b_r + p.rb_r)
+        inner = h @ p.u_h + p.rb_h
+        hcand = np.tanh(xt @ p.w_h + p.b_h + r * inner)
+        h_new = (1.0 - z) * h + z * hcand
+        steps.append((xt, h, z, r, inner, hcand))
+        h_seq[:, i, :] = h_new
+        h = h_new
+    return h_seq, steps
+
+
+def gru_stepwise_backward(steps, p, dh_seq):
+    """Backprop through time over `gru_stepwise_forward`'s steps, accumulating
+    every weight gradient and the input gradient one step at a time.
+
+    Returns (dx, grads keyed by GRU_FIELDS, dh0).
+    """
+    b, t, _ = dh_seq.shape
+    input_dim = p.w_z.shape[0]
+    grads = {name: np.zeros_like(getattr(p, name)) for name in layers.GRU_FIELDS}
+    dx = np.empty((b, t, input_dim), dtype=dh_seq.dtype)
+    dh_next = np.zeros((b, p.units), dtype=dh_seq.dtype)
+    for i in range(t - 1, -1, -1):
+        xt, h_prev, z, r, inner, hcand = steps[i]
+        dh = dh_seq[:, i, :] + dh_next
+        dz = dh * (hcand - h_prev)
+        da_z = dz * z * (1.0 - z)
+        dhcand = dh * z
+        da_h = dhcand * (1.0 - hcand * hcand)
+        dr = da_h * inner
+        da_r = dr * r * (1.0 - r)
+        dinner = da_h * r
+
+        grads["w_z"] += xt.T @ da_z
+        grads["u_z"] += h_prev.T @ da_z
+        grads["b_z"] += da_z.sum(axis=0)
+        grads["rb_z"] += da_z.sum(axis=0)
+        grads["w_r"] += xt.T @ da_r
+        grads["u_r"] += h_prev.T @ da_r
+        grads["b_r"] += da_r.sum(axis=0)
+        grads["rb_r"] += da_r.sum(axis=0)
+        grads["w_h"] += xt.T @ da_h
+        grads["b_h"] += da_h.sum(axis=0)
+        grads["u_h"] += h_prev.T @ dinner
+        grads["rb_h"] += dinner.sum(axis=0)
+
+        dx[:, i, :] = da_z @ p.w_z.T + da_r @ p.w_r.T + da_h @ p.w_h.T
+        dh_next = (dh * (1.0 - z)
+                   + da_z @ p.u_z.T
+                   + da_r @ p.u_r.T
+                   + dinner @ p.u_h.T)
+    return dx, grads, dh_next
+
+
 def random_gru_params(rng, input_dim, units, scale=0.6):
     return layers.GRUParams(
         w_z=rng.normal(scale=scale, size=(input_dim, units)),

@@ -6,6 +6,7 @@ import pytest
 from botclf import cli, dataio, metrics, network, synth
 from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
+from botclf.errors import NumericError
 
 
 @pytest.fixture
@@ -225,6 +226,115 @@ class TestFailClosed:
                     "--report", out_path]) == EXIT_NUMERIC
         assert "non-finite class probabilities" in capsys.readouterr().err
         assert not out_path.exists() or "nan" not in out_path.read_text()
+
+
+class TestSettingsFailClosed:
+    # --data names a file that does not exist: exit 2 rather than 3 shows
+    # that the settings were rejected before any file was read.
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--epochs", "0"),
+        ("train", "--batch-size", "0"),
+        ("train", "--gru-units", "0"),
+        ("train", "--filters", "0"),
+        ("summary", "--gru-units", "0"),
+        ("summary", "--filters", "-3"),
+        ("gradcheck", "--probes", "0"),
+    ])
+    def test_out_of_range_setting_exits_before_io(self, tmp_path, capsys,
+                                                  command, flag, value):
+        code = run([command, "--data", tmp_path / "nope.csv",
+                    "--weights", tmp_path / "w", flag, value])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        name = flag.lstrip("-").replace("-", "_")
+        assert err.splitlines() == [f"botclf: config error: {name} must be at least 1, "
+                                    f"got {value}"]
+
+    def test_validation_fraction_out_of_range(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BOTCLF_VALIDATION_FRACTION", "1.0")
+        assert run(["train", "--data", tmp_path / "nope.csv"]) == EXIT_CONFIG
+        assert "validation_fraction" in capsys.readouterr().err
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        assert run(["summary", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
+
+
+class TestDecodingFailsClosed:
+    def test_non_integer_meta_names_the_key(self, tmp_path, trained_weights, eval_csv,
+                                            capsys):
+        bad = tmp_path / "meta.weights"
+        bad.write_text(trained_weights.read_text().replace("meta filters 128\n",
+                                                           "meta filters abc\n"))
+        assert run(["predict", "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["botclf: data error: manifest meta filters: "
+                                    "expected int, got 'abc'"]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_utf8_manifest_cites_byte(self, tmp_path, trained_weights, eval_csv,
+                                          command, capsys):
+        data = trained_weights.read_bytes()
+        at = data.index(b"tensor conv.bias") + len(b"tensor ")
+        bad = tmp_path / "bytes.weights"
+        bad.write_bytes(data[:at] + b"\xff\xfe" + data[at + 2:])
+        assert run([command, "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"botclf: data error: {bad}: not UTF-8 text "
+                                    f"(at byte {at})"]
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_non_utf8_csv_row_names_the_file(self, tmp_path, trained_weights, eval_csv,
+                                             command, capsys):
+        lines = eval_csv.read_bytes().split(b"\n")
+        lines[7] = b"\xff\xfe" + lines[7]
+        bad = tmp_path / "bytes.csv"
+        bad.write_bytes(b"\n".join(lines))
+        weights = tmp_path / "new.weights" if command == "train" else trained_weights
+        assert run([command, "--data", bad, "--weights", weights]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"botclf: data error: {bad}: not UTF-8 text "
+                                    "(byte 0xff: invalid start byte)"]
+
+
+class TestAtomicOutputs:
+    def test_failed_predict_keeps_previous_report(self, tmp_path, trained_weights,
+                                                  monkeypatch):
+        real = network.predict_proba
+        calls = []
+
+        def fail_on_second_chunk(params, x):
+            calls.append(len(x))
+            if len(calls) == 2:
+                raise NumericError("injected failure after the first chunk")
+            return real(params, x)
+
+        monkeypatch.setattr(network, "predict_proba", fail_on_second_chunk)
+        data = tmp_path / "data.csv"
+        synth.write_csv(data, 3 * network.INFER_CHUNK, seed=4, noise=0.03)
+        report = tmp_path / "out.txt"
+        previous = b"0,Normal,1.0\n"
+        report.write_bytes(previous)
+        assert run(["predict", "--data", data, "--weights", trained_weights,
+                    "--report", report]) == EXIT_NUMERIC
+        assert calls == [network.INFER_CHUNK] * 2
+        assert report.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out.txt"]
+
+    def test_train_replaces_weights_and_stats(self, tmp_path, train_csv):
+        weights = tmp_path / "model.weights"
+        stats = tmp_path / "model.stats"
+        for path in (weights, stats):
+            path.write_text("old\n")
+        assert run(["train", "--data", train_csv, "--weights", weights,
+                    "--report", stats, "--epochs", "1"]) == EXIT_OK
+        assert weights.read_text().startswith("botclf-weights 1\n")
+        assert stats.read_text().startswith("epoch=0 ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.stats", "model.weights", "train.csv"]
 
 
 class TestGradcheck:

@@ -7,7 +7,8 @@ import pytest
 from botclf import layers
 from botclf.errors import CacheReusedError, ShapeError
 from botclf.numerics import make_rng, sigmoid
-from oracles import check_grads, conv_oracle, gru_oracle, random_gru_params
+from oracles import (check_grads, conv_oracle, gru_oracle, gru_stepwise_backward,
+                     gru_stepwise_forward, random_gru_params)
 
 RNG = make_rng(20240517)
 
@@ -259,6 +260,43 @@ class TestGRU:
                 via_reset = inner[i] * r[i] * (1 - r[i]) * p.u_r[j, i]
                 expect[j] += dcand * (direct + via_reset)
         npt.assert_allclose(dh0[0], expect, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_infer_is_forward_without_cache(self, dtype):
+        rng = make_rng(17)
+        p = random_gru_params(rng, 1, 10)
+        for name in layers.GRU_FIELDS:
+            setattr(p, name, getattr(p, name).astype(dtype))
+        x = rng.normal(size=(37, 16, 1)).astype(dtype)
+        npt.assert_array_equal(layers.gru_infer(x, p), layers.gru_forward(x, p)[0])
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    @pytest.mark.parametrize("b,t,c,units", [(1, 1, 1, 1), (3, 7, 2, 4), (4, 5, 3, 6),
+                                             (10, 16, 1, 10), (33, 16, 1, 10)])
+    def test_fused_matches_stepwise(self, b, t, c, units, with_h0, dtype, tol):
+        # The fused path reorders the floating-point sums, so each array must
+        # agree with the stepwise reference within tol times its largest entry
+        # (at least 1).
+        rng = make_rng(16)
+        p = random_gru_params(rng, c, units)
+        for name in layers.GRU_FIELDS:
+            setattr(p, name, getattr(p, name).astype(dtype))
+        x = rng.normal(size=(b, t, c)).astype(dtype)
+        h0 = rng.uniform(-0.9, 0.9, size=units).astype(dtype) if with_h0 else None
+        upstream = rng.normal(size=(b, t, units)).astype(dtype)
+
+        h_seq, cache = layers.gru_forward(x, p, h0=h0)
+        dx, grads, dh0 = layers.gru_backward(cache, upstream)
+        ref_h, steps = gru_stepwise_forward(x, p, h0=h0)
+        ref_dx, ref_grads, ref_dh0 = gru_stepwise_backward(steps, p, upstream)
+
+        pairs = [("h_seq", h_seq, ref_h), ("dx", dx, ref_dx), ("dh0", dh0, ref_dh0)]
+        pairs += [(name, grads[name], ref_grads[name]) for name in layers.GRU_FIELDS]
+        for name, got, ref in pairs:
+            assert got.shape == ref.shape and got.dtype == dtype, name
+            bound = tol * max(1.0, float(np.abs(ref).max()))
+            npt.assert_allclose(got, ref, rtol=0, atol=bound, err_msg=name)
 
 
 # --------------------------------------------------------------------------

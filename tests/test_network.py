@@ -307,6 +307,28 @@ class TestWeightsIO:
         with pytest.raises(WeightFormatError, match="shape"):
             network.load_weights(bad)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(0), path)
+        previous = path.read_bytes()
+        # the weight tensors are written before the extra fails
+        with pytest.raises(AttributeError):
+            network.save_weights(network.build(1), path, extras={"broken": object()})
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["w.weights"]
+
+    @pytest.mark.parametrize("key,value", [("filters", "abc"), ("gru_units", "1.5"),
+                                           ("bn_epsilon", "tiny"), ("precision", "quad")])
+    def test_unparsable_meta_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(0), path)
+        text = path.read_text()
+        start = text.index(f"meta {key} ")
+        end = text.index("\n", start)
+        path.write_text(text[:start] + f"meta {key} {value}" + text[end:])
+        with pytest.raises(WeightFormatError, match=f"meta {key}"):
+            network.load_weights(path)
+
     def test_extras_survive(self, tmp_path):
         p = network.build(18)
         path = tmp_path / "w.weights"
