@@ -58,6 +58,11 @@ def _norm_extras(spec: FeatureSpec) -> dict:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    arch = _architecture(cfg)
+    train_cfg = training.TrainConfig(
+        epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
+        validation_fraction=cfg.validation_fraction, seed=cfg.seed,
+        stratified=cfg.stratified)
     data_path = _require_data(cfg)
     spec, schema, label_map = _io_setup(cfg)
     fitted = dataio.fit_normalizer(
@@ -70,11 +75,7 @@ def cmd_train(cfg: RunConfig) -> int:
     dist = dataset.class_distribution(label_map.num_classes)
     log.info("loaded %d records; class distribution %s", len(dataset), dist.tolist())
 
-    params = network.build(cfg.seed, _architecture(cfg), dtype=resolve_dtype(cfg.precision))
-    train_cfg = training.TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        validation_fraction=cfg.validation_fraction, seed=cfg.seed,
-        stratified=cfg.stratified)
+    params = network.build(cfg.seed, arch, dtype=resolve_dtype(cfg.precision))
 
     stats_path = cfg.report or (cfg.weights + ".stats")
     lines = []

@@ -83,8 +83,9 @@ def resolve(cli_values: dict, config_path: str | None = None,
     """Merge flag values, env vars, and a config file into a RunConfig.
 
     `cli_values` holds only options the user actually passed (unset flags
-    are absent or None). Out-of-range values raise ConfigError here, before
-    any command reads data.
+    are absent or None). Range checks belong to what uses each setting
+    (`TrainConfig`, `Architecture`, `gradient_check`), which the commands
+    build before they read any file.
     """
     environ = os.environ if environ is None else environ
     file_values = read_kv_file(config_path) if config_path else {}
@@ -111,12 +112,6 @@ def resolve(cli_values: dict, config_path: str | None = None,
         raise ConfigError(f"precision must be 'double' or 'single', got {cfg.precision!r}")
     if cfg.policy not in ("skip", "fail"):
         raise ConfigError(f"policy must be 'skip' or 'fail', got {cfg.policy!r}")
-    for name in ("epochs", "batch_size", "gru_units", "filters", "probes"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if not 0.0 < cfg.validation_fraction < 1.0:
-        raise ConfigError(
-            f"validation_fraction must lie in (0, 1), got {cfg.validation_fraction}")
     return cfg
 
 

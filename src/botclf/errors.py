@@ -9,8 +9,12 @@ class BotclfError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(BotclfError):
-    """Bad configuration: unknown key, malformed value, invalid combination."""
+class ConfigError(BotclfError, ValueError):
+    """Bad configuration: unknown key, malformed value, invalid combination.
+
+    Also a ValueError: the settings objects (`TrainConfig`, `Architecture`)
+    raise it for out-of-range arguments.
+    """
 
 
 class DataError(BotclfError):

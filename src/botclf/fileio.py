@@ -8,6 +8,7 @@ or is interrupted part-way leaves the previous file as it was.
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager
 
 
@@ -15,17 +16,31 @@ from contextlib import contextmanager
 def atomic_write(path):
     """Open `path` for UTF-8 text writing, replacing it only on success.
 
-    The text goes to a new file beside `path` (created exclusively, so with
-    the usual umask-derived permissions), which is flushed to disk and then
-    renamed over `path` with `os.replace`. If the block raises, the
-    temporary file is removed and `path` is untouched.
+    A symlink is followed, so the file it points to is the one replaced.
+    The text goes to a new file beside that target, which takes the
+    previous file's permission bits (or the usual umask-derived ones), is
+    flushed to disk and then renamed over the target with `os.replace`. If
+    the block raises, the temporary file is removed and the target is
+    untouched. A target that exists but is not a regular file (/dev/null,
+    a terminal, a FIFO) holds no previous contents to keep and cannot be
+    renamed over, so it is written directly.
     """
-    path = os.fspath(path)
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
     folder, name = os.path.split(path)
     tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

@@ -210,8 +210,9 @@ def _gru_input_projection(x: np.ndarray, p: GRUParams) -> np.ndarray:
     return proj.reshape(t, b, 3 * p.units)
 
 
-def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None):
-    """x: [B, T, input_dim] -> h_seq: [B, T, units].
+def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
+                keep_cache: bool = True):
+    """x: [B, T, input_dim] -> (h_seq: [B, T, units], cache).
 
     Per step: z = sigma(x W_z + h U_z + b_z + rb_z)
               r = sigma(x W_r + h U_r + b_r + rb_r)
@@ -221,7 +222,9 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None):
     The input projection runs before the time loop (`_gru_input_projection`);
     each step does one h [U_z | U_r] and one h U_h product. The states
     entering each step, z | r, the reset product's inner term and hcand are
-    kept time-major, [T, B, .], for `gru_backward`.
+    kept time-major, [T, B, .], for `gru_backward`. With keep_cache=False
+    (inference) the per-step gate buffers are reused from step to step and
+    the cache returned is None; the hidden states are the same.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
@@ -238,13 +241,15 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None):
         if h0.shape[-1] != units:
             raise ShapeError(f"gru h0 must have {units} units, got shape {h0.shape}")
         hs[0] = np.broadcast_to(h0, (b, units))
-    zr = np.empty((t, b, 2 * units), dtype=dtype)
-    inner = np.empty((t, b, units), dtype=dtype)
-    hcand = np.empty((t, b, units), dtype=dtype)
+    slots = t if keep_cache else 1
+    zr = np.empty((slots, b, 2 * units), dtype=dtype)
+    inner = np.empty((slots, b, units), dtype=dtype)
+    hcand = np.empty((slots, b, units), dtype=dtype)
     proj_zr, proj_h = proj[:, :, :2 * units], proj[:, :, 2 * units:]
     u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
     for i in range(t):
-        h, zr_i, inner_i, hcand_i, h_new = hs[i], zr[i], inner[i], hcand[i], hs[i + 1]
+        k = i % slots
+        h, zr_i, inner_i, hcand_i, h_new = hs[i], zr[k], inner[k], hcand[k], hs[i + 1]
         np.matmul(h, u_zr, out=zr_i)
         zr_i += proj_zr[i]
         sigmoid(zr_i, out=zr_i)
@@ -257,30 +262,11 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None):
         h_new *= zr_i[:, :units]
         h_new += h
     h_seq = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+    if not keep_cache:
+        return h_seq, None
     cache = Cache({"x": x, "params": p, "hs": hs, "zr": zr, "inner": inner,
                    "hcand": hcand})
     return h_seq, cache
-
-
-def gru_infer(x: np.ndarray, p: GRUParams) -> np.ndarray:
-    """Forward-only `gru_forward` from a zero state, without a cache.
-
-    The same operations in the same order, so the same hidden states, with
-    only the running state kept between steps.
-    """
-    b, t, _ = x.shape
-    units = p.units
-    proj = _gru_input_projection(x, p)
-    u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
-    h = np.zeros((b, units), dtype=proj.dtype)
-    h_seq = np.empty((b, t, units), dtype=proj.dtype)
-    for i in range(t):
-        zr = sigmoid(proj[i, :, :2 * units] + h @ u_zr)
-        z, r = zr[:, :units], zr[:, units:]
-        hcand = tanh(proj[i, :, 2 * units:] + r * (h @ p.u_h + p.rb_h))
-        h = h + z * (hcand - h)
-        h_seq[:, i, :] = h
-    return h_seq
 
 
 def gru_backward(cache: Cache, dh_seq: np.ndarray):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import layers
-from .errors import NumericError, ShapeError, WeightFormatError
+from .errors import ConfigError, NumericError, ShapeError, WeightFormatError
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
@@ -47,6 +47,12 @@ class Architecture:
     bn_epsilon: float = 1e-3
     bn_momentum: float = 0.99
     truncated_normal_stddev: float = 0.05
+
+    def __post_init__(self):
+        for name in ("seq_len", "in_channels", "filters", "kernel_size", "gru_units",
+                     "dense_units", "classes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @property
     def concat_width(self) -> int:
@@ -238,7 +244,7 @@ def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
         else:
             conv_y, _ = layers.conv1d_forward(xb, conv)
             pooled = layers.activation_forward(conv_y, a.conv_activation)[0].mean(axis=1)
-        gru_y = layers.gru_infer(xb, params.gru)
+        gru_y, _ = layers.gru_forward(xb, params.gru, keep_cache=False)
         concat_y = np.concatenate([pooled, gru_y.reshape(xb.shape[0], -1)], axis=1)
         hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, a.dense_activation)
         probs, _ = layers.dense_forward(hidden_y, params.dense_out, "softmax")
@@ -360,7 +366,10 @@ def _arch_from_meta(meta: dict) -> Architecture:
         except ValueError:
             raise WeightFormatError(
                 f"manifest meta {f.name}: expected {f.type}, got {raw!r}") from None
-    return replace(Architecture(), **kwargs)
+    try:
+        return replace(Architecture(), **kwargs)
+    except ConfigError as exc:
+        raise WeightFormatError(f"manifest meta {exc}") from None
 
 
 def save_weights(params: NetworkParameters, path,

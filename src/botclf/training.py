@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import ConfusionMatrix
 from .network import NetworkParameters
 from .numerics import substream
@@ -32,14 +32,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
+            raise ConfigError(
+                f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
         if not 0.0 <= self.rms_decay < 1.0:
-            raise ValueError(f"rms_decay must be in [0, 1), got {self.rms_decay}")
+            raise ConfigError(f"rms_decay must lie in [0, 1), got {self.rms_decay}")
 
 
 @dataclass
@@ -274,6 +274,8 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
     floor are redrawn. Batchnorm runs in infer mode so the loss is a
     deterministic function of the parameters.
     """
+    if probes < 1:
+        raise ConfigError(f"probes must be at least 1, got {probes}")
     if params.dtype != np.float64:
         raise NumericError("gradient_check requires double precision parameters")
     arch = params.arch

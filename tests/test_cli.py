@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -262,6 +264,23 @@ class TestSettingsFailClosed:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
 
+    def test_setting_a_command_does_not_use_is_not_checked(self, tmp_path, trained_weights,
+                                                           eval_csv, monkeypatch):
+        monkeypatch.setenv("BOTCLF_EPOCHS", "0")
+        monkeypatch.setenv("BOTCLF_PROBES", "0")
+        assert run(["predict", "--data", eval_csv, "--weights", trained_weights,
+                    "--report", tmp_path / "out.txt"]) == EXIT_OK
+
+    def test_out_of_range_meta_size_is_weight_format_error(self, tmp_path, trained_weights,
+                                                           eval_csv, capsys):
+        bad = tmp_path / "meta.weights"
+        bad.write_text(trained_weights.read_text().replace("meta gru_units 10\n",
+                                                           "meta gru_units 0\n"))
+        assert run(["predict", "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["botclf: data error: manifest meta gru_units must be "
+                                    "at least 1, got 0"]
+
 
 class TestDecodingFailsClosed:
     def test_non_integer_meta_names_the_key(self, tmp_path, trained_weights, eval_csv,
@@ -335,6 +354,46 @@ class TestAtomicOutputs:
         assert stats.read_text().startswith("epoch=0 ")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "model.stats", "model.weights", "train.csv"]
+
+    def test_report_through_symlink_replaces_its_target(self, tmp_path, trained_weights,
+                                                        eval_csv):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert run(["predict", "--data", eval_csv, "--weights", trained_weights,
+                    "--report", link]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert len(target.read_text().splitlines()) == 150
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "eval.csv", "link.txt", "target.txt"]
+
+    def test_replaced_report_keeps_its_permissions(self, tmp_path, trained_weights,
+                                                   eval_csv):
+        report = tmp_path / "out.txt"
+        report.write_text("old\n")
+        report.chmod(0o600)
+        assert run(["predict", "--data", eval_csv, "--weights", trained_weights,
+                    "--report", report]) == EXIT_OK
+        assert stat.S_IMODE(report.stat().st_mode) == 0o600
+        assert len(report.read_text().splitlines()) == 150
+
+    def test_report_to_a_fifo_is_written_in_place(self, tmp_path, trained_weights,
+                                                  eval_csv):
+        # Stands in for /dev/null and other non-regular outputs, which cannot
+        # be renamed over; a reader is attached first so the writer never blocks.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(["predict", "--data", eval_csv, "--weights", trained_weights,
+                        "--report", fifo]) == EXIT_OK
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert len(text.splitlines()) == 150
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.csv", "pipe"]
 
 
 class TestGradcheck:

@@ -262,22 +262,25 @@ class TestGRU:
         npt.assert_allclose(dh0[0], expect, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_infer_is_forward_without_cache(self, dtype):
+    def test_forward_without_cache_gives_same_states(self, dtype):
         rng = make_rng(17)
         p = random_gru_params(rng, 1, 10)
         for name in layers.GRU_FIELDS:
             setattr(p, name, getattr(p, name).astype(dtype))
         x = rng.normal(size=(37, 16, 1)).astype(dtype)
-        npt.assert_array_equal(layers.gru_infer(x, p), layers.gru_forward(x, p)[0])
+        h_seq, cache = layers.gru_forward(x, p, keep_cache=False)
+        assert cache is None
+        npt.assert_array_equal(h_seq, layers.gru_forward(x, p)[0])
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("with_h0", [False, True])
     @pytest.mark.parametrize("b,t,c,units", [(1, 1, 1, 1), (3, 7, 2, 4), (4, 5, 3, 6),
                                              (10, 16, 1, 10), (33, 16, 1, 10)])
     def test_fused_matches_stepwise(self, b, t, c, units, with_h0, dtype, tol):
-        # The fused path reorders the floating-point sums, so each array must
-        # agree with the stepwise reference within tol times its largest entry
-        # (at least 1).
+        # The fused path reorders the floating-point sums. In double precision
+        # each array must agree with the stepwise reference within 1e-12; in
+        # single precision within 1e-5 times its largest entry (at least 1),
+        # as the summed gradients grow with the batch.
         rng = make_rng(16)
         p = random_gru_params(rng, c, units)
         for name in layers.GRU_FIELDS:
@@ -295,7 +298,7 @@ class TestGRU:
         pairs += [(name, grads[name], ref_grads[name]) for name in layers.GRU_FIELDS]
         for name, got, ref in pairs:
             assert got.shape == ref.shape and got.dtype == dtype, name
-            bound = tol * max(1.0, float(np.abs(ref).max()))
+            bound = tol if dtype == np.float64 else tol * max(1.0, float(np.abs(ref).max()))
             npt.assert_allclose(got, ref, rtol=0, atol=bound, err_msg=name)
 
 
