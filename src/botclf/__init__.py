@@ -7,8 +7,8 @@ overall statistics suite for 6-way attack classification.
 """
 
 from .dataio import (CsvSchema, Dataset, FeatureSpec, FlowRecord, LabelMap,
-                     DEFAULT_FEATURES, DEFAULT_LABEL_MAP, batches,
-                     fit_normalizer, stream_csv, to_dataset)
+                     DEFAULT_FEATURES, DEFAULT_LABEL_MAP, fit_normalizer,
+                     stream_csv, to_dataset)
 from .metrics import (BinaryCells, ClassStats, ConfusionMatrix, MetricsReport,
                       OverallStats, accuracy_ci, auci_band, class_stats,
                       cohen_kappa, overall_stats, report, stats_from_cells)
@@ -25,7 +25,7 @@ __all__ = [
     "CsvSchema", "Dataset", "DEFAULT_FEATURES", "DEFAULT_LABEL_MAP",
     "EpochStats", "FeatureSpec", "FlowRecord", "GradCheckReport", "LabelMap",
     "MetricsReport", "ModelSummary", "NetworkParameters", "OverallStats",
-    "TrainConfig", "accuracy_ci", "auci_band", "backward", "batches", "build",
+    "TrainConfig", "accuracy_ci", "auci_band", "backward", "build",
     "class_stats", "cohen_kappa", "cross_entropy", "evaluate", "fit",
     "fit_normalizer", "forward", "gradient_check", "init_rmsprop",
     "load_weights", "overall_stats", "param_count", "predict_proba", "report",

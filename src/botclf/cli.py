@@ -10,7 +10,6 @@ import argparse
 import logging
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -53,10 +52,6 @@ def cmd_summary(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _norm_extras(spec: FeatureSpec) -> dict:
-    return {"norm.min": spec.mins, "norm.max": spec.maxs}
-
-
 def cmd_train(cfg: RunConfig) -> int:
     arch = _architecture(cfg)
     train_cfg = training.TrainConfig(
@@ -87,35 +82,15 @@ def cmd_train(cfg: RunConfig) -> int:
     training.fit(params, dataset, train_cfg, progress_sink=sink)
     with atomic_write(stats_path) as fh:
         fh.write("\n".join(lines) + "\n")
-    meta = {"feature_names": ",".join(fitted.names),
-            "class_names": ",".join(label_map.names),
-            "class_pairs": ";".join(f"{c},{s}" for c, s in label_map.pairs)}
-    network.save_weights(params, cfg.weights, extras=_norm_extras(fitted), meta=meta)
+    network.save_bundle(params, cfg.weights, fitted, label_map)
     log.info("wrote weights to %s and epoch stats to %s", cfg.weights, stats_path)
     return EXIT_OK
 
 
-def _load_bundle(cfg: RunConfig):
-    """Weights plus the persisted normalizer and label names."""
-    tensors, meta = network.load_manifest(cfg.weights)
-    params = network.params_from_manifest(tensors, meta)
-    spec, schema, label_map = _io_setup(cfg)
-    if "feature_names" in meta:
-        spec = FeatureSpec(names=tuple(meta["feature_names"].split(",")))
-    if "norm.min" in tensors and "norm.max" in tensors:
-        spec = replace(spec, mins=tensors["norm.min"], maxs=tensors["norm.max"])
-    if "class_pairs" in meta and "class_names" in meta:
-        pairs = tuple(tuple(entry.split(",", 1)) for entry in meta["class_pairs"].split(";"))
-        label_map = dataio.LabelMap(pairs=pairs, names=tuple(meta["class_names"].split(",")))
-    return params, spec, schema, label_map
-
-
 def cmd_eval(cfg: RunConfig) -> int:
     data_path = _require_data(cfg)
-    params, spec, schema, label_map = _load_bundle(cfg)
-    if not spec.fitted:
-        raise DataError(f"{cfg.weights}: manifest has no normalizer state; "
-                        "was it written by `botclf train`?")
+    spec, schema, label_map = _io_setup(cfg)
+    params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map, policy=cfg.policy)
     dataset = dataio.to_dataset(stream, spec, dtype=params.dtype)
     if dataset.labels is None:
@@ -135,10 +110,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     data_path = _require_data(cfg)
-    params, spec, schema, label_map = _load_bundle(cfg)
-    if not spec.fitted:
-        raise DataError(f"{cfg.weights}: manifest has no normalizer state; "
-                        "was it written by `botclf train`?")
+    spec, schema, label_map = _io_setup(cfg)
+    params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy)
     classes = params.arch.classes
     names = [label_map.names[i] if i < len(label_map.names) else str(i)

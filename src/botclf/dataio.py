@@ -1,10 +1,9 @@
-"""Flow-record CSV ingestion, feature selection, normalization, batching.
+"""Flow-record CSV ingestion, feature selection, normalization.
 
 Ingestion is single-pass and constant-memory: `CsvStream` yields one raw
 FlowRecord at a time and never loads the file. Normalization is min-max
 to [0, 1], fitted on training data only; a spec that has not been fitted
-refuses to transform. Batches carry [B, T, 1] feature tensors plus one-hot
-label rows.
+refuses to transform.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NotFittedError, SchemaError
-from .numerics import DOUBLE, substream
+from .numerics import DOUBLE
 
 log = logging.getLogger(__name__)
 
@@ -233,32 +232,3 @@ def to_dataset(records, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:
         return Dataset(features=features, labels=None)
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64))
 
-
-@dataclass(frozen=True)
-class Batch:
-    features: np.ndarray           # [B, T, 1]
-    targets: np.ndarray | None     # one-hot [B, K], None for unlabeled data
-    labels: np.ndarray | None      # [B] ints, None for unlabeled data
-
-
-def batches(dataset: Dataset, batch_size: int, seed: int = 0,
-            shuffle: bool = False, num_classes: int = NUM_CLASSES):
-    """Yield fixed-size batches (the last one may be short).
-
-    With shuffle on, order is a seeded permutation; off, input order is
-    preserved. The union of all batches is exactly the input.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(dataset)
-    order = substream(seed, "batches").permutation(n) if shuffle else np.arange(n)
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        x = dataset.features[idx][:, :, None]
-        if dataset.labels is None:
-            yield Batch(features=x, targets=None, labels=None)
-        else:
-            lb = dataset.labels[idx]
-            onehot = np.zeros((lb.size, num_classes), dtype=dataset.features.dtype)
-            onehot[np.arange(lb.size), lb] = 1.0
-            yield Batch(features=x, targets=onehot, labels=lb)

@@ -1,4 +1,4 @@
-"""Layer forward/backward passes: Conv1D, BatchNorm, GRU, Dense, pooling.
+"""Layer forward/backward passes: Conv1D, BatchNorm, GRU, Dense, max pool.
 
 All sequence activations are shaped [batch, time, channels]; flat
 activations are [batch, features]. Every forward returns (output, cache)
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheReusedError, ShapeError
-from .numerics import d_relu, relu, sigmoid, softmax, tanh
+from .numerics import d_relu, relu, sigmoid, softmax
 
 
 @dataclass
@@ -324,42 +324,25 @@ def gru_backward(cache: Cache, dh_seq: np.ndarray):
 # --------------------------------------------------------------------------
 # activation layer (after the conv branch's batchnorm)
 
-_ACTIVATIONS = ("relu", "linear", "tanh")
-
 
 def activation_forward(x: np.ndarray, kind: str = "relu"):
-    if kind not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {_ACTIVATIONS}")
-    if kind == "relu":
-        y = relu(x)
-    elif kind == "tanh":
-        y = tanh(x)
-    else:
-        y = x
-    return y, Cache({"x": x, "kind": kind})
+    if kind != "relu":
+        raise ValueError(f"unknown activation {kind!r}; the conv branch uses 'relu'")
+    return relu(x), Cache({"x": x})
 
 
 def activation_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("activation")
-    x, kind = d["x"], d["kind"]
-    if kind == "relu":
-        dx = dy * d_relu(x)
-    elif kind == "tanh":
-        th = tanh(x)
-        dx = dy * (1.0 - th * th)
-    else:
-        dx = dy
-    return dx, {}
+    return dy * d_relu(cache.consume("activation")["x"]), {}
 
 
 # --------------------------------------------------------------------------
-# global pooling over time
+# global max pool over time
 
 
 def global_max_pool(x: np.ndarray):
     """x: [B, T, C] -> y: [B, C]; gradient flows to the first argmax per channel."""
     if x.ndim != 3 or x.shape[1] < 1:
-        raise ShapeError(f"global pooling expects [batch, time, channels], got {x.shape}")
+        raise ShapeError(f"global max pool expects [batch, time, channels], got {x.shape}")
     idx = x.argmax(axis=1)  # first occurrence on ties
     y = np.take_along_axis(x, idx[:, None, :], axis=1)[:, 0, :]
     return y, Cache({"idx": idx, "in_shape": x.shape})
@@ -370,18 +353,6 @@ def global_max_pool_backward(cache: Cache, dy: np.ndarray):
     dx = np.zeros(d["in_shape"], dtype=dy.dtype)
     np.put_along_axis(dx, d["idx"][:, None, :], dy[:, None, :], axis=1)
     return dx, {}
-
-
-def global_avg_pool(x: np.ndarray):
-    if x.ndim != 3 or x.shape[1] < 1:
-        raise ShapeError(f"global pooling expects [batch, time, channels], got {x.shape}")
-    return x.mean(axis=1), Cache({"in_shape": x.shape})
-
-
-def global_avg_pool_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("global_avg_pool")
-    b, t, c = d["in_shape"]
-    return np.broadcast_to(dy[:, None, :] / t, (b, t, c)).astype(dy.dtype), {}
 
 
 # --------------------------------------------------------------------------
@@ -415,45 +386,29 @@ def concatenate_backward(cache: Cache, dy: np.ndarray):
 # --------------------------------------------------------------------------
 # dense
 
-_DENSE_ACTIVATIONS = ("relu", "linear", "softmax")
 
-
-def dense_forward(x: np.ndarray, p: DenseParams, activation: str = "linear"):
-    """y = activation(x W + b); x: [B, in] -> y: [B, out]."""
-    if activation not in _DENSE_ACTIVATIONS:
+def dense_forward(x: np.ndarray, p: DenseParams, activation: str):
+    """y = activation(x W + b), activation "relu" or "softmax"; x: [B, in] -> y: [B, out]."""
+    if activation not in ("relu", "softmax"):
         raise ValueError(f"unknown dense activation {activation!r}")
     if x.ndim != 2 or x.shape[1] != p.weights.shape[0]:
         raise ShapeError(
             f"dense expects input width {p.weights.shape[0]}, got input shape {x.shape}")
     pre = x @ p.weights + p.bias
-    if activation == "relu":
-        y = relu(pre)
-    elif activation == "softmax":
-        y = softmax(pre)
-    else:
-        y = pre
-    return y, Cache({"x": x, "pre": pre, "y": y, "weights": p.weights,
-                     "activation": activation})
+    y = relu(pre) if activation == "relu" else softmax(pre)
+    return y, Cache({"x": x, "pre": pre, "weights": p.weights, "activation": activation})
 
 
-def dense_backward(cache: Cache, dy: np.ndarray, wrt: str = "output"):
+def dense_backward(cache: Cache, dy: np.ndarray):
     """Backward pass for a dense layer.
 
-    `wrt="output"` treats dy as the gradient w.r.t. the activated output;
-    `wrt="preact"` treats dy as the gradient w.r.t. the pre-activation
-    (used when a softmax+cross-entropy loss supplies the combined logit
-    gradient directly).
+    For "relu", dy is the gradient w.r.t. the activated output. For
+    "softmax", dy is the gradient w.r.t. the pre-softmax logits, which is
+    what the cross-entropy loss supplies.
     """
     d = cache.consume("dense")
-    x, pre, y, w, activation = d["x"], d["pre"], d["y"], d["weights"], d["activation"]
-    if wrt == "preact":
-        dpre = dy
-    elif activation == "relu":
-        dpre = dy * d_relu(pre)
-    elif activation == "softmax":
-        dpre = y * (dy - (dy * y).sum(axis=1, keepdims=True))
-    else:
-        dpre = dy
+    x, pre, w = d["x"], d["pre"], d["weights"]
+    dpre = dy * d_relu(pre) if d["activation"] == "relu" else dy
     dw = x.T @ dpre
     db = dpre.sum(axis=0)
     dx = dpre @ w.T

@@ -1,22 +1,26 @@
 """The two-branch flow classifier: assembly, forward/backward, weights I/O.
 
-Branch A: input [B, 16, 1] -> Conv1D -> BatchNorm -> Activation -> global max pool
+Branch A: input [B, 16, 1] -> Conv1D -> BatchNorm -> ReLU -> global max pool
 Branch B: input [B, 16, 1] -> GRU -> Flatten
 Head:     Concatenate(A, B) -> Dense(hidden, relu) -> Dense(classes, softmax)
 
-The topology is fixed; only the size knobs (filters, GRU units, dense
-width, class count ...) are configurable.
+The topology is fixed; only the sizes (filters, GRU units, dense width,
+class count ...) vary. The weights bundle, one text manifest holding the
+weights, the fitted normalizer and the class map, is written by
+`save_bundle` and read by `load_bundle`; no other module knows its keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import layers
-from .errors import ConfigError, NumericError, ShapeError, WeightFormatError
+from .dataio import FeatureSpec, LabelMap
+from .errors import ConfigError, DataError, NumericError, ShapeError, WeightFormatError
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
@@ -32,7 +36,9 @@ _VALUES_PER_LINE = 8
 
 @dataclass(frozen=True)
 class Architecture:
-    """Size and behavior knobs; defaults give the 4370-parameter model."""
+    """Sizes and constants of the fixed topology (ReLU and a global max pool
+    on the conv branch, a ReLU hidden layer); defaults give the
+    4370-parameter model."""
 
     seq_len: int = 16
     in_channels: int = 1
@@ -41,22 +47,36 @@ class Architecture:
     gru_units: int = 10
     dense_units: int = 10
     classes: int = 6
-    conv_activation: str = "relu"
-    dense_activation: str = "relu"
-    pooling: str = "max"  # "max" or "avg"
     bn_epsilon: float = 1e-3
     bn_momentum: float = 0.99
     truncated_normal_stddev: float = 0.05
 
     def __post_init__(self):
-        for name in ("seq_len", "in_channels", "filters", "kernel_size", "gru_units",
-                     "dense_units", "classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
 
     @property
     def concat_width(self) -> int:
         return self.filters + self.seq_len * self.gru_units
+
+
+def _shapes(a: Architecture) -> dict:
+    """{name: shape} of every weight array, in the fixed manifest order."""
+    shapes = {"conv.kernels": (a.kernel_size, a.in_channels, a.filters),
+              "conv.bias": (a.filters,)}
+    shapes.update({f"bn.{n}": (a.filters,)
+                   for n in ("gamma", "beta", "moving_mean", "moving_var")})
+    gru = {"w": (a.in_channels, a.gru_units), "u": (a.gru_units, a.gru_units)}
+    shapes.update({f"gru.{n}": gru.get(n[0], (a.gru_units,)) for n in GRU_FIELDS})
+    shapes.update({"dense_hidden.weights": (a.concat_width, a.dense_units),
+                   "dense_hidden.bias": (a.dense_units,),
+                   "dense_out.weights": (a.dense_units, a.classes),
+                   "dense_out.bias": (a.classes,)})
+    return shapes
+
+
+_ARRAY_GETTERS = [(name, attrgetter(name)) for name in _shapes(Architecture())]
 
 
 @dataclass
@@ -66,30 +86,16 @@ class NetworkParameters:
     gru: GRUParams
     dense_hidden: DenseParams
     dense_out: DenseParams
-    arch: Architecture = field(default_factory=Architecture)
+    arch: Architecture
 
     def named_arrays(self):
         """All weight arrays as (name, array), in the fixed manifest order."""
-        out = [("conv.kernels", self.conv.kernels), ("conv.bias", self.conv.bias),
-               ("bn.gamma", self.bn.gamma), ("bn.beta", self.bn.beta),
-               ("bn.moving_mean", self.bn.moving_mean), ("bn.moving_var", self.bn.moving_var)]
-        out += [(f"gru.{name}", getattr(self.gru, name)) for name in GRU_FIELDS]
-        out += [("dense_hidden.weights", self.dense_hidden.weights),
-                ("dense_hidden.bias", self.dense_hidden.bias),
-                ("dense_out.weights", self.dense_out.weights),
-                ("dense_out.bias", self.dense_out.bias)]
-        return out
+        return [(name, get(self)) for name, get in _ARRAY_GETTERS]
 
     def trainable_arrays(self):
         """(name, array) for every optimizer-owned weight; moving stats excluded."""
         skip = {"bn.moving_mean", "bn.moving_var"}
         return [(n, a) for n, a in self.named_arrays() if n not in skip]
-
-    def get_array(self, name: str) -> np.ndarray:
-        for n, a in self.named_arrays():
-            if n == name:
-                return a
-        raise KeyError(name)
 
     @property
     def dtype(self):
@@ -104,39 +110,32 @@ def build(seed: int, arch: Architecture = Architecture(), dtype=DOUBLE) -> Netwo
     own named substream, so adding layers never shifts another layer's
     initial values.
     """
-    a = arch
-    conv = Conv1DParams(
-        kernels=init_he_uniform((a.kernel_size, a.in_channels, a.filters),
-                                fan_in=a.kernel_size * a.in_channels,
-                                rng=substream(seed, "conv"), dtype=dtype),
-        bias=np.zeros(a.filters, dtype=dtype))
-    bn = BatchNormParams(
-        gamma=np.ones(a.filters, dtype=dtype),
-        beta=np.zeros(a.filters, dtype=dtype),
-        moving_mean=np.zeros(a.filters, dtype=dtype),
-        moving_var=np.ones(a.filters, dtype=dtype),
-        epsilon=a.bn_epsilon, momentum=a.bn_momentum)
+    shapes = _shapes(arch)
+    arrays = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+    arrays["bn.gamma"][:] = 1.0
+    arrays["bn.moving_var"][:] = 1.0
+    for name in ("conv.kernels", "dense_hidden.weights", "dense_out.weights"):
+        shape = shapes[name]
+        arrays[name] = init_he_uniform(shape, fan_in=math.prod(shape[:-1]),
+                                       rng=substream(seed, name.split(".")[0]), dtype=dtype)
     rng = substream(seed, "gru")
-    sd = a.truncated_normal_stddev
-    gru = GRUParams(
-        w_z=init_truncated_normal((a.in_channels, a.gru_units), sd, rng, dtype),
-        w_r=init_truncated_normal((a.in_channels, a.gru_units), sd, rng, dtype),
-        w_h=init_truncated_normal((a.in_channels, a.gru_units), sd, rng, dtype),
-        u_z=init_truncated_normal((a.gru_units, a.gru_units), sd, rng, dtype),
-        u_r=init_truncated_normal((a.gru_units, a.gru_units), sd, rng, dtype),
-        u_h=init_truncated_normal((a.gru_units, a.gru_units), sd, rng, dtype),
-        b_z=np.zeros(a.gru_units, dtype=dtype), b_r=np.zeros(a.gru_units, dtype=dtype),
-        b_h=np.zeros(a.gru_units, dtype=dtype), rb_z=np.zeros(a.gru_units, dtype=dtype),
-        rb_r=np.zeros(a.gru_units, dtype=dtype), rb_h=np.zeros(a.gru_units, dtype=dtype))
-    dense_hidden = DenseParams(
-        weights=init_he_uniform((a.concat_width, a.dense_units), fan_in=a.concat_width,
-                                rng=substream(seed, "dense_hidden"), dtype=dtype),
-        bias=np.zeros(a.dense_units, dtype=dtype))
-    dense_out = DenseParams(
-        weights=init_he_uniform((a.dense_units, a.classes), fan_in=a.dense_units,
-                                rng=substream(seed, "dense_out"), dtype=dtype),
-        bias=np.zeros(a.classes, dtype=dtype))
-    return NetworkParameters(conv, bn, gru, dense_hidden, dense_out, arch=a)
+    for name in GRU_FIELDS[:6]:  # w_z, w_r, w_h, u_z, u_r, u_h, drawn in this order
+        arrays[f"gru.{name}"] = init_truncated_normal(
+            shapes[f"gru.{name}"], arch.truncated_normal_stddev, rng, dtype)
+    return _assemble(arrays, arch)
+
+
+def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
+    """NetworkParameters over a {name: array} dict keyed like `named_arrays`."""
+    return NetworkParameters(
+        conv=Conv1DParams(arrays["conv.kernels"], arrays["conv.bias"]),
+        bn=BatchNormParams(arrays["bn.gamma"], arrays["bn.beta"], arrays["bn.moving_mean"],
+                           arrays["bn.moving_var"], epsilon=arch.bn_epsilon,
+                           momentum=arch.bn_momentum),
+        gru=GRUParams(**{name: arrays[f"gru.{name}"] for name in GRU_FIELDS}),
+        dense_hidden=DenseParams(arrays["dense_hidden.weights"], arrays["dense_hidden.bias"]),
+        dense_out=DenseParams(arrays["dense_out.weights"], arrays["dense_out.bias"]),
+        arch=arch)
 
 
 @dataclass
@@ -172,18 +171,14 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
 
     conv_y, c_conv = layers.conv1d_forward(x, params.conv)
     bn_y, c_bn = layers.batchnorm_forward(conv_y, params.bn, training=(mode == "train"))
-    act_y, c_act = layers.activation_forward(bn_y, a.conv_activation)
-    if a.pooling == "max":
-        pool_y, c_pool = layers.global_max_pool(act_y)
-    else:
-        pool_y, c_pool = layers.global_avg_pool(act_y)
+    act_y, c_act = layers.activation_forward(bn_y)
+    pool_y, c_pool = layers.global_max_pool(act_y)
 
     gru_y, c_gru = layers.gru_forward(x, params.gru)
     flat_y, c_flat = layers.flatten(gru_y)
 
     concat_y, c_concat = layers.concatenate(pool_y, flat_y)
-    hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden,
-                                              a.dense_activation)
+    hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
     probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
     caches = ForwardCaches(c_conv, c_bn, c_act, c_pool, c_gru, c_flat,
                            c_concat, c_hidden, c_out)
@@ -225,11 +220,11 @@ def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
 
     The same function as `forward(params, x, mode="infer")`, computed in
     chunks of INFER_CHUNK rows with no caches. The batchnorm is folded
-    into the conv, and max pooling runs before the conv activation: every
-    activation kind is monotone non-decreasing, so max over time commutes
-    with it and the activation sees [B, filters] instead of
-    [B, seq_len, filters]. Raises NumericError if any probability is
-    non-finite, so a broken model never yields a prediction.
+    into the conv, and the max over time runs before the ReLU, which is
+    exact because ReLU is monotone non-decreasing; the ReLU then sees
+    [B, filters] instead of [B, seq_len, filters]. Raises NumericError if
+    any probability is non-finite, so a broken model never yields a
+    prediction.
     """
     a = params.arch
     x = np.asarray(x, dtype=params.dtype)
@@ -238,15 +233,10 @@ def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
     for start in range(0, x.shape[0], INFER_CHUNK):
         xb = x[start:start + INFER_CHUNK]
-        if a.pooling == "max":
-            pooled, _ = layers.activation_forward(_conv_max_over_time(xb, conv),
-                                                  a.conv_activation)
-        else:
-            conv_y, _ = layers.conv1d_forward(xb, conv)
-            pooled = layers.activation_forward(conv_y, a.conv_activation)[0].mean(axis=1)
+        pooled, _ = layers.activation_forward(_conv_max_over_time(xb, conv))
         gru_y, _ = layers.gru_forward(xb, params.gru, keep_cache=False)
         concat_y = np.concatenate([pooled, gru_y.reshape(xb.shape[0], -1)], axis=1)
-        hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, a.dense_activation)
+        hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, "relu")
         probs, _ = layers.dense_forward(hidden_y, params.dense_out, "softmax")
         finite = np.isfinite(probs).all(axis=1)
         if not finite.all():
@@ -263,15 +253,11 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
     pre-softmax logits, as produced by the cross-entropy loss. Returns
     (grads, dx) with grads keyed like `trainable_arrays()`.
     """
-    a = params.arch
-    d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits, wrt="preact")
+    d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
     (d_pool, d_flat), _ = layers.concatenate_backward(caches.concat, d_concat)
 
-    if a.pooling == "max":
-        d_act, _ = layers.global_max_pool_backward(caches.pool, d_pool)
-    else:
-        d_act, _ = layers.global_avg_pool_backward(caches.pool, d_pool)
+    d_act, _ = layers.global_max_pool_backward(caches.pool, d_pool)
     d_bn, _ = layers.activation_backward(caches.act, d_act)
     d_conv, g_bn = layers.batchnorm_backward(caches.bn, d_bn)
     dx_a, g_conv = layers.conv1d_backward(caches.conv, d_conv)
@@ -325,7 +311,6 @@ class ModelSummary:
 def summary(params: NetworkParameters) -> ModelSummary:
     """Per-layer output shapes and parameter counts, in graph build order."""
     a = params.arch
-    pool_name = "GlobalMaxPooling1D" if a.pooling == "max" else "GlobalAveragePooling1D"
     rows = (
         SummaryRow("InputLayer", (None, a.seq_len, a.in_channels), 0),
         SummaryRow("Conv1D", (None, a.seq_len, a.filters), params.conv.count),
@@ -333,7 +318,7 @@ def summary(params: NetworkParameters) -> ModelSummary:
         SummaryRow("GRU", (None, a.seq_len, a.gru_units), params.gru.count),
         SummaryRow("Activation", (None, a.seq_len, a.filters), 0),
         SummaryRow("Flatten", (None, a.seq_len * a.gru_units), 0),
-        SummaryRow(pool_name, (None, a.filters), 0),
+        SummaryRow("GlobalMaxPooling1D", (None, a.filters), 0),
         SummaryRow("Concatenate", (None, a.concat_width), 0),
         SummaryRow("dense (Dense)", (None, a.dense_units), params.dense_hidden.count),
         SummaryRow("dense_1 (Dense)", (None, a.classes), params.dense_out.count),
@@ -350,24 +335,28 @@ def _arch_meta(arch: Architecture) -> dict:
     return {f.name: str(getattr(arch, f.name)) for f in fields(Architecture)}
 
 
+# Manifests written before the topology was fixed carry these keys; each
+# loads only at the one value the fixed topology has.
+_LEGACY_META = {"pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
+
+
 def _arch_from_meta(meta: dict) -> Architecture:
+    for key, value in _LEGACY_META.items():
+        if meta.get(key, value) != value:
+            raise WeightFormatError(
+                f"manifest meta {key}: only {value!r} is supported, got {meta[key]!r}")
     kwargs = {}
     for f in fields(Architecture):
         if f.name not in meta:
             continue
         raw = meta[f.name]
         try:
-            if f.type == "int":
-                kwargs[f.name] = int(raw)
-            elif f.type == "float":
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
+            kwargs[f.name] = int(raw) if f.type == "int" else float(raw)
         except ValueError:
             raise WeightFormatError(
                 f"manifest meta {f.name}: expected {f.type}, got {raw!r}") from None
     try:
-        return replace(Architecture(), **kwargs)
+        return Architecture(**kwargs)
     except ConfigError as exc:
         raise WeightFormatError(f"manifest meta {exc}") from None
 
@@ -446,7 +435,7 @@ def load_manifest(path):
             nonlocal pending_name, pending_shape, pending_values
             if pending_name is None:
                 return
-            want = int(np.prod(pending_shape)) if pending_shape else 1
+            want = math.prod(pending_shape)
             if len(pending_values) != want:
                 raise WeightFormatError(
                     f"{path}: tensor {pending_name} needs {want} values, "
@@ -476,8 +465,10 @@ def load_manifest(path):
                 try:
                     pending_shape = tuple(int(d) for d in fields_[2:])
                 except ValueError:
+                    pending_shape = None
+                if pending_shape is None or any(d < 0 for d in pending_shape):
                     raise WeightFormatError(
-                        f"{path}: bad tensor dims for {pending_name} (at byte {line_start})") from None
+                        f"{path}: bad tensor dims for {pending_name} (at byte {line_start})")
             else:
                 if pending_name is None:
                     raise WeightFormatError(
@@ -498,26 +489,70 @@ def load_manifest(path):
 
 
 def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
-    """Assemble NetworkParameters from parsed manifest content."""
+    """Assemble NetworkParameters from parsed manifest content.
+
+    Every tensor's shape is checked against the meta architecture before
+    anything is allocated, so an oversized meta size cannot allocate.
+    """
     arch = _arch_from_meta(meta)
     try:
         dtype = resolve_dtype(meta.get("precision", "double"))
     except ValueError as exc:
         raise WeightFormatError(f"manifest meta precision: {exc}") from None
-    reference = build(0, arch, dtype=dtype)
-    expected = dict(reference.named_arrays())
-    missing = [n for n in expected if n not in tensors]
+    shapes = _shapes(arch)
+    missing = [n for n in shapes if n not in tensors]
     if missing:
         raise WeightFormatError(f"manifest is missing tensors: {', '.join(sorted(missing))}")
-    for name, ref in expected.items():
-        got = tensors[name]
-        if got.shape != ref.shape:
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
             raise WeightFormatError(
-                f"tensor {name} has shape {got.shape}, architecture expects {ref.shape}")
-        ref[:] = got.astype(dtype)
-    return reference
+                f"tensor {name} has shape {tensors[name].shape}, architecture expects {shape}")
+    return _assemble({name: tensors[name].astype(dtype) for name in shapes}, arch)
 
 
 def load_weights(path) -> NetworkParameters:
     tensors, meta = load_manifest(path)
     return params_from_manifest(tensors, meta)
+
+
+def save_bundle(params: NetworkParameters, path, spec: FeatureSpec,
+                label_map: LabelMap) -> None:
+    """Write the weights with the fitted normalizer and the class map."""
+    save_weights(params, path, extras={"norm.min": spec.mins, "norm.max": spec.maxs},
+                 meta={"feature_names": ",".join(spec.names),
+                       "class_names": ",".join(label_map.names),
+                       "class_pairs": ";".join(f"{c},{s}" for c, s in label_map.pairs)})
+
+
+def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
+    """(params, fitted FeatureSpec, LabelMap) from a `save_bundle` file.
+
+    `spec` and `label_map` stand in for feature names or a class map the
+    file lacks. A missing normalizer, one whose length differs from the
+    feature names, or a malformed class map is a WeightFormatError.
+    """
+    tensors, meta = load_manifest(path)
+    params = params_from_manifest(tensors, meta)
+    if "feature_names" in meta:
+        try:
+            spec = FeatureSpec(names=tuple(meta["feature_names"].split(",")))
+        except DataError as exc:
+            raise WeightFormatError(f"{path}: manifest meta feature_names: {exc}") from None
+    if "norm.min" not in tensors or "norm.max" not in tensors:
+        raise WeightFormatError(f"{path}: manifest has no normalizer state; "
+                                "was it written by `botclf train`?")
+    mins, maxs = tensors["norm.min"], tensors["norm.max"]
+    want = (len(spec.names),)
+    if mins.shape != want or maxs.shape != want:
+        raise WeightFormatError(
+            f"{path}: normalizer tensors norm.min {mins.shape} and norm.max {maxs.shape} "
+            f"do not match the {want[0]} feature names")
+    spec = replace(spec, mins=mins, maxs=maxs)
+    if "class_pairs" in meta and "class_names" in meta:
+        pairs = tuple(tuple(entry.split(",", 1)) for entry in meta["class_pairs"].split(";"))
+        names = tuple(meta["class_names"].split(","))
+        if len(names) != len(pairs) or any(len(pair) != 2 for pair in pairs):
+            raise WeightFormatError(f"{path}: manifest meta class_pairs and class_names "
+                                    "do not form one class map")
+        label_map = LabelMap(pairs=pairs, names=names)
+    return params, spec, label_map

@@ -45,15 +45,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return make_rng(int.from_bytes(digest[:8], "little"))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a (m, k) and b (k, n)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply matrices of shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)), output in [0, 1].
 
@@ -68,21 +59,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
-
-
-def d_sigmoid(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent, output in (-1, 1)."""
-    return np.tanh(x)
-
-
-def d_tanh(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(x)
-    return 1.0 - t * t
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -11,19 +11,6 @@ import numpy as np
 from botclf import layers
 
 
-def matmul_oracle(a, b):
-    """Triple-loop matrix product."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
-
-
 def conv_oracle(x, kernels, bias):
     """Direct sliding-window summation with explicit zero padding."""
     b, t, c_in = x.shape

@@ -1,0 +1,116 @@
+"""The weights bundle: `network.save_bundle` / `network.load_bundle`."""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from botclf import network
+from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec, LabelMap
+from botclf.errors import WeightFormatError
+from botclf.network import Architecture
+
+
+def _save_small_bundle(path):
+    """A bundle of a small model (the 16 default features, 6 classes)."""
+    params = network.build(40, Architecture(filters=4, gru_units=2, dense_units=3))
+    spec = FeatureSpec(mins=-np.arange(16.0), maxs=np.arange(16.0) + 1.5)
+    network.save_bundle(params, path, spec, DEFAULT_LABEL_MAP)
+    return params, spec
+
+
+class TestBundle:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "b.weights"
+        params, spec = _save_small_bundle(path)
+        fallback = LabelMap(pairs=(("a", "b"),), names=("c",))
+        got, got_spec, label_map = network.load_bundle(path, FeatureSpec(names=("x",)),
+                                                       fallback)
+        for (name, a), (_, b) in zip(params.named_arrays(), got.named_arrays()):
+            npt.assert_array_equal(a, b, err_msg=name)
+        assert got.arch == params.arch
+        assert got_spec.names == spec.names
+        npt.assert_array_equal(got_spec.mins, spec.mins)
+        npt.assert_array_equal(got_spec.maxs, spec.maxs)
+        assert label_map == DEFAULT_LABEL_MAP
+
+    def test_no_normalizer_is_rejected(self, tmp_path):
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(0), path)
+        with pytest.raises(WeightFormatError, match="no normalizer state"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_duplicate_feature_names_are_rejected(self, tmp_path):
+        path = tmp_path / "b.weights"
+        _save_small_bundle(path)
+        path.write_text(path.read_text().replace("sbytes,dbytes", "dbytes,dbytes"))
+        with pytest.raises(WeightFormatError, match="feature_names: feature names must be "
+                                                    "unique"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_class_names_and_pairs_must_agree(self, tmp_path):
+        path = tmp_path / "b.weights"
+        _save_small_bundle(path)
+        path.write_text(path.read_text().replace(",Data-Exfiltration\n", "\n"))
+        with pytest.raises(WeightFormatError, match="do not form one class map"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_negative_tensor_dims_are_rejected(self, tmp_path):
+        # -2 x -64 has the 128 values conv.bias holds, but is no shape
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(0), path)
+        path.write_text(path.read_text().replace("tensor conv.bias 128\n",
+                                                 "tensor conv.bias -2 -64\n"))
+        with pytest.raises(WeightFormatError, match="bad tensor dims for conv.bias"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    @pytest.fixture(scope="class")
+    def bundle_lines(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bundle") / "b.weights"
+        _save_small_bundle(path)
+        return path.read_bytes().splitlines(keepends=True)
+
+    # derandomized with a bounded example count, so every run checks the same
+    # mutations; tmp_path is shared by the examples, each rewriting one file
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_bundle_loads_or_is_rejected(self, tmp_path, bundle_lines, data):
+        lines = list(bundle_lines)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(["flip", "delete", "duplicate", "swap"]))
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            if kind == "flip":
+                line = bytearray(lines[i])
+                at = data.draw(st.integers(0, len(line) - 1), label="byte")
+                line[at] ^= data.draw(st.integers(1, 255), label="xor")
+                lines[i] = bytes(line)
+            elif kind == "delete":
+                if len(lines) > 1:
+                    del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                # a token of a meta or tensor line swapped with any token of the file
+                heads = [k for k, ln in enumerate(lines)
+                         if ln.startswith((b"meta ", b"tensor ")) and len(ln.split()) > 1]
+                if not heads:
+                    continue
+                k = data.draw(st.sampled_from(heads), label="head line")
+                j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+                a = lines[k].split()
+                b = a if j == k else lines[j].split()
+                if not b:
+                    continue
+                ta = data.draw(st.integers(1, len(a) - 1), label="head token")
+                tb = data.draw(st.integers(0, len(b) - 1), label="other token")
+                a[ta], b[tb] = b[tb], a[ta]
+                lines[k] = b" ".join(a) + b"\n"
+                if j != k:
+                    lines[j] = b" ".join(b) + b"\n"
+        path = tmp_path / "mutated.weights"
+        path.write_bytes(b"".join(lines))
+        try:
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+        except WeightFormatError:
+            pass

@@ -229,6 +229,25 @@ class TestFailClosed:
         assert "non-finite class probabilities" in capsys.readouterr().err
         assert not out_path.exists() or "nan" not in out_path.read_text()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_normalizer_and_feature_names_disagree(self, tmp_path, trained_weights,
+                                                   eval_csv, command, capsys):
+        text = trained_weights.read_text()
+        start = text.index("meta feature_names ")
+        end = text.index("\n", start)
+        names = text[start:end].split()[2].split(",")
+        bad = tmp_path / "names.weights"
+        bad.write_text(text[:start] + "meta feature_names " + ",".join(names[:15])
+                       + text[end:])
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"botclf: data error: {bad}: normalizer tensors norm.min "
+                                    "(16,) and norm.max (16,) do not match the 15 "
+                                    "feature names"]
+        assert not out_path.exists()
+
 
 class TestSettingsFailClosed:
     # --data names a file that does not exist: exit 2 rather than 3 shows
@@ -281,8 +300,56 @@ class TestSettingsFailClosed:
         assert err.splitlines() == ["botclf: data error: manifest meta gru_units must be "
                                     "at least 1, got 0"]
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("key,value,tensor,shape", [
+        ("filters", 128, "conv.kernels", "(3, 1, 1000000000000000)"),
+        ("seq_len", 16, "dense_hidden.weights", "(10000000000000128, 10)"),
+    ], ids=["filters", "seq_len"])
+    def test_oversized_meta_size_is_rejected_before_allocating(
+            self, tmp_path, trained_weights, eval_csv, capsys, command, key, value,
+            tensor, shape):
+        bad = tmp_path / "huge.weights"
+        bad.write_text(trained_weights.read_text().replace(
+            f"meta {key} {value}\n", f"meta {key} 1000000000000000\n"))
+        assert run([command, "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"botclf: data error: tensor {tensor} has shape ")
+        assert err[0].endswith(f"architecture expects {shape}")
+
 
 class TestDecodingFailsClosed:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("key,value", [
+        (None, None), ("pooling", "avg"), ("pooling", "foo"), ("conv_activation", "tanh"),
+        ("conv_activation", "foo"), ("dense_activation", "softmax")])
+    def test_legacy_topology_meta(self, tmp_path, trained_weights, eval_csv, capsys,
+                                  command, key, value):
+        # manifests written before the topology was fixed carry these keys;
+        # they load only at the fixed topology's values
+        legacy = {"pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
+        default = legacy.get(key)
+        if key is not None:
+            legacy[key] = value
+        header, rest = trained_weights.read_text().split("\n", 1)
+        weights = tmp_path / "legacy.weights"
+        weights.write_text("\n".join([header] + [f"meta {k} {v}" for k, v in legacy.items()]
+                                     + [rest]))
+        out_path = tmp_path / "out.txt"
+        code = run([command, "--data", eval_csv, "--weights", weights, "--report", out_path])
+        err = capsys.readouterr().err
+        if key is None:
+            assert code == EXIT_OK
+            ref_path = tmp_path / "ref.txt"
+            assert run([command, "--data", eval_csv, "--weights", trained_weights,
+                        "--report", ref_path]) == EXIT_OK
+            assert out_path.read_bytes() == ref_path.read_bytes()
+        else:
+            assert code == EXIT_DATA
+            assert err.splitlines() == [f"botclf: data error: manifest meta {key}: only "
+                                        f"{default!r} is supported, got {value!r}"]
+            assert not out_path.exists()
+
     def test_non_integer_meta_names_the_key(self, tmp_path, trained_weights, eval_csv,
                                             capsys):
         bad = tmp_path / "meta.weights"

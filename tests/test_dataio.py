@@ -181,43 +181,6 @@ class TestDatasetAndBatches:
         return dataio.Dataset(features=rng.uniform(0, 1, size=(n, 16)),
                               labels=rng.integers(0, 6, size=n))
 
-    def test_partition_sizes(self):
-        ds = self.make_dataset(25)
-        sizes = [b.features.shape[0] for b in dataio.batches(ds, 10)]
-        assert sizes == [10, 10, 5]
-
-    def test_batch_shapes_and_one_hot(self):
-        ds = self.make_dataset(12)
-        batch = next(dataio.batches(ds, 12))
-        assert batch.features.shape == (12, 16, 1)
-        assert batch.targets.shape == (12, 6)
-        npt.assert_array_equal(batch.targets.sum(axis=1), 1.0)
-        npt.assert_array_equal(batch.targets.argmax(axis=1), batch.labels)
-
-    def test_union_of_batches_is_input(self):
-        ds = self.make_dataset(23)
-        got = np.concatenate([b.features[:, :, 0]
-                              for b in dataio.batches(ds, 7, seed=5, shuffle=True)])
-        assert got.shape == ds.features.shape
-        npt.assert_allclose(np.sort(got.sum(axis=1)), np.sort(ds.features.sum(axis=1)))
-
-    def test_no_shuffle_preserves_order(self):
-        ds = self.make_dataset(9)
-        got = np.concatenate([b.features[:, :, 0] for b in dataio.batches(ds, 4)])
-        npt.assert_array_equal(got, ds.features)
-
-    def test_shuffle_deterministic(self):
-        ds = self.make_dataset(30)
-        a = [b.labels.tolist() for b in dataio.batches(ds, 8, seed=11, shuffle=True)]
-        b = [b.labels.tolist() for b in dataio.batches(ds, 8, seed=11, shuffle=True)]
-        assert a == b
-        c = [b.labels.tolist() for b in dataio.batches(ds, 8, seed=12, shuffle=True)]
-        assert a != c
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            list(dataio.batches(self.make_dataset(5), 0))
-
     def test_class_distribution_sums_to_count(self):
         ds = self.make_dataset(40)
         dist = ds.class_distribution()

@@ -90,7 +90,7 @@ class TestForward:
 
         conv_y, _ = layers.conv1d_forward(x, p.conv)
         bn_y, _ = layers.batchnorm_forward(conv_y, p.bn, training=False)
-        act_y, _ = layers.activation_forward(bn_y, "relu")
+        act_y, _ = layers.activation_forward(bn_y)
         pool_y, _ = layers.global_max_pool(act_y)
         gru_y, _ = layers.gru_forward(x, p.gru)
         flat_y, _ = layers.flatten(gru_y)
@@ -106,19 +106,11 @@ class TestForward:
         assert probs.dtype == np.float32
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-5)
 
-    def test_avg_pooling_switch(self):
-        arch = Architecture(pooling="avg")
-        p = network.build(2, arch)
-        probs, caches = network.forward(p, np.zeros((2, 16, 1)), mode="infer")
-        npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-        rows = [r.name for r in network.summary(p).rows]
-        assert "GlobalAveragePooling1D" in rows
 
-
-def _briefly_trained(dtype, arch=Architecture()):
+def _briefly_trained(dtype):
     """Parameters after one short epoch, so the batchnorm moving statistics
     are far from their initial values, with a third of the gammas negated."""
-    p = network.build(31, arch, dtype=dtype)
+    p = network.build(31, dtype=dtype)
     training.fit(p, synth.make_dataset(300, seed=32, noise=0.1),
                  training.TrainConfig(epochs=1, seed=33))
     p.bn.gamma[::3] *= -1.0
@@ -142,15 +134,6 @@ class TestPredictProba:
             assert np.abs(got - expect).max() <= tol
             if dtype == np.float64:
                 npt.assert_array_equal(got.argmax(axis=1), expect.argmax(axis=1))
-
-    @pytest.mark.parametrize("pooling, activation",
-                             [("avg", "relu"), ("max", "tanh"), ("avg", "linear")])
-    def test_other_pooling_and_activation(self, pooling, activation):
-        p = _briefly_trained(np.float64, Architecture(pooling=pooling,
-                                                      conv_activation=activation))
-        x = make_rng(34).uniform(0, 1, size=(600, 16, 1))
-        expect, _ = network.forward(p, x, mode="infer")
-        assert np.abs(network.predict_proba(p, x) - expect).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -338,3 +321,4 @@ class TestWeightsIO:
         npt.assert_array_equal(tensors["norm.min"], extras["norm.min"])
         npt.assert_array_equal(tensors["norm.max"], extras["norm.max"])
         assert meta["feature_names"] == "a,b"
+
