@@ -10,15 +10,12 @@ import argparse
 import logging
 import sys
 from contextlib import nullcontext
-from itertools import islice
-
-import numpy as np
 
 from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
 from .dataio import CsvSchema, FeatureSpec, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write
+from .fileio import atomic_write, require_parent_dir
 from .network import Architecture
 from .numerics import resolve_dtype
 
@@ -59,12 +56,16 @@ def cmd_train(cfg: RunConfig) -> int:
         validation_fraction=cfg.validation_fraction, seed=cfg.seed,
         stratified=cfg.stratified)
     data_path = _require_data(cfg)
+    stats_path = cfg.report or (cfg.weights + ".stats")
+    require_parent_dir(cfg.weights)
+    require_parent_dir(stats_path)
     spec, schema, label_map = _io_setup(cfg)
     fitted = dataio.fit_normalizer(
-        dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy),
+        dataio.stream_csv(data_path, schema, spec, label_map=None,
+                          policy=cfg.policy).chunks(),
         spec)
     stream = dataio.stream_csv(data_path, schema, fitted, label_map, policy=cfg.policy)
-    dataset = dataio.to_dataset(stream, fitted, dtype=resolve_dtype(cfg.precision))
+    dataset = dataio.to_dataset(stream.chunks(), fitted, dtype=resolve_dtype(cfg.precision))
     if dataset.labels is None:
         raise DataError(f"{data_path}: training rows must all be labeled")
     dist = dataset.class_distribution(label_map.num_classes)
@@ -72,7 +73,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
     params = network.build(cfg.seed, arch, dtype=resolve_dtype(cfg.precision))
 
-    stats_path = cfg.report or (cfg.weights + ".stats")
     lines = []
 
     def sink(stats):
@@ -89,10 +89,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     data_path = _require_data(cfg)
+    if cfg.report:
+        require_parent_dir(cfg.report)
     spec, schema, label_map = _io_setup(cfg)
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map, policy=cfg.policy)
-    dataset = dataio.to_dataset(stream, spec, dtype=params.dtype)
+    dataset = dataio.to_dataset(stream.chunks(), spec, dtype=params.dtype)
     if dataset.labels is None:
         raise DataError(f"{data_path}: evaluation rows must all be labeled")
     cm, loss = training.evaluate(params, dataset)
@@ -110,6 +112,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     data_path = _require_data(cfg)
+    if cfg.report:
+        require_parent_dir(cfg.report)
     spec, schema, label_map = _io_setup(cfg)
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy)
@@ -118,10 +122,8 @@ def cmd_predict(cfg: RunConfig) -> int:
              for i in range(classes)]
     line = "%d,%s," + ",".join(["%.9f"] * classes) + "\n"
     with atomic_write(cfg.report) if cfg.report else nullcontext(sys.stdout) as out:
-        records = iter(stream)
-        while chunk := list(islice(records, network.INFER_CHUNK)):
-            x = spec.normalize(np.array([rec.features for rec in chunk]))
-            probs = network.predict_proba(params, x[:, :, None])
+        for features, _ in stream.chunks():
+            probs = network.predict_proba(params, spec.normalize(features)[:, :, None])
             out.write("".join([line % (idx, names[idx], *row) for idx, row
                                in zip(probs.argmax(axis=1).tolist(), probs.tolist())]))
     return EXIT_OK

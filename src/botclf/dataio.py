@@ -1,7 +1,8 @@
 """Flow-record CSV ingestion, feature selection, normalization.
 
-Ingestion is single-pass and constant-memory: `CsvStream` yields one raw
-FlowRecord at a time and never loads the file. Normalization is min-max
+Ingestion is single-pass and constant-memory: `CsvStream.chunks()` parses
+the file with one `csv.reader` and yields its rows as arrays of CHUNK_ROWS
+raw (un-normalized) rows, never loading the file. Normalization is min-max
 to [0, 1], fitted on training data only; a spec that has not been fitted
 refuses to transform.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +30,11 @@ DEFAULT_FEATURES = (
 )
 
 NUM_CLASSES = 6
+
+# Kept rows per chunk of `CsvStream.chunks()`: one array and one finiteness
+# check per chunk instead of per row. A multiple of network.INFER_CHUNK, so
+# `predict` scores the same batches as `eval`.
+CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,11 @@ class CsvSchema:
     subcategory_column: str = "subcategory"
 
 
+def _unmapped(category, subcategory) -> DataError:
+    return DataError(f"no class mapping for (category={category!r}, "
+                     f"subcategory={subcategory!r})")
+
+
 @dataclass(frozen=True)
 class LabelMap:
     """(category, subcategory) text pairs -> class indices, plus display names."""
@@ -76,12 +89,19 @@ class LabelMap:
     names: tuple   # display name per class
 
     def encode(self, category: str, subcategory: str) -> int:
-        key = (category, subcategory)
+        try:
+            return self.codes[(category, subcategory)]
+        except KeyError:
+            raise _unmapped(category, subcategory) from None
+
+    @cached_property
+    def codes(self) -> dict:
+        """{(category, subcategory): class index}; a pair listed twice keeps
+        its first index."""
+        codes = {}
         for idx, pair in enumerate(self.pairs):
-            if pair == key:
-                return idx
-        raise DataError(f"no class mapping for (category={category!r}, "
-                        f"subcategory={subcategory!r})")
+            codes.setdefault(pair, idx)
+        return codes
 
     @property
     def num_classes(self) -> int:
@@ -107,11 +127,17 @@ class FlowRecord:
 
 
 class CsvStream:
-    """Iterate FlowRecords out of a flow CSV without loading the file.
+    """Read a flow CSV in chunks of CHUNK_ROWS kept rows without loading the file.
 
-    Malformed rows (non-numeric feature cells, unmappable labels) are
-    skipped and counted under the default policy ("skip"); policy "fail"
-    raises on the first bad row. A missing feature or label column, or
+    `chunks()` yields (features [n, F] float64, labels int64 [n] or None);
+    n is CHUNK_ROWS in every chunk but the last. Each feature cell is parsed
+    by `float()`. Malformed rows (a non-numeric, missing or non-finite
+    feature cell, an unmapped label) are skipped and counted under the
+    default policy ("skip"); policy "fail" raises on the first bad row in
+    file order. Row numbers count CSV records, the header being row 1, so
+    blank lines and line breaks inside quoted fields do not shift them. A
+    header name given twice reads its last column, and a row shorter than
+    the header lacks its last cells. A missing feature or label column, or
     bytes that are not UTF-8, are always fatal.
     """
 
@@ -129,43 +155,105 @@ class CsvStream:
         self.skipped = 0
 
     def __iter__(self):
+        """One FlowRecord per kept row, a per-record view of `chunks()`."""
+        for features, labels in self.chunks():
+            labels = [None] * len(features) if labels is None else labels.tolist()
+            for values, label in zip(features, labels):
+                yield FlowRecord(features=values, label=label)
+
+    def chunks(self):
         try:
-            yield from self._records()
+            yield from self._chunks()
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: not UTF-8 text "
                             f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
-    def _records(self):
+    def _chunks(self):
+        names = self.feature_spec.names
+        labeled = self.label_map is not None
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=self.schema.delimiter)
-            header = reader.fieldnames or []
-            missing = [c for c in self.feature_spec.names if c not in header]
-            if self.label_map is not None:
-                missing += [c for c in (self.schema.category_column,
-                                        self.schema.subcategory_column)
-                            if c not in header]
+            reader = csv.reader(fh, delimiter=self.schema.delimiter)
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}  # last duplicate wins
+            label_columns = ((self.schema.category_column, self.schema.subcategory_column)
+                             if labeled else ())
+            missing = [c for c in (*names, *label_columns) if c not in column]
             if missing:
                 raise SchemaError(f"{self.path}: header is missing columns: "
                                   f"{', '.join(missing)}")
-            names = self.feature_spec.names
-            for row_number, row in enumerate(reader, start=2):
+            cols = [column[c] for c in names]
+            pick = itemgetter(*cols) if len(cols) > 1 else lambda cells: (cells[cols[0]],)
+            if labeled:
+                pick_label = itemgetter(*(column[c] for c in label_columns))
+                codes = self.label_map.codes
+            width = len(header)
+            number = 1                # row number of the last record read
+
+            def read_block(want):
+                """(features, labels, at_end) of the rows kept among the next
+                `want` records; bad rows are counted, or raised under "fail"."""
+                nonlocal number
+                rows, pairs, numbers = [], [], []
+                bad = []              # (row number, reason)
+                at_end = False
+                stop = None           # a read error, raised once the rows before it are checked
                 try:
-                    values = np.array([float(row[c]) for c in names])
-                    if not np.isfinite(values).all():
-                        raise ValueError("non-finite feature value")
-                    label = None
-                    if self.label_map is not None:
-                        label = self.label_map.encode(
-                            row[self.schema.category_column],
-                            row[self.schema.subcategory_column])
-                except (TypeError, ValueError, DataError) as exc:
+                    for cells in reader:
+                        if not cells:
+                            continue  # a blank line is no record
+                        number += 1
+                        want -= 1
+                        if len(cells) < width:
+                            cells += [None] * (width - len(cells))
+                        try:
+                            rows.append(list(map(float, pick(cells))))
+                        except (TypeError, ValueError) as exc:
+                            bad.append((number, str(exc)))
+                        else:
+                            numbers.append(number)
+                            if labeled:
+                                pairs.append(pick_label(cells))
+                        if not want:
+                            break
+                    else:
+                        at_end = True
+                except (UnicodeDecodeError, csv.Error) as exc:
+                    stop = exc
+                x = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+                y = (np.array([codes.get(pair, -1) for pair in pairs], dtype=np.int64)
+                     if labeled else None)
+                finite = np.isfinite(x).all(axis=1)
+                keep = finite & (y >= 0) if labeled else finite
+                if not keep.all():
+                    for i in np.flatnonzero(~keep).tolist():
+                        reason = ("non-finite feature value" if not finite[i]
+                                  else str(_unmapped(*pairs[i])))
+                        bad.append((numbers[i], reason))
+                    x = x[keep]
+                    y = y[keep] if labeled else None
+                if bad:
+                    bad.sort()
                     if self.policy == "fail":
-                        raise DataError(f"{self.path}:{row_number}: {exc}") from exc
-                    self.skipped += 1
-                    log.debug("skipping row %d of %s: %s", row_number, self.path, exc)
-                    continue
-                self.read += 1
-                yield FlowRecord(features=values, label=label)
+                        raise DataError(f"{self.path}:{bad[0][0]}: {bad[0][1]}")
+                    self.skipped += len(bad)
+                    for row_number, reason in bad:
+                        log.debug("skipping row %d of %s: %s", row_number, self.path, reason)
+                if stop is not None:
+                    raise stop
+                self.read += len(x)
+                return x, y, at_end
+
+            # Each block reads the records that would fill the chunk if all
+            # were kept, so a chunk never overflows.
+            held, count, at_end = [], 0, False
+            while not at_end:
+                x, y, at_end = read_block(CHUNK_ROWS - count)
+                held.append((x, y))
+                count += len(x)
+                if count == CHUNK_ROWS or (at_end and count):
+                    yield (np.concatenate([h[0] for h in held]),
+                           np.concatenate([h[1] for h in held]) if labeled else None)
+                    held, count = [], 0
         if self.skipped:
             log.warning("%s: skipped %d malformed row(s), kept %d",
                         self.path, self.skipped, self.read)
@@ -177,22 +265,22 @@ def stream_csv(path, schema: CsvSchema = CsvSchema(),
     return CsvStream(path, schema, feature_spec, label_map, policy)
 
 
-def fit_normalizer(records, feature_spec: FeatureSpec) -> FeatureSpec:
-    """Per-feature min/max from a stream of training records.
+def fit_normalizer(chunks, feature_spec: FeatureSpec) -> FeatureSpec:
+    """Per-feature min/max over (features, labels) chunks of training rows,
+    as `CsvStream.chunks()` yields them.
 
     Single pass, constant memory. Constant columns are reported; they will
     normalize to 0.0.
     """
     mins = None
     maxs = None
-    for rec in records:
-        v = rec.features
+    for x, _ in chunks:
         if mins is None:
-            mins = v.copy()
-            maxs = v.copy()
+            mins = x.min(axis=0)
+            maxs = x.max(axis=0)
         else:
-            np.minimum(mins, v, out=mins)
-            np.maximum(maxs, v, out=maxs)
+            np.minimum(mins, x.min(axis=0), out=mins)
+            np.maximum(maxs, x.max(axis=0), out=maxs)
     if mins is None:
         raise DataError("cannot fit normalizer: no records")
     constant = np.flatnonzero(mins == maxs)
@@ -218,17 +306,17 @@ class Dataset:
         return np.bincount(self.labels, minlength=num_classes)
 
 
-def to_dataset(records, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:
-    """Normalize a record iterable into arrays; labels kept when all present."""
-    raw = []
-    labels = []
-    for rec in records:
-        raw.append(rec.features)
-        labels.append(rec.label)
-    if not raw:
+def to_dataset(chunks, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:
+    """Normalize (features, labels) chunks into one Dataset; labels are kept
+    when every chunk has them."""
+    xs = []
+    ys = []
+    for x, y in chunks:
+        xs.append(x)
+        ys.append(y)
+    if not xs:
         raise DataError("no records to materialize")
-    features = feature_spec.normalize(np.array(raw)).astype(dtype, copy=False)
-    if any(lb is None for lb in labels):
+    features = feature_spec.normalize(np.concatenate(xs)).astype(dtype, copy=False)
+    if any(y is None for y in ys):
         return Dataset(features=features, labels=None)
-    return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64))
-
+    return Dataset(features=features, labels=np.concatenate(ys).astype(np.int64, copy=False))

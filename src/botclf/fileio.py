@@ -11,6 +11,16 @@ import os
 import stat
 from contextlib import contextmanager
 
+from .errors import DataError
+
+
+def require_parent_dir(path) -> None:
+    """Raise DataError unless the directory `atomic_write(path)` writes in
+    exists, so a command can refuse a bad output path before its work."""
+    folder = os.path.dirname(os.path.realpath(path))
+    if not os.path.isdir(folder):
+        raise DataError(f"cannot write {path}: directory {folder} does not exist")
+
 
 @contextmanager
 def atomic_write(path):

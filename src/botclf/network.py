@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from .numerics import DOUBLE, init_he_uniform, init_truncated_normal, resolve_dt
 
 # rows per pass of the inference engine; bounds its working memory
 INFER_CHUNK = 512
+
+# Most weights an Architecture may have: 229 times the 4370 of the default
+# model, so a mistyped size is refused instead of exhausting memory.
+MAX_PARAMETERS = 1_000_000
 
 MANIFEST_MAGIC = "botclf-weights"
 MANIFEST_VERSION = 1
@@ -52,24 +57,38 @@ class Architecture:
     truncated_normal_stddev: float = 0.05
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
+        _check_sizes(vars(self))
+        total = sum(map(math.prod, _shapes(self).values()))
+        if total > MAX_PARAMETERS:
+            name = max(_SIZE_FIELDS, key=lambda n: getattr(self, n))
+            raise ConfigError(f"{name} {getattr(self, name)} gives the model {total} "
+                              f"parameters, more than the {MAX_PARAMETERS} allowed")
 
     @property
     def concat_width(self) -> int:
         return self.filters + self.seq_len * self.gru_units
 
 
-def _shapes(a: Architecture) -> dict:
-    """{name: shape} of every weight array, in the fixed manifest order."""
+_SIZE_FIELDS = [f.name for f in fields(Architecture) if f.type == "int"]
+
+
+def _check_sizes(values: dict) -> None:
+    for name in _SIZE_FIELDS:
+        if values[name] < 1:
+            raise ConfigError(f"{name} must be at least 1, got {values[name]}")
+
+
+def _shapes(a) -> dict:
+    """{name: shape} of every weight array, in the fixed manifest order, for
+    an Architecture or any object with its size fields."""
     shapes = {"conv.kernels": (a.kernel_size, a.in_channels, a.filters),
               "conv.bias": (a.filters,)}
     shapes.update({f"bn.{n}": (a.filters,)
                    for n in ("gamma", "beta", "moving_mean", "moving_var")})
     gru = {"w": (a.in_channels, a.gru_units), "u": (a.gru_units, a.gru_units)}
     shapes.update({f"gru.{n}": gru.get(n[0], (a.gru_units,)) for n in GRU_FIELDS})
-    shapes.update({"dense_hidden.weights": (a.concat_width, a.dense_units),
+    shapes.update({"dense_hidden.weights": (a.filters + a.seq_len * a.gru_units,
+                                            a.dense_units),
                    "dense_hidden.bias": (a.dense_units,),
                    "dense_out.weights": (a.dense_units, a.classes),
                    "dense_out.bias": (a.classes,)})
@@ -340,25 +359,28 @@ def _arch_meta(arch: Architecture) -> dict:
 _LEGACY_META = {"pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
 
 
-def _arch_from_meta(meta: dict) -> Architecture:
+def _meta_sizes(meta: dict) -> dict:
+    """Every Architecture field's value: the manifest meta's, else the default."""
     for key, value in _LEGACY_META.items():
         if meta.get(key, value) != value:
             raise WeightFormatError(
                 f"manifest meta {key}: only {value!r} is supported, got {meta[key]!r}")
-    kwargs = {}
+    sizes = {}
     for f in fields(Architecture):
         if f.name not in meta:
+            sizes[f.name] = f.default
             continue
         raw = meta[f.name]
         try:
-            kwargs[f.name] = int(raw) if f.type == "int" else float(raw)
+            sizes[f.name] = int(raw) if f.type == "int" else float(raw)
         except ValueError:
             raise WeightFormatError(
                 f"manifest meta {f.name}: expected {f.type}, got {raw!r}") from None
     try:
-        return Architecture(**kwargs)
+        _check_sizes(sizes)
     except ConfigError as exc:
         raise WeightFormatError(f"manifest meta {exc}") from None
+    return sizes
 
 
 def save_weights(params: NetworkParameters, path,
@@ -491,15 +513,18 @@ def load_manifest(path):
 def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     """Assemble NetworkParameters from parsed manifest content.
 
-    Every tensor's shape is checked against the meta architecture before
-    anything is allocated, so an oversized meta size cannot allocate.
+    Every tensor's shape is checked against the meta sizes before anything
+    is allocated, so an oversized meta size cannot allocate; sizes that fit
+    the tensors but exceed MAX_PARAMETERS are refused next. A value that
+    overflows the manifest's precision is refused by tensor name.
     """
-    arch = _arch_from_meta(meta)
+    sizes = _meta_sizes(meta)
+    precision = meta.get("precision", "double")
     try:
-        dtype = resolve_dtype(meta.get("precision", "double"))
+        dtype = resolve_dtype(precision)
     except ValueError as exc:
         raise WeightFormatError(f"manifest meta precision: {exc}") from None
-    shapes = _shapes(arch)
+    shapes = _shapes(SimpleNamespace(**sizes))
     missing = [n for n in shapes if n not in tensors]
     if missing:
         raise WeightFormatError(f"manifest is missing tensors: {', '.join(sorted(missing))}")
@@ -507,7 +532,18 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
         if tensors[name].shape != shape:
             raise WeightFormatError(
                 f"tensor {name} has shape {tensors[name].shape}, architecture expects {shape}")
-    return _assemble({name: tensors[name].astype(dtype) for name in shapes}, arch)
+    try:
+        arch = Architecture(**sizes)
+    except ConfigError as exc:
+        raise WeightFormatError(f"manifest meta {exc}") from None
+    arrays = {}
+    with np.errstate(over="ignore"):
+        for name in shapes:
+            arrays[name] = tensors[name].astype(dtype)
+            if not np.isfinite(arrays[name]).all():
+                raise WeightFormatError(f"tensor {name} holds a value out of the range "
+                                        f"of {precision} precision")
+    return _assemble(arrays, arch)
 
 
 def load_weights(path) -> NetworkParameters:

@@ -7,6 +7,7 @@ seed when run serially.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,6 +41,12 @@ class TrainConfig:
                 f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
         if not 0.0 <= self.rms_decay < 1.0:
             raise ConfigError(f"rms_decay must lie in [0, 1), got {self.rms_decay}")
+        # a zero learning rate is allowed: it leaves the weights as they are
+        if not (0.0 <= self.learning_rate and math.isfinite(self.learning_rate)):
+            raise ConfigError(f"learning_rate must be finite and not negative, "
+                              f"got {self.learning_rate}")
+        if not (0.0 < self.rms_epsilon and math.isfinite(self.rms_epsilon)):
+            raise ConfigError(f"rms_epsilon must be finite and positive, got {self.rms_epsilon}")
 
 
 @dataclass
@@ -276,6 +283,8 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
     """
     if probes < 1:
         raise ConfigError(f"probes must be at least 1, got {probes}")
+    if not (0.0 < tolerance and math.isfinite(tolerance)):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     if params.dtype != np.float64:
         raise NumericError("gradient_check requires double precision parameters")
     arch = params.arch

@@ -4,11 +4,13 @@ Everything here is deliberately written as plain scalar loops (or direct
 formula evaluation), separate from the vectorized code paths under test.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from botclf import layers
+from botclf.errors import DataError, SchemaError
 
 
 def conv_oracle(x, kernels, bias):
@@ -192,3 +194,67 @@ def check_grads(analytic, loss_fn, arr, rng, n=12, tol=1e-5):
     rel = np.abs(got - numeric) / denom
     mask = np.abs(got - numeric) > 1e-9
     assert (rel[mask] < tol).all(), f"rel errors {rel[mask]}"
+
+
+class CsvStreamOracle:
+    """The per-row flow-CSV reader that `dataio.CsvStream` replaced, kept as
+    the reference for its chunked reader: one `csv.DictReader` dict, one
+    array, one finiteness check and one linear label-map scan per row.
+
+    Iterating yields (features, label) per kept row; `read`, `skipped` and
+    the raised errors are those the chunked reader must reproduce.
+    """
+
+    def __init__(self, path, schema, feature_spec, label_map=None, policy="skip"):
+        self.path = path
+        self.schema = schema
+        self.feature_spec = feature_spec
+        self.label_map = label_map
+        self.policy = policy
+        self.read = 0
+        self.skipped = 0
+
+    def _encode(self, category, subcategory):
+        key = (category, subcategory)
+        for idx, pair in enumerate(self.label_map.pairs):
+            if pair == key:
+                return idx
+        raise DataError(f"no class mapping for (category={category!r}, "
+                        f"subcategory={subcategory!r})")
+
+    def __iter__(self):
+        try:
+            yield from self._records()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: not UTF-8 text "
+                            f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+    def _records(self):
+        with open(self.path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, delimiter=self.schema.delimiter)
+            header = reader.fieldnames or []
+            missing = [c for c in self.feature_spec.names if c not in header]
+            if self.label_map is not None:
+                missing += [c for c in (self.schema.category_column,
+                                        self.schema.subcategory_column)
+                            if c not in header]
+            if missing:
+                raise SchemaError(f"{self.path}: header is missing columns: "
+                                  f"{', '.join(missing)}")
+            names = self.feature_spec.names
+            for row_number, row in enumerate(reader, start=2):
+                try:
+                    values = np.array([float(row[c]) for c in names])
+                    if not np.isfinite(values).all():
+                        raise ValueError("non-finite feature value")
+                    label = None
+                    if self.label_map is not None:
+                        label = self._encode(row[self.schema.category_column],
+                                             row[self.schema.subcategory_column])
+                except (TypeError, ValueError, DataError) as exc:
+                    if self.policy == "fail":
+                        raise DataError(f"{self.path}:{row_number}: {exc}") from exc
+                    self.skipped += 1
+                    continue
+                self.read += 1
+                yield values, label

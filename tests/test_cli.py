@@ -271,6 +271,69 @@ class TestSettingsFailClosed:
         assert err.splitlines() == [f"botclf: config error: {name} must be at least 1, "
                                     f"got {value}"]
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("train", "--learning-rate", "nan", "learning_rate must be finite and not negative, "
+                                            "got nan"),
+        ("train", "--learning-rate", "inf", "learning_rate must be finite and not negative, "
+                                            "got inf"),
+        ("train", "--learning-rate", "-0.5", "learning_rate must be finite and not negative, "
+                                             "got -0.5"),
+        ("gradcheck", "--tolerance", "nan", "tolerance must be finite and positive, got nan"),
+        ("summary", "--filters", "100000000000", "filters 100000000000 gives the model "
+                                                 "1800000002066 parameters, more than the "
+                                                 "1000000 allowed"),
+        ("train", "--gru-units", "100000", "gru_units 100000 gives the model 30016902380 "
+                                           "parameters, more than the 1000000 allowed"),
+        ("gradcheck", "--filters", "100000000000", "filters 100000000000 gives the model "
+                                                   "1800000002066 parameters, more than the "
+                                                   "1000000 allowed"),
+    ])
+    def test_bad_numeric_setting_exits_before_io(self, tmp_path, capsys, command, flag,
+                                                 value, message):
+        code = run([command, "--data", tmp_path / "nope.csv",
+                    "--weights", tmp_path / "w", flag, value])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"botclf: config error: {message}"]
+
+    def test_manifest_over_the_parameter_bound(self, tmp_path, trained_weights, eval_csv,
+                                               monkeypatch, capsys):
+        # the tensors fit the meta sizes; only the bound refuses them
+        monkeypatch.setattr(network, "MAX_PARAMETERS", 4000)
+        assert run(["predict", "--data", eval_csv, "--weights", trained_weights]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: manifest meta filters 128 gives the model 4370 parameters, "
+            "more than the 4000 allowed"]
+
+    def test_single_precision_overflow_names_the_tensor(self, tmp_path, trained_weights,
+                                                        eval_csv, capsys):
+        text = trained_weights.read_text().replace("meta precision double\n",
+                                                   "meta precision single\n")
+        start = text.index("\n", text.index("tensor gru.u_h")) + 1
+        bad = tmp_path / "single.weights"
+        bad.write_text(text[:start] + "1e300" + text[text.index(" ", start):])
+        out_path = tmp_path / "out.txt"
+        assert run(["predict", "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: tensor gru.u_h holds a value out of the range of single "
+            "precision"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command,flag", [("train", "--weights"), ("train", "--report"),
+                                              ("eval", "--report"), ("predict", "--report")])
+    def test_missing_output_directory_exits_before_reading(self, tmp_path, trained_weights,
+                                                           train_csv, command, flag, capsys):
+        target = tmp_path / "no_such_dir" / "out"
+        args = {"--weights": trained_weights if command != "train" else tmp_path / "m.w"}
+        args[flag] = target
+        assert run([command, "--data", train_csv, *[a for kv in args.items() for a in kv]]
+                   ) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"botclf: data error: cannot write {target}: directory "
+                                    f"{target.parent} does not exist"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
     def test_validation_fraction_out_of_range(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BOTCLF_VALIDATION_FRACTION", "1.0")
         assert run(["train", "--data", tmp_path / "nope.csv"]) == EXIT_CONFIG

@@ -6,7 +6,7 @@ import pytest
 
 from botclf import layers, network, synth, training
 from botclf.dataio import Dataset
-from botclf.errors import DataError, NumericError
+from botclf.errors import ConfigError, DataError, NumericError
 from botclf.numerics import make_rng, softmax
 from botclf.training import TrainConfig
 
@@ -34,6 +34,14 @@ class TestTrainConfig:
     def test_invariants(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -1e-3),
+        ("rms_epsilon", math.nan), ("rms_epsilon", math.inf), ("rms_epsilon", 0.0),
+    ])
+    def test_non_finite_or_negative_rates_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            TrainConfig(**{name: value})
 
 
 class TestCrossEntropy:
