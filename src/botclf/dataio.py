@@ -137,8 +137,9 @@ class CsvStream:
     file order. Row numbers count CSV records, the header being row 1, so
     blank lines and line breaks inside quoted fields do not shift them. A
     header name given twice reads its last column, and a row shorter than
-    the header lacks its last cells. A missing feature or label column, or
-    bytes that are not UTF-8, are always fatal.
+    the header lacks its last cells. A missing feature or label column,
+    bytes that are not UTF-8 and a record the `csv` module cannot read (a
+    cell over its field size limit) are always fatal.
     """
 
     def __init__(self, path, schema: CsvSchema = CsvSchema(),
@@ -217,8 +218,10 @@ class CsvStream:
                             break
                     else:
                         at_end = True
-                except (UnicodeDecodeError, csv.Error) as exc:
+                except UnicodeDecodeError as exc:
                     stop = exc
+                except csv.Error as exc:  # e.g. a cell over the field size limit
+                    stop = DataError(f"{self.path}:{number + 1}: {exc}")
                 x = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
                 y = (np.array([codes.get(pair, -1) for pair in pairs], dtype=np.int64)
                      if labeled else None)

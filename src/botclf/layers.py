@@ -192,6 +192,110 @@ def batchnorm_backward(cache: Cache, dy: np.ndarray):
 
 
 # --------------------------------------------------------------------------
+# the conv branch in train mode, fused: conv -> batchnorm -> ReLU -> max pool
+
+
+def conv_branch_train_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams):
+    """Train-mode conv1d -> batchnorm -> ReLU -> global max pool, fused.
+
+    x: [B, T, C] -> (pooled [B, filters], cache). The same function as
+    `conv1d_forward`, `batchnorm_forward(training=True)`, `activation_forward`
+    and `global_max_pool` composed, moving statistics update included.
+
+    Each conv output is cols . W_f + b_f for its k*C-value window cols, so
+    the batch statistics need only the windows' mean mu and centred
+    covariance Sigma: mean_f = mu . W_f + b_f and var_f = W_f' Sigma W_f, and
+    xhat = (cols - mu) . W_f * inv_f with inv_f = 1 / sqrt(var_f + epsilon).
+    The max over time is taken on cols . (W_f * gamma_f * inv_f), the
+    batchnorm folded into the kernels as `network._folded_conv` folds it for
+    inference, first occurrence on ties; normalization and ReLU then run on
+    the [B, filters] selected positions only. Statistics and gradients are
+    computed in at least double precision and returned in the input's.
+    """
+    k, c_in, filters = conv.kernels.shape
+    if x.ndim != 3 or x.shape[2] != c_in:
+        raise ShapeError(f"conv1d expects input channels {c_in}, got input shape {x.shape}")
+    if bn.gamma.size != filters:
+        raise ShapeError(f"batchnorm expects {bn.gamma.size} channels, got {filters} filters")
+    b, t, _ = x.shape
+    m = b * t
+    if m < 2:
+        raise ShapeError("batchnorm train mode needs at least 2 positions per channel")
+    kc = k * c_in
+    pad_l = (k - 1) // 2
+    dtype = np.result_type(x, conv.kernels)
+    work = np.result_type(dtype, np.float64)
+    xp = np.zeros((b, t + k - 1, c_in), dtype=work)
+    xp[:, pad_l:pad_l + t] = x
+    # [B, T, k*C]: window t is the k*C values from element t*C of its padded row
+    cols = np.lib.stride_tricks.as_strided(xp, shape=(b, t, kc), strides=xp.strides,
+                                           writeable=False)
+    windows = cols.reshape(m, kc)
+    mu = windows.mean(axis=0)
+    centred = windows - mu
+    w = conv.kernels.reshape(kc, filters).astype(work, copy=False)
+    sigma_w = (centred.T @ centred / m) @ w           # column f: Sigma W_f
+    mean = mu @ w + conv.bias
+    var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
+    bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
+    bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
+    inv = 1.0 / np.sqrt(var + bn.epsilon)
+    key = np.matmul((w * (bn.gamma * inv)).T, cols.transpose(0, 2, 1))  # [B, filters, T]
+    rows = np.arange(0, m, t)[:, None] + key.argmax(axis=2)  # [B, filters]: b*T + t_max
+    sel = centred.T.take(rows, axis=1)                # [k*C, B, filters]
+    xhat = np.einsum("jbf,jf->bf", sel, w) * inv
+    pre = bn.gamma * xhat + bn.beta
+    cache = Cache({"rows": rows, "sel": sel, "xhat": xhat, "active": pre > 0,
+                   "centred": centred, "sigma_w": sigma_w, "w": w, "inv": inv,
+                   "gamma": bn.gamma, "in_shape": x.shape, "kernel_size": k, "dtype": dtype})
+    return relu(pre).astype(dtype, copy=False), cache
+
+
+def conv_branch_train_backward(cache: Cache, dpool: np.ndarray):
+    """Backward of `conv_branch_train_forward`: (dx, grads), grads keyed
+    "kernels", "bias", "gamma" and "beta".
+
+    The gradient g reaches only the selected positions where the ReLU is
+    active. There dxhat = g * gamma, so the batchnorm's sums over positions
+    are A = gamma * dbeta and S = gamma * dgamma. Its dense terms reach the
+    kernels as -inv^2 S Sigma W_f (the -inv A mu term cancels, as the
+    selected windows are taken centred) and each window as a constant plus
+    the centred window times a k*C x k*C matrix. The conv-bias gradient is
+    exactly zero: the batch mean absorbs the bias.
+    """
+    d = cache.consume("conv_branch")
+    sel, xhat, w, inv, gamma = d["sel"], d["xhat"], d["w"], d["inv"], d["gamma"]
+    b, t, c_in = d["in_shape"]
+    k = d["kernel_size"]
+    m = b * t
+    kc, filters = w.shape
+    g = dpool.astype(xhat.dtype, copy=False) * d["active"]
+    dgamma = (g * xhat).sum(axis=0)
+    dbeta = g.sum(axis=0)
+    # dxhat = g * gamma, so A = gamma * dbeta and S = gamma * dgamma
+    inv_a = inv * gamma * dbeta
+    inv2_s = inv * inv * gamma * dgamma
+    u = g * (gamma * inv)                             # conv-output gradient where selected
+    dw = np.einsum("jbf,bf->jf", sel, u) - d["sigma_w"] * inv2_s
+    rows = d["rows"].ravel()
+    dcols = np.empty((m, kc), dtype=u.dtype)
+    for j in range(kc):
+        dcols[:, j] = np.bincount(rows, weights=(u * w[j]).ravel(), minlength=m)
+    dcols -= (w @ inv_a) / m
+    dcols -= d["centred"] @ ((w * inv2_s) @ w.T / m)
+    dcols = dcols.reshape(b, t, k, c_in)
+    dxp = np.zeros((b, t + k - 1, c_in), dtype=dcols.dtype)
+    for i in range(k):
+        dxp[:, i:i + t, :] += dcols[:, :, i, :]
+    pad_l = (k - 1) // 2
+    dtype = d["dtype"]
+    grads = {"kernels": dw.reshape(k, c_in, filters), "bias": np.zeros(filters),
+             "gamma": dgamma, "beta": dbeta}
+    return (dxp[:, pad_l:pad_l + t, :].astype(dtype, copy=False),
+            {name: v.astype(dtype, copy=False) for name, v in grads.items()})
+
+
+# --------------------------------------------------------------------------
 # GRU (returns the full hidden-state sequence)
 
 

@@ -58,6 +58,12 @@ class Architecture:
 
     def __post_init__(self):
         _check_sizes(vars(self))
+        for name in ("bn_epsilon", "truncated_normal_stddev"):
+            value = getattr(self, name)
+            if not (0.0 < value and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
         total = sum(map(math.prod, _shapes(self).values()))
         if total > MAX_PARAMETERS:
             name = max(_SIZE_FIELDS, key=lambda n: getattr(self, n))
@@ -96,16 +102,34 @@ def _shapes(a) -> dict:
 
 
 _ARRAY_GETTERS = [(name, attrgetter(name)) for name in _shapes(Architecture())]
+_TRAINABLE_GETTERS = [(n, get) for n, get in _ARRAY_GETTERS
+                      if n not in ("bn.moving_mean", "bn.moving_var")]
+
+
+def _views(buffer: np.ndarray, shapes) -> dict:
+    """{name: view of `buffer`} for (name, shape) pairs laid out back to back."""
+    views, start = {}, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = buffer[start:start + size].reshape(shape)
+        start += size
+    return views
 
 
 @dataclass
 class NetworkParameters:
+    """The weights of one model. Every trainable array is a view into `flat`,
+    one contiguous buffer laid out in `trainable_arrays()` order, so the
+    optimizer updates all of them at once; the moving statistics are
+    separate arrays."""
+
     conv: Conv1DParams
     bn: BatchNormParams
     gru: GRUParams
     dense_hidden: DenseParams
     dense_out: DenseParams
     arch: Architecture
+    flat: np.ndarray
 
     def named_arrays(self):
         """All weight arrays as (name, array), in the fixed manifest order."""
@@ -113,8 +137,11 @@ class NetworkParameters:
 
     def trainable_arrays(self):
         """(name, array) for every optimizer-owned weight; moving stats excluded."""
-        skip = {"bn.moving_mean", "bn.moving_var"}
-        return [(n, a) for n, a in self.named_arrays() if n not in skip]
+        return [(name, get(self)) for name, get in _TRAINABLE_GETTERS]
+
+    def trainable_views(self, buffer: np.ndarray) -> dict:
+        """{name: view of `buffer`}, laid out as the trainable arrays are in `flat`."""
+        return _views(buffer, [(name, a.shape) for name, a in self.trainable_arrays()])
 
     @property
     def dtype(self):
@@ -145,7 +172,15 @@ def build(seed: int, arch: Architecture = Architecture(), dtype=DOUBLE) -> Netwo
 
 
 def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
-    """NetworkParameters over a {name: array} dict keyed like `named_arrays`."""
+    """NetworkParameters holding the values of a {name: array} dict keyed like
+    `named_arrays`; the trainable ones are copied into one buffer."""
+    trainable = [(name, arrays[name].shape) for name, _ in _TRAINABLE_GETTERS]
+    flat = np.empty(sum(math.prod(shape) for _, shape in trainable),
+                    dtype=arrays["conv.kernels"].dtype)
+    arrays = dict(arrays)
+    for name, view in _views(flat, trainable).items():
+        view[...] = arrays[name]
+        arrays[name] = view
     return NetworkParameters(
         conv=Conv1DParams(arrays["conv.kernels"], arrays["conv.bias"]),
         bn=BatchNormParams(arrays["bn.gamma"], arrays["bn.beta"], arrays["bn.moving_mean"],
@@ -154,15 +189,12 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
         gru=GRUParams(**{name: arrays[f"gru.{name}"] for name in GRU_FIELDS}),
         dense_hidden=DenseParams(arrays["dense_hidden.weights"], arrays["dense_hidden.bias"]),
         dense_out=DenseParams(arrays["dense_out.weights"], arrays["dense_out.bias"]),
-        arch=arch)
+        arch=arch, flat=flat)
 
 
 @dataclass
 class ForwardCaches:
-    conv: layers.Cache
-    bn: layers.Cache
-    act: layers.Cache
-    pool: layers.Cache
+    conv_branch: layers.Cache | tuple  # fused (train) or (conv, bn, act, pool) (infer)
     gru: layers.Cache
     flat: layers.Cache
     concat: layers.Cache
@@ -181,6 +213,8 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
 
     Each output row is a probability vector summing to 1. `mode` is
     "train" (batch-statistic batchnorm, moving stats updated) or "infer".
+    Train mode runs the conv branch fused (`layers.conv_branch_train_forward`);
+    infer mode runs it layer by layer, the reference for `gradient_check`.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -188,10 +222,14 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     x = np.asarray(x)
     _check_input(a, x)
 
-    conv_y, c_conv = layers.conv1d_forward(x, params.conv)
-    bn_y, c_bn = layers.batchnorm_forward(conv_y, params.bn, training=(mode == "train"))
-    act_y, c_act = layers.activation_forward(bn_y)
-    pool_y, c_pool = layers.global_max_pool(act_y)
+    if mode == "train":
+        pool_y, c_branch = layers.conv_branch_train_forward(x, params.conv, params.bn)
+    else:
+        conv_y, c_conv = layers.conv1d_forward(x, params.conv)
+        bn_y, c_bn = layers.batchnorm_forward(conv_y, params.bn, training=False)
+        act_y, c_act = layers.activation_forward(bn_y)
+        pool_y, c_pool = layers.global_max_pool(act_y)
+        c_branch = (c_conv, c_bn, c_act, c_pool)
 
     gru_y, c_gru = layers.gru_forward(x, params.gru)
     flat_y, c_flat = layers.flatten(gru_y)
@@ -199,8 +237,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     concat_y, c_concat = layers.concatenate(pool_y, flat_y)
     hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
     probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
-    caches = ForwardCaches(c_conv, c_bn, c_act, c_pool, c_gru, c_flat,
-                           c_concat, c_hidden, c_out)
+    caches = ForwardCaches(c_branch, c_gru, c_flat, c_concat, c_hidden, c_out)
     return probs, caches
 
 
@@ -276,10 +313,16 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
     d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
     (d_pool, d_flat), _ = layers.concatenate_backward(caches.concat, d_concat)
 
-    d_act, _ = layers.global_max_pool_backward(caches.pool, d_pool)
-    d_bn, _ = layers.activation_backward(caches.act, d_act)
-    d_conv, g_bn = layers.batchnorm_backward(caches.bn, d_bn)
-    dx_a, g_conv = layers.conv1d_backward(caches.conv, d_conv)
+    if isinstance(caches.conv_branch, layers.Cache):
+        dx_a, g_branch = layers.conv_branch_train_backward(caches.conv_branch, d_pool)
+        g_conv = {k: g_branch[k] for k in ("kernels", "bias")}
+        g_bn = {k: g_branch[k] for k in ("gamma", "beta")}
+    else:
+        c_conv, c_bn, c_act, c_pool = caches.conv_branch
+        d_act, _ = layers.global_max_pool_backward(c_pool, d_pool)
+        d_bn, _ = layers.activation_backward(c_act, d_act)
+        d_conv, g_bn = layers.batchnorm_backward(c_bn, d_bn)
+        dx_a, g_conv = layers.conv1d_backward(c_conv, d_conv)
 
     d_gru_seq, _ = layers.flatten_backward(caches.flat, d_flat)
     dx_b, g_gru, _ = layers.gru_backward(caches.gru, d_gru_seq)

@@ -90,27 +90,40 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray):
 
 
 def init_rmsprop(params: NetworkParameters) -> dict:
-    """Zeroed squared-gradient accumulators, one per trainable array."""
-    return {name: np.zeros_like(arr) for name, arr in params.trainable_arrays()}
+    """Zeroed squared-gradient accumulators keyed like `trainable_arrays()`,
+    views into one buffer laid out as `params.flat`."""
+    return params.trainable_views(np.zeros_like(params.flat))
 
 
 def rmsprop_step(params: NetworkParameters, grads: dict, state: dict,
                  config: TrainConfig):
-    """In-place RMSProp update of every trainable array.
+    """In-place RMSProp update of every trainable array, as one update of
+    `params.flat` and the state's buffer.
 
     s <- rho*s + (1-rho)*g^2 ; theta <- theta - lr * g / (sqrt(s) + eps)
-    Moving batchnorm statistics are never touched.
+    Each element sees the same operations as in a per-array update, so the
+    result is byte-identical to one. Moving batchnorm statistics are never
+    touched. Raises ValueError if a gradient's shape differs from its
+    parameter's, or if a parameter or state array is no longer a view into
+    its buffer (it was rebound), since the update would then miss it.
     """
-    rho = config.rms_decay
-    for name, theta in params.trainable_arrays():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient for {name} has shape {g.shape}, "
+    trainable = params.trainable_arrays()
+    s = state[trainable[0][0]].base
+    if s is None or s.shape != params.flat.shape:
+        raise ValueError("RMSProp state is not one buffer laid out like the parameters; "
+                         "make it with init_rmsprop")
+    for name, theta in trainable:
+        if grads[name].shape != theta.shape:
+            raise ValueError(f"gradient for {name} has shape {grads[name].shape}, "
                              f"parameter has {theta.shape}")
-        s = state[name]
-        s *= rho
-        s += (1.0 - rho) * (g * g)
-        theta -= config.learning_rate * g / (np.sqrt(s) + config.rms_epsilon)
+        if theta.base is not params.flat or state[name].base is not s:
+            raise ValueError(f"{name} is no longer a view into its buffer; "
+                             "rebinding a parameter or state array detaches it")
+    g = np.concatenate([grads[name] for name, _ in trainable], axis=None)
+    rho = config.rms_decay
+    s *= rho
+    s += (1.0 - rho) * (g * g)
+    params.flat -= config.learning_rate * g / (np.sqrt(s) + config.rms_epsilon)
     return params, state
 
 

@@ -196,6 +196,23 @@ def check_grads(analytic, loss_fn, arr, rng, n=12, tol=1e-5):
     assert (rel[mask] < tol).all(), f"rel errors {rel[mask]}"
 
 
+def rmsprop_step_per_array(params, grads, state, config):
+    """The per-array RMSProp update that `training.rmsprop_step` replaced,
+    six numpy calls for each trainable array; the reference for its update
+    of one buffer. `state` is any {name: array} of accumulators."""
+    rho = config.rms_decay
+    for name, theta in params.trainable_arrays():
+        g = grads[name]
+        if g.shape != theta.shape:
+            raise ValueError(f"gradient for {name} has shape {g.shape}, "
+                             f"parameter has {theta.shape}")
+        s = state[name]
+        s *= rho
+        s += (1.0 - rho) * (g * g)
+        theta -= config.learning_rate * g / (np.sqrt(s) + config.rms_epsilon)
+    return params, state
+
+
 class CsvStreamOracle:
     """The per-row flow-CSV reader that `dataio.CsvStream` replaced, kept as
     the reference for its chunked reader: one `csv.DictReader` dict, one

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from botclf import cli, dataio, metrics, network, synth
 from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
@@ -364,6 +366,28 @@ class TestSettingsFailClosed:
                                     "at least 1, got 0"]
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("key,default,value,message", [
+        ("bn_epsilon", "0.001", "-5", "must be finite and positive, got -5.0"),
+        ("bn_epsilon", "0.001", "nan", "must be finite and positive, got nan"),
+        ("bn_momentum", "0.99", "1.5", "must lie in [0, 1], got 1.5"),
+        ("bn_momentum", "0.99", "nan", "must lie in [0, 1], got nan"),
+        ("truncated_normal_stddev", "0.05", "0", "must be finite and positive, got 0.0"),
+        ("truncated_normal_stddev", "0.05", "inf", "must be finite and positive, got inf"),
+    ])
+    def test_out_of_range_meta_constant_is_weight_format_error(
+            self, tmp_path, trained_weights, eval_csv, capsys, command, key, default, value,
+            message):
+        bad = tmp_path / "meta.weights"
+        bad.write_text(trained_weights.read_text().replace(f"meta {key} {default}\n",
+                                                           f"meta {key} {value}\n"))
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: manifest meta {key} {message}"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("key,value,tensor,shape", [
         ("filters", 128, "conv.kernels", "(3, 1, 1000000000000000)"),
         ("seq_len", 16, "dense_hidden.weights", "(10000000000000128, 10)"),
@@ -447,6 +471,43 @@ class TestDecodingFailsClosed:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"botclf: data error: {bad}: not UTF-8 text "
                                     "(byte 0xff: invalid start byte)"]
+
+
+class TestCsvFieldLimit:
+    @staticmethod
+    def _long_cell_csv(eval_csv, path, bad_row=None):
+        """eval_csv with a 140,000-digit cell in row 10 (the csv module refuses
+        cells over 131072 characters) and, if given, a non-numeric cell in
+        `bad_row`."""
+        lines = eval_csv.read_text().splitlines(keepends=True)
+        for row, cell in ((10, "7" * 140_000), (bad_row, "abc")):
+            if row is not None:
+                cells = lines[row - 1].split(",")
+                cells[0] = cell
+                lines[row - 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("policy", ["skip", "fail"])
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_cell_over_the_field_limit_names_the_row(self, tmp_path, trained_weights,
+                                                     eval_csv, command, policy, capsys):
+        bad = self._long_cell_csv(eval_csv, tmp_path / "long.csv")
+        weights = tmp_path / "new.weights" if command == "train" else trained_weights
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", bad, "--weights", weights, "--policy", policy,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}:10: field larger than field limit (131072)"]
+        assert not out_path.exists()
+
+    def test_rows_before_it_are_checked_first(self, tmp_path, trained_weights, eval_csv,
+                                              capsys):
+        bad = self._long_cell_csv(eval_csv, tmp_path / "long.csv", bad_row=5)
+        assert run(["predict", "--data", bad, "--weights", trained_weights,
+                    "--policy", "fail"]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}:5: could not convert string to float: 'abc'"]
 
 
 class TestAtomicOutputs:
@@ -613,3 +674,74 @@ class TestIdempotence:
         run(["eval", "--data", train_csv, "--weights", weights, "--report", report1])
         run(["eval", "--data", train_csv, "--weights", weights, "--report", report2])
         assert json.loads(report1.read_text()) == json.loads(report2.read_text())
+
+
+def _mostly(valid, *invalid):
+    """A value drawn from the strategy `valid` six times in eight, else one
+    of `invalid`."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i < 6 else st.sampled_from(invalid))
+
+
+class TestNeverRaises:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """One tiny labeled CSV (with a malformed row), an unlabeled one, a
+        small model trained on the first, a config file and a scratch
+        directory for outputs."""
+        folder = tmp_path_factory.mktemp("grammar")
+        labeled = folder / "labeled.csv"
+        synth.write_csv(labeled, 40, seed=11, noise=0.1)
+        with open(labeled, "a") as fh:
+            fh.write("x" + ",1" * 15 + ",Normal,Normal\n")
+        unlabeled = folder / "unlabeled.csv"
+        synth.write_csv(unlabeled, 12, seed=12, labeled=False)
+        weights = folder / "model.weights"
+        assert run(["train", "--data", labeled, "--weights", weights, "--epochs", "1",
+                    "--filters", "4", "--gru-units", "2"]) == EXIT_OK
+        config = folder / "run.cfg"
+        config.write_text("seed = 3\nfilters = 5\n")
+        out = folder / "out"
+        out.mkdir()
+        return {"labeled": labeled, "unlabeled": unlabeled, "weights": weights,
+                "config": config, "out": out, "missing": folder / "no_such_dir" / "f"}
+
+    # Every argv parses (values have the flag's type), so argparse never exits;
+    # most values are valid, so that most examples get past the settings
+    # checks. Epochs, sizes and row counts are small, so no example runs
+    # long. Derandomized, with a bounded example count and no example database.
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_main_returns_a_documented_code(self, files, data, capsys):
+        command = data.draw(st.sampled_from(["summary", "train", "eval", "predict",
+                                             "gradcheck"]), label="command")
+        out, missing = files["out"], files["missing"]
+        weights = out / "trained.weights" if command == "train" else files["weights"]
+        # flag -> (chance in 8 of passing it, the values it may take)
+        flags = {
+            "--data": (7, _mostly(st.just(files["labeled"]), files["unlabeled"], missing, out)),
+            "--weights": (7, _mostly(st.just(weights), missing, out)),
+            "--report": (3, _mostly(st.just(out / "report.txt"), missing, out)),
+            "--config": (1, st.sampled_from([files["config"], missing])),
+            "--features": (1, st.just(missing)),
+            "--seed": (2, st.integers(-3, 2**70)),
+            "--epochs": (2, _mostly(st.integers(1, 2), 0, -1)),
+            "--batch-size": (2, _mostly(st.integers(1, 50), 0, -1)),
+            "--learning-rate": (2, _mostly(st.sampled_from([1e-3, 0.5, 0.0]),
+                                           math.nan, math.inf, -1.0)),
+            "--precision": (2, st.sampled_from(["double", "single"])),
+            "--policy": (2, st.sampled_from(["skip", "fail"])),
+            "--gru-units": (2, _mostly(st.integers(1, 4), 0, -1)),
+            "--filters": (2, _mostly(st.integers(1, 6), 0, 10**12)),
+            "--probes": (2, _mostly(st.integers(1, 8), 0, -1)),
+            "--tolerance": (2, _mostly(st.sampled_from([1e-5, 1.0, 1e-12]),
+                                       0.0, -1.0, math.nan, math.inf)),
+            "--stratified": (2, None),
+            "--verbose": (2, None),
+        }
+        argv = [command]
+        for flag, (chance, values) in flags.items():
+            if data.draw(st.integers(0, 7), label=f"pass {flag}") < chance:
+                argv += [flag] if values is None else [flag, data.draw(values, label=flag)]
+        assert run(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        capsys.readouterr()

@@ -8,6 +8,7 @@ from botclf import layers, network, synth, training
 from botclf.errors import NumericError, ShapeError, WeightFormatError
 from botclf.network import Architecture
 from botclf.numerics import make_rng
+from oracles import check_grads
 
 
 def test_param_count_default():
@@ -322,3 +323,152 @@ class TestWeightsIO:
         npt.assert_array_equal(tensors["norm.max"], extras["norm.max"])
         assert meta["feature_names"] == "a,b"
 
+
+
+# --------------------------------------------------------------------------
+# train mode: the fused conv branch against the layer-by-layer composition
+
+
+def _randomized(seed, arch=Architecture(), dtype=np.float64):
+    """Built parameters with random biases and batchnorm affine maps, a third
+    of the gammas negative, so that no term of the train-mode gradient is 0."""
+    p = network.build(seed, arch, dtype=dtype)
+    rng = make_rng(seed + 1)
+    for arr in (p.conv.bias, p.bn.beta, p.dense_hidden.bias, p.dense_out.bias):
+        arr[:] = rng.normal(scale=0.5, size=arr.shape)
+    p.bn.gamma[:] = rng.uniform(0.5, 1.5, size=p.bn.gamma.shape) * np.resize([1, 1, -1],
+                                                                            p.bn.gamma.size)
+    p.bn.moving_mean[:] = rng.normal(size=p.bn.moving_mean.shape)
+    p.bn.moving_var[:] = rng.uniform(0.5, 2.0, size=p.bn.moving_var.shape)
+    return p
+
+
+def _layerwise_train(p, x, targets):
+    """`network.forward(mode="train")` then `network.backward`, composed one
+    layer at a time, the conv branch by conv1d -> batchnorm(training=True) ->
+    activation -> global max pool. Returns (probs, dlogits, grads, dx)."""
+    conv_y, c_conv = layers.conv1d_forward(x, p.conv)
+    bn_y, c_bn = layers.batchnorm_forward(conv_y, p.bn, training=True)
+    act_y, c_act = layers.activation_forward(bn_y)
+    pool_y, c_pool = layers.global_max_pool(act_y)
+    gru_y, c_gru = layers.gru_forward(x, p.gru)
+    flat_y, c_flat = layers.flatten(gru_y)
+    concat_y, c_concat = layers.concatenate(pool_y, flat_y)
+    hidden_y, c_hidden = layers.dense_forward(concat_y, p.dense_hidden, "relu")
+    probs, c_out = layers.dense_forward(hidden_y, p.dense_out, "softmax")
+    _, dlogits = training.cross_entropy(probs, targets)
+
+    d_hidden, g_out = layers.dense_backward(c_out, dlogits)
+    d_concat, g_hidden = layers.dense_backward(c_hidden, d_hidden)
+    (d_pool, d_flat), _ = layers.concatenate_backward(c_concat, d_concat)
+    d_act, _ = layers.global_max_pool_backward(c_pool, d_pool)
+    d_bn, _ = layers.activation_backward(c_act, d_act)
+    d_conv, g_bn = layers.batchnorm_backward(c_bn, d_bn)
+    dx_a, g_conv = layers.conv1d_backward(c_conv, d_conv)
+    d_seq, _ = layers.flatten_backward(c_flat, d_flat)
+    dx_b, g_gru, _ = layers.gru_backward(c_gru, d_seq)
+    grads = {}
+    for prefix, group in (("conv", g_conv), ("bn", g_bn), ("gru", g_gru),
+                          ("dense_hidden", g_hidden), ("dense_out", g_out)):
+        grads.update({f"{prefix}.{k}": v for k, v in group.items()})
+    return probs, dlogits, grads, dx_a + dx_b
+
+
+def _compare_train_step(p, x, labels, tol):
+    """Check the fused train-mode forward and backward of `p` on x against
+    `_layerwise_train` run on the same weights widened to extended precision,
+    so that the bound measures the fused path's rounding, not the
+    reference's. Every compared value must lie within tol * max(1, |ref|)."""
+    assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps, \
+        "the reference needs a long double wider than double (x86-64 or aarch64 Linux)"
+    wide = network._assemble({n: a.astype(np.longdouble) for n, a in p.named_arrays()},
+                             p.arch)
+    targets = np.eye(p.arch.classes)[labels]
+    ref_probs, ref_dlogits, ref_grads, ref_dx = _layerwise_train(
+        wide, x.astype(np.longdouble), targets)
+    probs, caches = network.forward(p, x, mode="train")
+    grads, dx = network.backward(p, caches, ref_dlogits.astype(p.dtype))
+
+    pairs = [("probs", probs, ref_probs), ("dx", dx, ref_dx),
+             ("bn.moving_mean", p.bn.moving_mean, wide.bn.moving_mean),
+             ("bn.moving_var", p.bn.moving_var, wide.bn.moving_var)]
+    pairs += [(name, grads[name], ref_grads[name]) for name, _ in p.trainable_arrays()]
+    assert len(pairs) == 24
+    for name, got, ref in pairs:
+        assert got.shape == ref.shape and got.dtype == p.dtype, name
+        excess = np.abs(got - ref) - tol * np.maximum(1.0, np.abs(ref))
+        assert excess.max() <= 0, f"{name}: off by up to {float(np.abs(got - ref).max()):.3e}"
+    # train-mode batchnorm subtracts the batch mean, which absorbs the conv bias
+    assert not grads["conv.bias"].any()
+
+
+class TestFusedTrainStep:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("seq_len", [16, 7])
+    @pytest.mark.parametrize("b", [2, 10, 37, 512])
+    def test_matches_layerwise(self, b, seq_len, dtype, tol):
+        p = _randomized(b + seq_len, Architecture(seq_len=seq_len), dtype)
+        rng = make_rng(b * seq_len)
+        x = rng.uniform(0.0, 1.0, size=(b, seq_len, 1)).astype(dtype)
+        _compare_train_step(p, x, rng.integers(0, 6, size=b), tol)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_exact_ties_pick_the_first_time_step(self, dtype, tol):
+        # Constant rows give equal interior windows, gamma = 0 makes every
+        # step of a filter tie, and a negative gamma turns the max into a min.
+        # A different pick among tied steps moves the input gradient (and, at
+        # gamma = 0, the gamma gradient), which the comparison would catch.
+        p = _randomized(3, dtype=dtype)
+        p.bn.gamma[::4] = 0.0
+        p.bn.beta[::4] = np.abs(p.bn.beta[::4]) + 0.1  # so those filters stay active
+        rng = make_rng(4)
+        x = rng.uniform(0.0, 1.0, size=(10, 16, 1))
+        x[:4] = rng.uniform(0.0, 1.0, size=(4, 1, 1))
+        x[4] = 0.0
+        _compare_train_step(p, x.astype(dtype), rng.integers(0, 6, size=10), tol)
+
+    def test_train_mode_gradients_against_finite_differences(self):
+        # gradient_check runs the batchnorm in infer mode; this probes the
+        # train-mode backward, whose output does not read the moving statistics
+        p = _randomized(41)
+        rng = make_rng(42)
+        # GRU weights at the layer tests' scale: at the 0.05 of `build`, many GRU
+        # gradients sit below what central differences at step 1e-6 resolve
+        for name in layers.GRU_FIELDS:
+            arr = getattr(p.gru, name)
+            arr[...] = rng.normal(scale=0.6, size=arr.shape)
+        x = rng.uniform(0.0, 1.0, size=(6, 16, 1))
+        targets = np.eye(6)[rng.integers(0, 6, size=6)]
+
+        def loss():
+            probs, _ = network.forward(p, x, mode="train")
+            return training.cross_entropy(probs, targets)[0]
+
+        probs, caches = network.forward(p, x, mode="train")
+        grads, _ = network.backward(p, caches, training.cross_entropy(probs, targets)[1])
+        for name, arr in p.trainable_arrays():
+            check_grads(grads[name], loss, arr, rng, n=6)
+
+
+class TestTrainableBuffer:
+    def _assert_views_flat(self, p):
+        offset = 0
+        for name, arr in p.trainable_arrays():
+            assert arr.base is p.flat, name
+            assert np.shares_memory(arr, p.flat[offset:offset + arr.size]), name
+            offset += arr.size
+        assert offset == p.flat.size == network.param_count(p)[1]
+        for arr in (p.bn.moving_mean, p.bn.moving_var):
+            assert not np.shares_memory(arr, p.flat)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_build_and_load_share_one_buffer(self, tmp_path, dtype):
+        p = network.build(5, Architecture(filters=8, gru_units=3), dtype=dtype)
+        self._assert_views_flat(p)
+        assert p.flat.dtype == dtype
+        path = tmp_path / "w.weights"
+        network.save_weights(p, path)
+        q = network.load_weights(path)
+        self._assert_views_flat(q)
+        npt.assert_array_equal(q.flat, p.flat)
+        self._assert_views_flat(network.params_from_manifest(*network.load_manifest(path)))

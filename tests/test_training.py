@@ -9,6 +9,7 @@ from botclf.dataio import Dataset
 from botclf.errors import ConfigError, DataError, NumericError
 from botclf.numerics import make_rng, softmax
 from botclf.training import TrainConfig
+from oracles import rmsprop_step_per_array
 
 
 def one_hot(labels, k=6):
@@ -161,6 +162,48 @@ class TestRmsProp:
         npt.assert_array_equal(p.bn.moving_mean, mm)
         npt.assert_array_equal(p.bn.moving_var, mv)
         assert "bn.moving_mean" not in state
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_byte_identical_to_per_array_update(self, dtype):
+        p = network.build(14, dtype=dtype)
+        q = network.build(14, dtype=dtype)
+        state = training.init_rmsprop(p)
+        ref_state = {name: np.zeros_like(arr) for name, arr in q.trainable_arrays()}
+        cfg = TrainConfig(learning_rate=1e-2)
+        rng = make_rng(15)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-8, 2)
+            grads = {name: (rng.normal(scale=scale, size=arr.shape)
+                            * (rng.uniform(size=arr.shape) > 0.2)).astype(dtype)
+                     for name, arr in p.trainable_arrays()}
+            training.rmsprop_step(p, grads, state, cfg)
+            rmsprop_step_per_array(q, grads, ref_state, cfg)
+        for (name, got), (_, want) in zip(p.named_arrays(), q.named_arrays()):
+            assert got.tobytes() == want.tobytes(), name
+        for name, acc in ref_state.items():
+            assert state[name].tobytes() == acc.tobytes(), name
+
+    def test_rebound_parameter_is_refused(self):
+        p = network.build(16)
+        state = training.init_rmsprop(p)
+        grads = {name: np.ones_like(arr) for name, arr in p.trainable_arrays()}
+        p.gru.u_h = p.gru.u_h.copy()
+        before = p.flat.copy()
+        with pytest.raises(ValueError, match="gru.u_h is no longer a view into its buffer"):
+            training.rmsprop_step(p, grads, state, TrainConfig())
+        npt.assert_array_equal(p.flat, before)
+        assert not state["gru.u_h"].any()
+
+    def test_rebound_state_is_refused(self):
+        p = network.build(17)
+        grads = {name: np.ones_like(arr) for name, arr in p.trainable_arrays()}
+        state = training.init_rmsprop(p)
+        state["dense_out.bias"] = np.zeros_like(p.dense_out.bias)
+        with pytest.raises(ValueError, match="dense_out.bias is no longer a view"):
+            training.rmsprop_step(p, grads, state, TrainConfig())
+        separate = {name: np.zeros_like(arr) for name, arr in p.trainable_arrays()}
+        with pytest.raises(ValueError, match="make it with init_rmsprop"):
+            training.rmsprop_step(p, grads, separate, TrainConfig())
 
 
 class TestFit:
