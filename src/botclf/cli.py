@@ -10,6 +10,7 @@ import argparse
 import logging
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
@@ -50,7 +51,9 @@ def cmd_summary(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    arch = _architecture(cfg)
+    spec, schema, label_map = _io_setup(cfg)
+    # the class map sizes the output layer
+    arch = replace(_architecture(cfg), classes=label_map.num_classes)
     train_cfg = training.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
         validation_fraction=cfg.validation_fraction, seed=cfg.seed,
@@ -59,15 +62,11 @@ def cmd_train(cfg: RunConfig) -> int:
     stats_path = cfg.report or (cfg.weights + ".stats")
     require_parent_dir(cfg.weights)
     require_parent_dir(stats_path)
-    spec, schema, label_map = _io_setup(cfg)
-    fitted = dataio.fit_normalizer(
-        dataio.stream_csv(data_path, schema, spec, label_map=None,
-                          policy=cfg.policy).chunks(),
-        spec)
-    stream = dataio.stream_csv(data_path, schema, fitted, label_map, policy=cfg.policy)
-    dataset = dataio.to_dataset(stream.chunks(), fitted, dtype=resolve_dtype(cfg.precision))
-    if dataset.labels is None:
-        raise DataError(f"{data_path}: training rows must all be labeled")
+    # one labeled pass: the normalizer is fitted on exactly the rows trained on
+    chunks = list(dataio.stream_csv(data_path, schema, spec, label_map,
+                                    policy=cfg.policy).chunks())
+    fitted = dataio.fit_normalizer(chunks, spec)
+    dataset = dataio.to_dataset(chunks, fitted, dtype=resolve_dtype(cfg.precision))
     dist = dataset.class_distribution(label_map.num_classes)
     log.info("loaded %d records; class distribution %s", len(dataset), dist.tolist())
 
@@ -95,8 +94,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map, policy=cfg.policy)
     dataset = dataio.to_dataset(stream.chunks(), spec, dtype=params.dtype)
-    if dataset.labels is None:
-        raise DataError(f"{data_path}: evaluation rows must all be labeled")
     cm, loss = training.evaluate(params, dataset)
     rep = metrics.report(cm)
     print(rep.render_overall())
@@ -117,10 +114,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     spec, schema, label_map = _io_setup(cfg)
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy)
-    classes = params.arch.classes
-    names = [label_map.names[i] if i < len(label_map.names) else str(i)
-             for i in range(classes)]
-    line = "%d,%s," + ",".join(["%.9f"] * classes) + "\n"
+    names = label_map.names
+    line = "%d,%s," + ",".join(["%.9f"] * params.arch.classes) + "\n"
     with atomic_write(cfg.report) if cfg.report else nullcontext(sys.stdout) as out:
         for features, _ in stream.chunks():
             probs = network.predict_proba(params, spec.normalize(features)[:, :, None])
@@ -186,7 +181,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help and on a malformed command line
+        return exc.code
     cli_values = {k: v for k, v in vars(args).items()
                   if k not in ("command", "config")}
     try:

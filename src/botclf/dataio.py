@@ -29,8 +29,6 @@ DEFAULT_FEATURES = (
     "max", "spkts", "dpkts", "sbytes", "dbytes", "rate", "srate", "drate",
 )
 
-NUM_CLASSES = 6
-
 # Kept rows per chunk of `CsvStream.chunks()`: one array and one finiteness
 # check per chunk instead of per row. A multiple of network.INFER_CHUNK, so
 # `predict` scores the same batches as `eval`.
@@ -71,7 +69,6 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    delimiter: str = ","
     category_column: str = "category"
     subcategory_column: str = "subcategory"
 
@@ -173,7 +170,7 @@ class CsvStream:
         names = self.feature_spec.names
         labeled = self.label_map is not None
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=self.schema.delimiter)
+            reader = csv.reader(fh)
             header = next(reader, [])
             column = {name: i for i, name in enumerate(header)}  # last duplicate wins
             label_columns = ((self.schema.category_column, self.schema.subcategory_column)
@@ -303,7 +300,7 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def class_distribution(self, num_classes: int = NUM_CLASSES) -> np.ndarray:
+    def class_distribution(self, num_classes: int) -> np.ndarray:
         if self.labels is None:
             raise DataError("dataset has no labels")
         return np.bincount(self.labels, minlength=num_classes)

@@ -40,10 +40,6 @@ class Conv1DParams:
     kernels: np.ndarray  # [kernel_size, in_channels, filters]
     bias: np.ndarray     # [filters]
 
-    @property
-    def count(self) -> int:
-        return self.kernels.size + self.bias.size
-
 
 @dataclass
 class BatchNormParams:
@@ -53,14 +49,6 @@ class BatchNormParams:
     moving_var: np.ndarray   # [channels], non-trainable
     epsilon: float = 1e-3
     momentum: float = 0.99
-
-    @property
-    def count(self) -> int:
-        return self.gamma.size + self.beta.size + self.moving_mean.size + self.moving_var.size
-
-    @property
-    def trainable_count(self) -> int:
-        return self.gamma.size + self.beta.size
 
 
 @dataclass
@@ -86,10 +74,6 @@ class GRUParams:
     def units(self) -> int:
         return self.u_z.shape[0]
 
-    @property
-    def count(self) -> int:
-        return sum(getattr(self, name).size for name in GRU_FIELDS)
-
 
 GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
               "b_z", "b_r", "b_h", "rb_z", "rb_r", "rb_h")
@@ -99,10 +83,6 @@ GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
 class DenseParams:
     weights: np.ndarray  # [in, out]
     bias: np.ndarray     # [out]
-
-    @property
-    def count(self) -> int:
-        return self.weights.size + self.bias.size
 
 
 # --------------------------------------------------------------------------
@@ -199,8 +179,8 @@ def conv_branch_train_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormPa
     """Train-mode conv1d -> batchnorm -> ReLU -> global max pool, fused.
 
     x: [B, T, C] -> (pooled [B, filters], cache). The same function as
-    `conv1d_forward`, `batchnorm_forward(training=True)`, `activation_forward`
-    and `global_max_pool` composed, moving statistics update included.
+    `conv1d_forward`, `batchnorm_forward(training=True)`, ReLU and
+    `global_max_pool` composed, moving statistics update included.
 
     Each conv output is cols . W_f + b_f for its k*C-value window cols, so
     the batch statistics need only the windows' mean mu and centred
@@ -426,20 +406,6 @@ def gru_backward(cache: Cache, dh_seq: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# activation layer (after the conv branch's batchnorm)
-
-
-def activation_forward(x: np.ndarray, kind: str = "relu"):
-    if kind != "relu":
-        raise ValueError(f"unknown activation {kind!r}; the conv branch uses 'relu'")
-    return relu(x), Cache({"x": x})
-
-
-def activation_backward(cache: Cache, dy: np.ndarray):
-    return dy * d_relu(cache.consume("activation")["x"]), {}
-
-
-# --------------------------------------------------------------------------
 # global max pool over time
 
 
@@ -457,34 +423,6 @@ def global_max_pool_backward(cache: Cache, dy: np.ndarray):
     dx = np.zeros(d["in_shape"], dtype=dy.dtype)
     np.put_along_axis(dx, d["idx"][:, None, :], dy[:, None, :], axis=1)
     return dx, {}
-
-
-# --------------------------------------------------------------------------
-# flatten / concatenate
-
-
-def flatten(x: np.ndarray):
-    """[B, T, C] -> [B, T*C], row-major; element (t, c) lands at t*C + c."""
-    b = x.shape[0]
-    return x.reshape(b, -1), Cache({"in_shape": x.shape})
-
-
-def flatten_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("flatten")
-    return dy.reshape(d["in_shape"]), {}
-
-
-def concatenate(a: np.ndarray, b: np.ndarray):
-    """[B, m] + [B, n] -> [B, m + n], a first."""
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concatenate batch mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1), Cache({"split": a.shape[1]})
-
-
-def concatenate_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("concatenate")
-    m = d["split"]
-    return (dy[:, :m], dy[:, m:]), {}
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ weights, the fitted normalizer and the class map, is written by
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from types import SimpleNamespace
@@ -25,7 +26,8 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, WeightForm
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
-from .numerics import DOUBLE, init_he_uniform, init_truncated_normal, resolve_dtype, substream
+from .numerics import (DOUBLE, d_relu, init_he_uniform, init_truncated_normal, relu,
+                       resolve_dtype, substream)
 
 # rows per pass of the inference engine; bounds its working memory
 INFER_CHUNK = 512
@@ -194,10 +196,9 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
 
 @dataclass
 class ForwardCaches:
-    conv_branch: layers.Cache | tuple  # fused (train) or (conv, bn, act, pool) (infer)
+    # fused (train), or (conv, bn, the batchnorm output, pool) (infer)
+    conv_branch: layers.Cache | tuple
     gru: layers.Cache
-    flat: layers.Cache
-    concat: layers.Cache
     dense_hidden: layers.Cache
     dense_out: layers.Cache
 
@@ -227,18 +228,14 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     else:
         conv_y, c_conv = layers.conv1d_forward(x, params.conv)
         bn_y, c_bn = layers.batchnorm_forward(conv_y, params.bn, training=False)
-        act_y, c_act = layers.activation_forward(bn_y)
-        pool_y, c_pool = layers.global_max_pool(act_y)
-        c_branch = (c_conv, c_bn, c_act, c_pool)
+        pool_y, c_pool = layers.global_max_pool(relu(bn_y))
+        c_branch = (c_conv, c_bn, bn_y, c_pool)
 
     gru_y, c_gru = layers.gru_forward(x, params.gru)
-    flat_y, c_flat = layers.flatten(gru_y)
-
-    concat_y, c_concat = layers.concatenate(pool_y, flat_y)
+    concat_y = np.concatenate([pool_y, gru_y.reshape(x.shape[0], -1)], axis=1)
     hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
     probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
-    caches = ForwardCaches(c_branch, c_gru, c_flat, c_concat, c_hidden, c_out)
-    return probs, caches
+    return probs, ForwardCaches(c_branch, c_gru, c_hidden, c_out)
 
 
 def _folded_conv(params: NetworkParameters) -> Conv1DParams:
@@ -289,7 +286,7 @@ def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
     for start in range(0, x.shape[0], INFER_CHUNK):
         xb = x[start:start + INFER_CHUNK]
-        pooled, _ = layers.activation_forward(_conv_max_over_time(xb, conv))
+        pooled = relu(_conv_max_over_time(xb, conv))
         gru_y, _ = layers.gru_forward(xb, params.gru, keep_cache=False)
         concat_y = np.concatenate([pooled, gru_y.reshape(xb.shape[0], -1)], axis=1)
         hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, "relu")
@@ -311,20 +308,20 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
     """
     d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
-    (d_pool, d_flat), _ = layers.concatenate_backward(caches.concat, d_concat)
+    a = params.arch
+    d_pool, d_flat = d_concat[:, :a.filters], d_concat[:, a.filters:]
 
     if isinstance(caches.conv_branch, layers.Cache):
         dx_a, g_branch = layers.conv_branch_train_backward(caches.conv_branch, d_pool)
         g_conv = {k: g_branch[k] for k in ("kernels", "bias")}
         g_bn = {k: g_branch[k] for k in ("gamma", "beta")}
     else:
-        c_conv, c_bn, c_act, c_pool = caches.conv_branch
+        c_conv, c_bn, bn_y, c_pool = caches.conv_branch
         d_act, _ = layers.global_max_pool_backward(c_pool, d_pool)
-        d_bn, _ = layers.activation_backward(c_act, d_act)
-        d_conv, g_bn = layers.batchnorm_backward(c_bn, d_bn)
+        d_conv, g_bn = layers.batchnorm_backward(c_bn, d_act * d_relu(bn_y))
         dx_a, g_conv = layers.conv1d_backward(c_conv, d_conv)
 
-    d_gru_seq, _ = layers.flatten_backward(caches.flat, d_flat)
+    d_gru_seq = d_flat.reshape(-1, a.seq_len, a.gru_units)
     dx_b, g_gru, _ = layers.gru_backward(caches.gru, d_gru_seq)
 
     grads = {f"conv.{k}": v for k, v in g_conv.items()}
@@ -337,10 +334,9 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
 
 def param_count(params: NetworkParameters):
     """(total, trainable, non_trainable), exact integer accounting."""
-    total = (params.conv.count + params.bn.count + params.gru.count
-             + params.dense_hidden.count + params.dense_out.count)
-    non_trainable = params.bn.count - params.bn.trainable_count
-    return total, total - non_trainable, non_trainable
+    total = sum(arr.size for _, arr in params.named_arrays())
+    trainable = sum(arr.size for _, arr in params.trainable_arrays())
+    return total, trainable, total - trainable
 
 
 @dataclass(frozen=True)
@@ -373,17 +369,20 @@ class ModelSummary:
 def summary(params: NetworkParameters) -> ModelSummary:
     """Per-layer output shapes and parameter counts, in graph build order."""
     a = params.arch
+    count = Counter()
+    for name, arr in params.named_arrays():
+        count[name.split(".")[0]] += arr.size
     rows = (
         SummaryRow("InputLayer", (None, a.seq_len, a.in_channels), 0),
-        SummaryRow("Conv1D", (None, a.seq_len, a.filters), params.conv.count),
-        SummaryRow("BatchNormalization", (None, a.seq_len, a.filters), params.bn.count),
-        SummaryRow("GRU", (None, a.seq_len, a.gru_units), params.gru.count),
+        SummaryRow("Conv1D", (None, a.seq_len, a.filters), count["conv"]),
+        SummaryRow("BatchNormalization", (None, a.seq_len, a.filters), count["bn"]),
+        SummaryRow("GRU", (None, a.seq_len, a.gru_units), count["gru"]),
         SummaryRow("Activation", (None, a.seq_len, a.filters), 0),
         SummaryRow("Flatten", (None, a.seq_len * a.gru_units), 0),
         SummaryRow("GlobalMaxPooling1D", (None, a.filters), 0),
         SummaryRow("Concatenate", (None, a.concat_width), 0),
-        SummaryRow("dense (Dense)", (None, a.dense_units), params.dense_hidden.count),
-        SummaryRow("dense_1 (Dense)", (None, a.classes), params.dense_out.count),
+        SummaryRow("dense (Dense)", (None, a.dense_units), count["dense_hidden"]),
+        SummaryRow("dense_1 (Dense)", (None, a.classes), count["dense_out"]),
     )
     total, trainable, non_trainable = param_count(params)
     return ModelSummary(rows, total, trainable, non_trainable)
@@ -608,7 +607,8 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
 
     `spec` and `label_map` stand in for feature names or a class map the
     file lacks. A missing normalizer, one whose length differs from the
-    feature names, or a malformed class map is a WeightFormatError.
+    feature names, a malformed class map, or feature names or classes that
+    do not number the model's meta seq_len and classes is a WeightFormatError.
     """
     tensors, meta = load_manifest(path)
     params = params_from_manifest(tensors, meta)
@@ -634,4 +634,11 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
             raise WeightFormatError(f"{path}: manifest meta class_pairs and class_names "
                                     "do not form one class map")
         label_map = LabelMap(pairs=pairs, names=names)
+    arch = params.arch
+    if len(spec.names) != arch.seq_len:
+        raise WeightFormatError(f"{path}: manifest meta seq_len {arch.seq_len} does not "
+                                f"match the {len(spec.names)} feature names")
+    if label_map.num_classes != arch.classes:
+        raise WeightFormatError(f"{path}: manifest meta classes {arch.classes} does not "
+                                f"match the {label_map.num_classes} classes of the class map")
     return params, spec, label_map

@@ -19,14 +19,16 @@ from .metrics import ConfusionMatrix
 from .network import NetworkParameters
 from .numerics import substream
 
+# RMSProp's squared-gradient decay rho and denominator epsilon, the paper's values
+RMS_DECAY = 0.9
+RMS_EPSILON = 1e-7
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 4
     batch_size: int = 10
     learning_rate: float = 1e-3
-    rms_decay: float = 0.9
-    rms_epsilon: float = 1e-7
     validation_fraction: float = 0.10
     seed: int = 0
     stratified: bool = False
@@ -39,14 +41,10 @@ class TrainConfig:
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(
                 f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
-        if not 0.0 <= self.rms_decay < 1.0:
-            raise ConfigError(f"rms_decay must lie in [0, 1), got {self.rms_decay}")
         # a zero learning rate is allowed: it leaves the weights as they are
         if not (0.0 <= self.learning_rate and math.isfinite(self.learning_rate)):
             raise ConfigError(f"learning_rate must be finite and not negative, "
                               f"got {self.learning_rate}")
-        if not (0.0 < self.rms_epsilon and math.isfinite(self.rms_epsilon)):
-            raise ConfigError(f"rms_epsilon must be finite and positive, got {self.rms_epsilon}")
 
 
 @dataclass
@@ -67,25 +65,24 @@ class EpochStats:
 _PROB_FLOOR = 1e-12
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray):
+def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     """Mean categorical cross-entropy and the combined softmax gradient.
 
-    `probs` are softmax outputs [B, K]; `targets` are one-hot rows [B, K].
-    Returns (loss, gradient w.r.t. the pre-softmax logits), the latter
-    being (probs - targets) / B.
+    `probs` are softmax outputs [B, K]; `labels` are class indices [B] in
+    [0, K). Returns (loss, gradient w.r.t. the pre-softmax logits), the
+    latter being (probs - one_hot(labels)) / B.
     """
     probs = np.asarray(probs)
-    targets = np.asarray(targets)
-    if probs.shape != targets.shape or probs.ndim != 2:
-        raise ValueError(f"probs shape {probs.shape} and targets shape "
-                         f"{targets.shape} must match as [batch, classes]")
-    is_zero_or_one = (targets == 0.0) | (targets == 1.0)
-    if not is_zero_or_one.all() or not (targets.sum(axis=1) == 1.0).all():
-        raise ValueError("targets must be one-hot rows")
+    labels = np.asarray(labels)
+    if probs.ndim != 2 or labels.shape != probs.shape[:1]:
+        raise ValueError(f"probs shape {probs.shape} and labels shape {labels.shape} "
+                         "must be [batch, classes] and [batch]")
     b = probs.shape[0]
-    p_true = (probs * targets).sum(axis=1)
-    loss = float(-np.log(np.maximum(p_true, _PROB_FLOOR)).mean())
-    dlogits = (probs - targets) / b
+    rows = np.arange(b)
+    loss = float(-np.log(np.maximum(probs[rows, labels], _PROB_FLOOR)).mean())
+    dlogits = probs.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits /= b
     return loss, dlogits
 
 
@@ -120,17 +117,10 @@ def rmsprop_step(params: NetworkParameters, grads: dict, state: dict,
             raise ValueError(f"{name} is no longer a view into its buffer; "
                              "rebinding a parameter or state array detaches it")
     g = np.concatenate([grads[name] for name, _ in trainable], axis=None)
-    rho = config.rms_decay
-    s *= rho
-    s += (1.0 - rho) * (g * g)
-    params.flat -= config.learning_rate * g / (np.sqrt(s) + config.rms_epsilon)
+    s *= RMS_DECAY
+    s += (1.0 - RMS_DECAY) * (g * g)
+    params.flat -= config.learning_rate * g / (np.sqrt(s) + RMS_EPSILON)
     return params, state
-
-
-def _one_hot(labels: np.ndarray, classes: int, dtype) -> np.ndarray:
-    out = np.zeros((labels.size, classes), dtype=dtype)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
 
 
 def _split_indices(n: int, fraction: float, seed: int,
@@ -151,13 +141,32 @@ def _split_indices(n: int, fraction: float, seed: int,
     return perm[n_val:], perm[:n_val]
 
 
-def _epoch_eval(params, features, labels, classes):
+def _epoch_eval(params, features, labels):
     """Infer-mode loss and accuracy over a fixed set."""
     if labels.size == 0:
         return float("nan"), float("nan")
     probs = network.predict_proba(params, features)
-    loss, _ = cross_entropy(probs, _one_hot(labels, classes, probs.dtype))
+    loss, _ = cross_entropy(probs, labels)
     return loss, int((probs.argmax(axis=1) == labels).sum()) / labels.size
+
+
+def _labeled_arrays(params: NetworkParameters, dataset, purpose: str):
+    """(features [N, seq_len] in the parameters' precision, labels [N]) of a
+    dataset, refused with a DataError unless it is labeled, not empty and
+    fits the architecture."""
+    arch = params.arch
+    if dataset.labels is None:
+        raise DataError(f"{purpose} requires labeled records")
+    features = np.asarray(dataset.features, dtype=params.dtype)
+    labels = np.asarray(dataset.labels)
+    if features.size == 0:
+        raise DataError(f"{purpose} dataset is empty")
+    if features.ndim != 2 or features.shape[1] != arch.seq_len:
+        raise DataError(f"records must have {arch.seq_len} features, "
+                        f"got feature array of shape {features.shape}")
+    if (labels < 0).any() or (labels >= arch.classes).any():
+        raise DataError(f"labels must lie in 0..{arch.classes - 1}")
+    return features, labels
 
 
 def fit(params: NetworkParameters, dataset, config: TrainConfig,
@@ -168,19 +177,7 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     `.labels` [N] ints. The training split is reshuffled each epoch from
     the run seed plus the epoch index; the trailing partial batch is kept.
     """
-    arch = params.arch
-    if dataset.labels is None:
-        raise DataError("training requires labeled records")
-    features = np.asarray(dataset.features, dtype=params.dtype)
-    labels = np.asarray(dataset.labels)
-    if features.size == 0:
-        raise DataError("training dataset is empty")
-    if features.ndim != 2 or features.shape[1] != arch.seq_len:
-        raise DataError(f"records must have {arch.seq_len} features, "
-                        f"got feature array of shape {features.shape}")
-    if (labels < 0).any() or (labels >= arch.classes).any():
-        raise DataError(f"labels must lie in 0..{arch.classes - 1}")
-
+    features, labels = _labeled_arrays(params, dataset, "training")
     x_all = features[:, :, None]
     train_idx, val_idx = _split_indices(labels.size, config.validation_fraction,
                                         config.seed, labels, config.stratified)
@@ -194,20 +191,18 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
         epoch_correct = 0
         for start in range(0, shuffled.size, config.batch_size):
             batch = shuffled[start:start + config.batch_size]
-            xb = x_all[batch]
-            yb = _one_hot(labels[batch], arch.classes, params.dtype)
-            probs, caches = network.forward(params, xb, mode="train")
+            yb = labels[batch]
+            probs, caches = network.forward(params, x_all[batch], mode="train")
             loss, dlogits = cross_entropy(probs, yb)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             grads, _ = network.backward(params, caches, dlogits)
             rmsprop_step(params, grads, state, config)
             epoch_loss += loss * batch.size
-            epoch_correct += int((probs.argmax(axis=1) == labels[batch]).sum())
+            epoch_correct += int((probs.argmax(axis=1) == yb).sum())
         train_loss = epoch_loss / max(shuffled.size, 1)
         train_acc = epoch_correct / max(shuffled.size, 1)
-        val_loss, val_acc = _epoch_eval(params, x_all[val_idx], labels[val_idx],
-                                        arch.classes)
+        val_loss, val_acc = _epoch_eval(params, x_all[val_idx], labels[val_idx])
         stats = EpochStats(epoch=epoch, train_loss=train_loss, train_acc=train_acc,
                            val_loss=val_loss, val_acc=val_acc,
                            seconds=time.perf_counter() - start_time)
@@ -219,20 +214,10 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
 
 def evaluate(params: NetworkParameters, dataset):
     """Infer-mode pass over a labeled dataset -> (ConfusionMatrix, mean loss)."""
-    arch = params.arch
-    features = np.asarray(dataset.features, dtype=params.dtype)
-    labels = dataset.labels
-    if labels is None:
-        raise DataError("evaluation requires labeled records")
-    labels = np.asarray(labels)
-    if features.size == 0:
-        raise DataError("evaluation dataset is empty")
-    if features.ndim != 2 or features.shape[1] != arch.seq_len:
-        raise DataError(f"records must have {arch.seq_len} features, "
-                        f"got feature array of shape {features.shape}")
+    features, labels = _labeled_arrays(params, dataset, "evaluation")
     probs = network.predict_proba(params, features[:, :, None])
-    loss, _ = cross_entropy(probs, _one_hot(labels, arch.classes, probs.dtype))
-    cm = ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), arch.classes)
+    loss, _ = cross_entropy(probs, labels)
+    cm = ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), params.arch.classes)
     return cm, loss
 
 
@@ -273,8 +258,11 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
+# Central-difference step and batch size of `gradient_check`.
+_FD_STEP = 1e-6
+_CHECK_BATCH = 4
 # Coordinates whose analytic gradient is below this cannot be resolved by
-# central differences at step 1e-6 to better than ~1e-5 relative error
+# central differences at _FD_STEP to better than ~1e-5 relative error
 # (round-off in the loss contributes ~4e-10 absolute), so probe selection
 # redraws instead of probing them. Tensors with no resolvable coordinate
 # are checked at their largest entry for absolute agreement instead.
@@ -284,8 +272,7 @@ _REDRAW_LIMIT = 50
 
 
 def gradient_check(params: NetworkParameters, probes: int = 100,
-                   tolerance: float = 1e-5, seed: int = 0,
-                   step: float = 1e-6, batch: int = 4) -> GradCheckReport:
+                   tolerance: float = 1e-5, seed: int = 0) -> GradCheckReport:
     """Check hand-written backprop against central finite differences.
 
     Probes are spread round-robin over every trainable tensor (so all five
@@ -302,17 +289,16 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
         raise NumericError("gradient_check requires double precision parameters")
     arch = params.arch
     rng = substream(seed, "gradcheck")
-    x = rng.uniform(0.0, 1.0, size=(batch, arch.seq_len, arch.in_channels))
-    labels = rng.integers(0, arch.classes, size=batch)
-    targets = _one_hot(labels, arch.classes, np.float64)
+    x = rng.uniform(0.0, 1.0, size=(_CHECK_BATCH, arch.seq_len, arch.in_channels))
+    labels = rng.integers(0, arch.classes, size=_CHECK_BATCH)
 
     def loss_fn():
         probs, _ = network.forward(params, x, mode="infer")
-        loss, _ = cross_entropy(probs, targets)
+        loss, _ = cross_entropy(probs, labels)
         return loss
 
     probs, caches = network.forward(params, x, mode="infer")
-    _, dlogits = cross_entropy(probs, targets)
+    _, dlogits = cross_entropy(probs, labels)
     grads, _ = network.backward(params, caches, dlogits)
 
     tensors = params.trainable_arrays()
@@ -330,12 +316,12 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
             # the whole tensor's gradient is (near) zero; probe its largest entry
             index = np.unravel_index(int(np.argmax(np.abs(g))), theta.shape)
         original = theta[index]
-        theta[index] = original + step
+        theta[index] = original + _FD_STEP
         loss_plus = loss_fn()
-        theta[index] = original - step
+        theta[index] = original - _FD_STEP
         loss_minus = loss_fn()
         theta[index] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        numeric = (loss_plus - loss_minus) / (2.0 * _FD_STEP)
         analytic = float(grads[name][index])
         diff = abs(analytic - numeric)
         scale = max(abs(analytic), abs(numeric))

@@ -11,6 +11,7 @@ import numpy as np
 
 from botclf import layers
 from botclf.errors import DataError, SchemaError
+from botclf.training import RMS_DECAY, RMS_EPSILON
 
 
 def conv_oracle(x, kernels, bias):
@@ -200,7 +201,7 @@ def rmsprop_step_per_array(params, grads, state, config):
     """The per-array RMSProp update that `training.rmsprop_step` replaced,
     six numpy calls for each trainable array; the reference for its update
     of one buffer. `state` is any {name: array} of accumulators."""
-    rho = config.rms_decay
+    rho = RMS_DECAY
     for name, theta in params.trainable_arrays():
         g = grads[name]
         if g.shape != theta.shape:
@@ -209,7 +210,7 @@ def rmsprop_step_per_array(params, grads, state, config):
         s = state[name]
         s *= rho
         s += (1.0 - rho) * (g * g)
-        theta -= config.learning_rate * g / (np.sqrt(s) + config.rms_epsilon)
+        theta -= config.learning_rate * g / (np.sqrt(s) + RMS_EPSILON)
     return params, state
 
 
@@ -248,7 +249,7 @@ class CsvStreamOracle:
 
     def _records(self):
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=self.schema.delimiter)
+            reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             missing = [c for c in self.feature_spec.names if c not in header]
             if self.label_map is not None:

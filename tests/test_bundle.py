@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from botclf import network
-from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec, LabelMap
+from botclf.dataio import DEFAULT_FEATURES, DEFAULT_LABEL_MAP, FeatureSpec, LabelMap
 from botclf.errors import WeightFormatError
 from botclf.network import Architecture
 
@@ -53,6 +53,15 @@ class TestBundle:
         _save_small_bundle(path)
         path.write_text(path.read_text().replace(",Data-Exfiltration\n", "\n"))
         with pytest.raises(WeightFormatError, match="do not form one class map"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_feature_names_must_number_meta_seq_len(self, tmp_path):
+        path = tmp_path / "b.weights"
+        params = network.build(40, Architecture(filters=4, gru_units=2, dense_units=3))
+        spec = FeatureSpec(names=DEFAULT_FEATURES[:15], mins=np.zeros(15), maxs=np.ones(15))
+        network.save_bundle(params, path, spec, DEFAULT_LABEL_MAP)
+        with pytest.raises(WeightFormatError, match="manifest meta seq_len 16 does not "
+                                                    "match the 15 feature names$"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 
     def test_negative_tensor_dims_are_rejected(self, tmp_path):

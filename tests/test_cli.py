@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import stat
@@ -664,6 +665,88 @@ class TestConfigResolution:
         assert weights.exists()
 
 
+def _class_map_files(folder, classes, rows=60):
+    """A features config with `classes` classes over columns c0..c15 and a
+    CSV of `rows` rows cycling through them."""
+    feats = folder / f"features{classes}.cfg"
+    feats.write_text("features = " + ", ".join(f"c{i}" for i in range(16)) + "\n"
+                     + "".join(f"class.{k} = cat{k}, sub{k}, name-{k}\n"
+                               for k in range(classes)))
+    data = folder / f"data{classes}.csv"
+    rng = np.random.default_rng(classes)
+    with open(data, "w") as fh:
+        fh.write(",".join(f"c{i}" for i in range(16)) + ",category,subcategory\n")
+        for i in range(rows):
+            k = i % classes
+            fh.write(",".join(map(str, rng.uniform(0, 1, 16) + k)) + f",cat{k},sub{k}\n")
+    return feats, data
+
+
+class TestClassMap:
+    @pytest.mark.parametrize("classes", [3, 8])
+    def test_output_layer_sized_from_the_class_map(self, tmp_path, capsys, classes):
+        feats, data = _class_map_files(tmp_path, classes)
+        weights = tmp_path / "w.weights"
+        assert run(["train", "--data", data, "--features", feats, "--weights", weights,
+                    "--epochs", "1"]) == EXIT_OK
+        assert f"meta classes {classes}\n" in weights.read_text()
+        out_path = tmp_path / "preds.txt"
+        assert run(["predict", "--data", data, "--features", feats, "--weights", weights,
+                    "--report", out_path]) == EXIT_OK
+        for line in out_path.read_text().splitlines():
+            idx, name, *probs = line.split(",")
+            assert len(probs) == classes and name == f"name-{idx}"
+        report = tmp_path / "metrics.json"
+        assert run(["eval", "--data", data, "--features", feats, "--weights", weights,
+                    "--report", report]) == EXIT_OK
+        assert len(metrics.MetricsReport.from_json(report.read_text()).classes) == classes
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("edit,count", [
+        (lambda pairs, names: (pairs + ";Extra,Pair", names + ",Extra"), 7),
+        (lambda pairs, names: (pairs.rsplit(";", 1)[0], names.rsplit(",", 1)[0]), 5),
+    ], ids=["seven", "five"])
+    def test_class_map_must_match_meta_classes(self, tmp_path, trained_weights, eval_csv,
+                                               capsys, command, edit, count):
+        lines = trained_weights.read_text().split("\n")
+        at = {ln.split()[1]: i for i, ln in enumerate(lines) if ln.startswith("meta ")}
+        pairs, names = edit(lines[at["class_pairs"]].split(" ", 2)[2],
+                            lines[at["class_names"]].split(" ", 2)[2])
+        lines[at["class_pairs"]] = f"meta class_pairs {pairs}"
+        lines[at["class_names"]] = f"meta class_names {names}"
+        bad = tmp_path / "classes.weights"
+        bad.write_text("\n".join(lines))
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}: manifest meta classes 6 does not match the "
+            f"{count} classes of the class map"]
+        assert not out_path.exists()
+
+
+class TestSinglePass:
+    def test_normalizer_fitted_on_the_rows_trained_on(self, tmp_path, caplog):
+        data = tmp_path / "train.csv"
+        kept = synth.write_csv(data, 200, seed=5, noise=0.05).features
+        lines = data.read_text().splitlines(keepends=True)
+        # an unmapped label on a row whose first column is extreme, and a
+        # malformed row; both are skipped
+        lines.insert(50, "1e9" + ",0.5" * 15 + ",Worm,Unknown\n")
+        lines.insert(90, "x" + ",0.5" * 15 + ",Normal,Normal\n")
+        data.write_text("".join(lines))
+        weights = tmp_path / "w.weights"
+        with caplog.at_level(logging.WARNING):
+            assert run(["train", "--data", data, "--weights", weights,
+                        "--epochs", "1"]) == EXIT_OK
+        tensors, _ = network.load_manifest(weights)
+        assert tensors["norm.max"][0] == kept[:, 0].max() < 1e9
+        np.testing.assert_array_equal(tensors["norm.min"], kept.min(axis=0))
+        skips = [r.getMessage() for r in caplog.records if "malformed" in r.getMessage()]
+        assert skips == [f"{data}: skipped 2 malformed row(s), kept 200"]
+
+
 class TestIdempotence:
     def test_rerun_reproduces_outputs(self, tmp_path, train_csv):
         weights = tmp_path / "w.weights"
@@ -705,10 +788,11 @@ class TestNeverRaises:
         return {"labeled": labeled, "unlabeled": unlabeled, "weights": weights,
                 "config": config, "out": out, "missing": folder / "no_such_dir" / "f"}
 
-    # Every argv parses (values have the flag's type), so argparse never exits;
-    # most values are valid, so that most examples get past the settings
-    # checks. Epochs, sizes and row counts are small, so no example runs
-    # long. Derandomized, with a bounded example count and no example database.
+    # Most values are valid, so that most examples get past the settings
+    # checks; some are mistyped or out of a flag's choices, and some argvs
+    # carry an unknown flag, which argparse refuses. Epochs, sizes and row
+    # counts are small, so no example runs long. Derandomized, with a bounded
+    # example count and no example database.
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -724,12 +808,12 @@ class TestNeverRaises:
             "--report": (3, _mostly(st.just(out / "report.txt"), missing, out)),
             "--config": (1, st.sampled_from([files["config"], missing])),
             "--features": (1, st.just(missing)),
-            "--seed": (2, st.integers(-3, 2**70)),
-            "--epochs": (2, _mostly(st.integers(1, 2), 0, -1)),
+            "--seed": (2, _mostly(st.integers(-3, 2**70), "abc")),
+            "--epochs": (2, _mostly(st.integers(1, 2), 0, -1, "abc")),
             "--batch-size": (2, _mostly(st.integers(1, 50), 0, -1)),
             "--learning-rate": (2, _mostly(st.sampled_from([1e-3, 0.5, 0.0]),
-                                           math.nan, math.inf, -1.0)),
-            "--precision": (2, st.sampled_from(["double", "single"])),
+                                           math.nan, math.inf, -1.0, "x")),
+            "--precision": (2, _mostly(st.sampled_from(["double", "single"]), "quad")),
             "--policy": (2, st.sampled_from(["skip", "fail"])),
             "--gru-units": (2, _mostly(st.integers(1, 4), 0, -1)),
             "--filters": (2, _mostly(st.integers(1, 6), 0, 10**12)),
@@ -738,6 +822,7 @@ class TestNeverRaises:
                                        0.0, -1.0, math.nan, math.inf)),
             "--stratified": (2, None),
             "--verbose": (2, None),
+            "--no-such-flag": (1, None),
         }
         argv = [command]
         for flag, (chance, values) in flags.items():
@@ -745,3 +830,17 @@ class TestNeverRaises:
                 argv += [flag] if values is None else [flag, data.draw(values, label=flag)]
         assert run(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["train", "--epochs", "abc"], EXIT_CONFIG),
+        (["summary", "--learning-rate", "x"], EXIT_CONFIG),
+        (["summary", "--precision", "quad"], EXIT_CONFIG),
+        (["summary", "--no-such-flag"], EXIT_CONFIG),
+        (["no-such-command"], EXIT_CONFIG),
+        ([], EXIT_CONFIG),
+        (["--help"], EXIT_OK),
+    ])
+    def test_argparse_exit_is_returned(self, argv, code, capsys):
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert "usage: botclf" in out + err and "Traceback" not in err

@@ -378,7 +378,7 @@ class TestDatasetAndBatches:
 
     def test_class_distribution_sums_to_count(self):
         ds = self.make_dataset(40)
-        dist = ds.class_distribution()
+        dist = ds.class_distribution(6)
         assert dist.sum() == 40
         assert len(dist) == 6
 
@@ -421,7 +421,7 @@ class TestSynth:
         ds = synth.make_dataset(1200, seed=4)
         assert len(ds) == 1200
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-        dist = ds.class_distribution()
+        dist = ds.class_distribution(6)
         assert (dist > 100).all()
 
     def test_csv_round_trip(self, tmp_path):

@@ -14,25 +14,6 @@ RNG = make_rng(20240517)
 
 
 # --------------------------------------------------------------------------
-# parameter counts (layer contract)
-
-
-def test_parameter_counts():
-    conv = layers.Conv1DParams(kernels=np.zeros((3, 1, 128)), bias=np.zeros(128))
-    assert conv.count == 512
-    bn = layers.BatchNormParams(gamma=np.ones(128), beta=np.zeros(128),
-                                moving_mean=np.zeros(128), moving_var=np.ones(128))
-    assert bn.count == 512
-    assert bn.trainable_count == 256
-    gru = random_gru_params(make_rng(0), 1, 10)
-    assert gru.count == 3 * 10 * (1 + 10 + 2) == 390
-    dense10 = layers.DenseParams(weights=np.zeros((288, 10)), bias=np.zeros(10))
-    assert dense10.count == 2890
-    dense6 = layers.DenseParams(weights=np.zeros((10, 6)), bias=np.zeros(6))
-    assert dense6.count == 66
-
-
-# --------------------------------------------------------------------------
 # Conv1D
 
 
@@ -303,7 +284,7 @@ class TestGRU:
 
 
 # --------------------------------------------------------------------------
-# pooling, flatten, concatenate, activation
+# pooling
 
 
 class TestPooling:
@@ -333,59 +314,6 @@ class TestPooling:
         expect[0, 1, 0] = 2.0
         expect[0, 2, 1] = 3.0
         npt.assert_array_equal(dx, expect)
-
-
-class TestReshaping:
-    def test_flatten_shape_and_order(self):
-        x = np.arange(2 * 16 * 10, dtype=float).reshape(2, 16, 10)
-        y, _ = layers.flatten(x)
-        assert y.shape == (2, 160)
-        # element (t, c) lands at t*C + c
-        assert y[0, 3 * 10 + 7] == x[0, 3, 7]
-
-    def test_flatten_roundtrip(self):
-        x = RNG.normal(size=(3, 4, 5))
-        y, cache = layers.flatten(x)
-        back, _ = layers.flatten_backward(cache, y)
-        npt.assert_array_equal(back, x)
-
-    def test_concatenate(self):
-        a = RNG.normal(size=(2, 128))
-        b = RNG.normal(size=(2, 160))
-        y, _ = layers.concatenate(a, b)
-        assert y.shape == (2, 288)
-        npt.assert_array_equal(y[:, :128], a)
-        npt.assert_array_equal(y[:, 128:], b)
-
-    def test_concatenate_empty_left(self):
-        a = np.zeros((2, 0))
-        b = RNG.normal(size=(2, 4))
-        y, _ = layers.concatenate(a, b)
-        npt.assert_array_equal(y, b)
-
-    def test_concatenate_backward_splits(self):
-        a = RNG.normal(size=(2, 3))
-        b = RNG.normal(size=(2, 4))
-        _, cache = layers.concatenate(a, b)
-        dy = RNG.normal(size=(2, 7))
-        (da, db), _ = layers.concatenate_backward(cache, dy)
-        npt.assert_array_equal(da, dy[:, :3])
-        npt.assert_array_equal(db, dy[:, 3:])
-
-
-class TestActivationLayer:
-    def test_relu_and_backward(self):
-        rng = make_rng(17)
-        x = rng.normal(size=(2, 4, 3))
-        upstream = rng.normal(size=(2, 4, 3))
-        y, cache = layers.activation_forward(x, "relu")
-        npt.assert_array_equal(y, np.maximum(x, 0))
-        dx, _ = layers.activation_backward(cache, upstream)
-        npt.assert_array_equal(dx, upstream * (x > 0))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            layers.activation_forward(np.zeros((1, 2, 3)), "swish")
 
 
 # --------------------------------------------------------------------------

@@ -21,15 +21,6 @@ def test_param_count_any_seed():
         assert network.param_count(network.build(seed))[0] == 4370
 
 
-def test_component_counts():
-    p = network.build(3)
-    assert p.gru.count == 390
-    assert p.dense_out.count == 66
-    assert p.dense_hidden.count == 2890
-    assert p.conv.count == 512
-    assert p.bn.count == 512
-
-
 def test_build_deterministic():
     a = network.build(77)
     b = network.build(77)
@@ -91,11 +82,9 @@ class TestForward:
 
         conv_y, _ = layers.conv1d_forward(x, p.conv)
         bn_y, _ = layers.batchnorm_forward(conv_y, p.bn, training=False)
-        act_y, _ = layers.activation_forward(bn_y)
-        pool_y, _ = layers.global_max_pool(act_y)
+        pool_y, _ = layers.global_max_pool(np.maximum(bn_y, 0.0))
         gru_y, _ = layers.gru_forward(x, p.gru)
-        flat_y, _ = layers.flatten(gru_y)
-        concat_y, _ = layers.concatenate(pool_y, flat_y)
+        concat_y = np.concatenate([pool_y, gru_y.reshape(3, 16 * 10)], axis=1)
         hidden_y, _ = layers.dense_forward(concat_y, p.dense_hidden, "relu")
         expect, _ = layers.dense_forward(hidden_y, p.dense_out, "softmax")
         npt.assert_allclose(probs, expect, atol=1e-12)
@@ -343,30 +332,26 @@ def _randomized(seed, arch=Architecture(), dtype=np.float64):
     return p
 
 
-def _layerwise_train(p, x, targets):
+def _layerwise_train(p, x, labels):
     """`network.forward(mode="train")` then `network.backward`, composed one
     layer at a time, the conv branch by conv1d -> batchnorm(training=True) ->
-    activation -> global max pool. Returns (probs, dlogits, grads, dx)."""
+    ReLU -> global max pool. Returns (probs, dlogits, grads, dx)."""
     conv_y, c_conv = layers.conv1d_forward(x, p.conv)
     bn_y, c_bn = layers.batchnorm_forward(conv_y, p.bn, training=True)
-    act_y, c_act = layers.activation_forward(bn_y)
-    pool_y, c_pool = layers.global_max_pool(act_y)
+    pool_y, c_pool = layers.global_max_pool(np.maximum(bn_y, 0.0))
     gru_y, c_gru = layers.gru_forward(x, p.gru)
-    flat_y, c_flat = layers.flatten(gru_y)
-    concat_y, c_concat = layers.concatenate(pool_y, flat_y)
+    concat_y = np.concatenate([pool_y, gru_y.reshape(len(x), -1)], axis=1)
     hidden_y, c_hidden = layers.dense_forward(concat_y, p.dense_hidden, "relu")
     probs, c_out = layers.dense_forward(hidden_y, p.dense_out, "softmax")
-    _, dlogits = training.cross_entropy(probs, targets)
+    _, dlogits = training.cross_entropy(probs, labels)
 
     d_hidden, g_out = layers.dense_backward(c_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(c_hidden, d_hidden)
-    (d_pool, d_flat), _ = layers.concatenate_backward(c_concat, d_concat)
-    d_act, _ = layers.global_max_pool_backward(c_pool, d_pool)
-    d_bn, _ = layers.activation_backward(c_act, d_act)
-    d_conv, g_bn = layers.batchnorm_backward(c_bn, d_bn)
+    filters = p.arch.filters
+    d_act, _ = layers.global_max_pool_backward(c_pool, d_concat[:, :filters])
+    d_conv, g_bn = layers.batchnorm_backward(c_bn, d_act * (bn_y > 0))
     dx_a, g_conv = layers.conv1d_backward(c_conv, d_conv)
-    d_seq, _ = layers.flatten_backward(c_flat, d_flat)
-    dx_b, g_gru, _ = layers.gru_backward(c_gru, d_seq)
+    dx_b, g_gru, _ = layers.gru_backward(c_gru, d_concat[:, filters:].reshape(gru_y.shape))
     grads = {}
     for prefix, group in (("conv", g_conv), ("bn", g_bn), ("gru", g_gru),
                           ("dense_hidden", g_hidden), ("dense_out", g_out)):
@@ -383,9 +368,8 @@ def _compare_train_step(p, x, labels, tol):
         "the reference needs a long double wider than double (x86-64 or aarch64 Linux)"
     wide = network._assemble({n: a.astype(np.longdouble) for n, a in p.named_arrays()},
                              p.arch)
-    targets = np.eye(p.arch.classes)[labels]
     ref_probs, ref_dlogits, ref_grads, ref_dx = _layerwise_train(
-        wide, x.astype(np.longdouble), targets)
+        wide, x.astype(np.longdouble), labels)
     probs, caches = network.forward(p, x, mode="train")
     grads, dx = network.backward(p, caches, ref_dlogits.astype(p.dtype))
 
@@ -438,14 +422,14 @@ class TestFusedTrainStep:
             arr = getattr(p.gru, name)
             arr[...] = rng.normal(scale=0.6, size=arr.shape)
         x = rng.uniform(0.0, 1.0, size=(6, 16, 1))
-        targets = np.eye(6)[rng.integers(0, 6, size=6)]
+        labels = rng.integers(0, 6, size=6)
 
         def loss():
             probs, _ = network.forward(p, x, mode="train")
-            return training.cross_entropy(probs, targets)[0]
+            return training.cross_entropy(probs, labels)[0]
 
         probs, caches = network.forward(p, x, mode="train")
-        grads, _ = network.backward(p, caches, training.cross_entropy(probs, targets)[1])
+        grads, _ = network.backward(p, caches, training.cross_entropy(probs, labels)[1])
         for name, arr in p.trainable_arrays():
             check_grads(grads[name], loss, arr, rng, n=6)
 
