@@ -10,7 +10,6 @@ import argparse
 import logging
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 
 from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
@@ -28,14 +27,18 @@ EXIT_NUMERIC = 4
 log = logging.getLogger("botclf")
 
 
-def _architecture(cfg: RunConfig) -> Architecture:
-    return Architecture(gru_units=cfg.gru_units, filters=cfg.filters)
-
-
 def _io_setup(cfg: RunConfig):
     if cfg.features:
         return load_features_config(cfg.features)
     return FeatureSpec(), CsvSchema(), DEFAULT_LABEL_MAP
+
+
+def _architecture(cfg: RunConfig) -> Architecture:
+    """The model for the features config: one input step per feature column
+    and one output per class."""
+    spec, _, label_map = _io_setup(cfg)
+    return Architecture(seq_len=len(spec.names), classes=label_map.num_classes,
+                        gru_units=cfg.gru_units, filters=cfg.filters)
 
 
 def _require_data(cfg: RunConfig) -> str:
@@ -52,8 +55,7 @@ def cmd_summary(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     spec, schema, label_map = _io_setup(cfg)
-    # the class map sizes the output layer
-    arch = replace(_architecture(cfg), classes=label_map.num_classes)
+    arch = _architecture(cfg)
     train_cfg = training.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
         validation_fraction=cfg.validation_fraction, seed=cfg.seed,

@@ -13,6 +13,7 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import isfinite
 from operator import itemgetter
 
 import numpy as np
@@ -29,15 +30,15 @@ DEFAULT_FEATURES = (
     "max", "spkts", "dpkts", "sbytes", "dbytes", "rate", "srate", "drate",
 )
 
-# Kept rows per chunk of `CsvStream.chunks()`: one array and one finiteness
-# check per chunk instead of per row. A multiple of network.INFER_CHUNK, so
-# `predict` scores the same batches as `eval`.
+# Kept rows per chunk of `CsvStream.chunks()`: one array per chunk instead
+# of per row. A multiple of network.INFER_CHUNK, so `predict` scores the
+# same batches as `eval`.
 CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """The 16 feature columns plus, once fitted, per-feature min/max."""
+    """The feature columns plus, once fitted, per-feature min/max."""
 
     names: tuple = DEFAULT_FEATURES
     mins: np.ndarray | None = None
@@ -186,77 +187,50 @@ class CsvStream:
                 codes = self.label_map.codes
             width = len(header)
             number = 1                # row number of the last record read
-
-            def read_block(want):
-                """(features, labels, at_end) of the rows kept among the next
-                `want` records; bad rows are counted, or raised under "fail"."""
-                nonlocal number
-                rows, pairs, numbers = [], [], []
-                bad = []              # (row number, reason)
-                at_end = False
-                stop = None           # a read error, raised once the rows before it are checked
-                try:
-                    for cells in reader:
-                        if not cells:
-                            continue  # a blank line is no record
-                        number += 1
-                        want -= 1
-                        if len(cells) < width:
-                            cells += [None] * (width - len(cells))
-                        try:
-                            rows.append(list(map(float, pick(cells))))
-                        except (TypeError, ValueError) as exc:
-                            bad.append((number, str(exc)))
-                        else:
-                            numbers.append(number)
-                            if labeled:
-                                pairs.append(pick_label(cells))
-                        if not want:
-                            break
+            rows, labels = [], []
+            try:
+                for cells in reader:
+                    if not cells:
+                        continue  # a blank line is no record
+                    number += 1
+                    if len(cells) < width:
+                        cells += [None] * (width - len(cells))
+                    try:
+                        values = list(map(float, pick(cells)))
+                    except (TypeError, ValueError) as exc:
+                        reason = str(exc)
                     else:
-                        at_end = True
-                except UnicodeDecodeError as exc:
-                    stop = exc
-                except csv.Error as exc:  # e.g. a cell over the field size limit
-                    stop = DataError(f"{self.path}:{number + 1}: {exc}")
-                x = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-                y = (np.array([codes.get(pair, -1) for pair in pairs], dtype=np.int64)
-                     if labeled else None)
-                finite = np.isfinite(x).all(axis=1)
-                keep = finite & (y >= 0) if labeled else finite
-                if not keep.all():
-                    for i in np.flatnonzero(~keep).tolist():
-                        reason = ("non-finite feature value" if not finite[i]
-                                  else str(_unmapped(*pairs[i])))
-                        bad.append((numbers[i], reason))
-                    x = x[keep]
-                    y = y[keep] if labeled else None
-                if bad:
-                    bad.sort()
+                        # a finite sum has only finite terms; an overflowing
+                        # sum of finite values falls through to the per-value check
+                        if not (isfinite(sum(values)) or all(map(isfinite, values))):
+                            reason = "non-finite feature value"
+                        elif labeled and (pair := pick_label(cells)) not in codes:
+                            reason = str(_unmapped(*pair))
+                        else:
+                            rows.append(values)
+                            if labeled:
+                                labels.append(codes[pair])
+                            if len(rows) == CHUNK_ROWS:
+                                yield self._chunk(rows, labels)
+                                rows, labels = [], []
+                            continue
                     if self.policy == "fail":
-                        raise DataError(f"{self.path}:{bad[0][0]}: {bad[0][1]}")
-                    self.skipped += len(bad)
-                    for row_number, reason in bad:
-                        log.debug("skipping row %d of %s: %s", row_number, self.path, reason)
-                if stop is not None:
-                    raise stop
-                self.read += len(x)
-                return x, y, at_end
-
-            # Each block reads the records that would fill the chunk if all
-            # were kept, so a chunk never overflows.
-            held, count, at_end = [], 0, False
-            while not at_end:
-                x, y, at_end = read_block(CHUNK_ROWS - count)
-                held.append((x, y))
-                count += len(x)
-                if count == CHUNK_ROWS or (at_end and count):
-                    yield (np.concatenate([h[0] for h in held]),
-                           np.concatenate([h[1] for h in held]) if labeled else None)
-                    held, count = [], 0
+                        raise DataError(f"{self.path}:{number}: {reason}")
+                    self.skipped += 1
+                    log.debug("skipping row %d of %s: %s", number, self.path, reason)
+            except csv.Error as exc:  # e.g. a cell over the field size limit
+                raise DataError(f"{self.path}:{number + 1}: {exc}") from None
+            if rows:
+                yield self._chunk(rows, labels)
         if self.skipped:
             log.warning("%s: skipped %d malformed row(s), kept %d",
                         self.path, self.skipped, self.read)
+
+    def _chunk(self, rows, labels):
+        """(features [n, F] float64, labels int64 [n] or None) of n kept rows."""
+        self.read += len(rows)
+        return (np.array(rows, dtype=np.float64),
+                np.array(labels, dtype=np.int64) if self.label_map is not None else None)
 
 
 def stream_csv(path, schema: CsvSchema = CsvSchema(),

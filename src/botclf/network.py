@@ -465,90 +465,68 @@ def load_manifest(path):
     """
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
+    current = None            # (name, shape, values) of the tensor being read
+
+    def fail(what, at):
+        raise WeightFormatError(f"{path}: {what} (at byte {at})") from None
+
+    def close(at):
+        if current is not None:
+            name, shape, values = current
+            if len(values) != math.prod(shape):
+                fail(f"tensor {name} needs {math.prod(shape)} values, got {len(values)}", at)
+            tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
+
     offset = 0
-
-    def decode(raw: bytes, at_byte: int) -> str:
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WeightFormatError(f"{path}: not UTF-8 text "
-                                    f"(at byte {at_byte + exc.start})") from None
-
     with open(path, "rb") as fh:
-        raw_header = fh.readline()
-        header = decode(raw_header, 0)
-        if not header:
-            raise WeightFormatError(f"{path}: empty weight manifest (at byte 0)")
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != MANIFEST_MAGIC:
-            raise WeightFormatError(f"{path}: not a weight manifest (at byte 0)")
-        try:
-            version = int(parts[1])
-        except ValueError:
-            version = None
-        if version != MANIFEST_VERSION:
-            raise WeightFormatError(
-                f"{path}: unsupported manifest version {parts[1]!r} "
-                f"(expected {MANIFEST_VERSION}) (at byte 0)")
-        offset += len(raw_header)
-        pending_name = None
-        pending_shape = None
-        pending_values: list[float] = []
-
-        def finish_tensor(at_byte):
-            nonlocal pending_name, pending_shape, pending_values
-            if pending_name is None:
-                return
-            want = math.prod(pending_shape)
-            if len(pending_values) != want:
-                raise WeightFormatError(
-                    f"{path}: tensor {pending_name} needs {want} values, "
-                    f"got {len(pending_values)} (at byte {at_byte})")
-            tensors[pending_name] = np.array(pending_values, dtype=np.float64).reshape(pending_shape)
-            pending_name = None
-            pending_shape = None
-            pending_values = []
-
         for raw in fh:
-            line_start = offset
-            offset += len(raw)
-            stripped = decode(raw, line_start).strip()
-            if not stripped:
+            at, offset = offset, offset + len(raw)
+            try:
+                words = raw.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                fail("not UTF-8 text", at + exc.start)
+            if at == 0:  # the header line
+                if len(words) != 2 or words[0] != MANIFEST_MAGIC:
+                    fail("not a weight manifest", 0)
+                try:
+                    version = int(words[1])
+                except ValueError:
+                    version = None
+                if version != MANIFEST_VERSION:
+                    fail(f"unsupported manifest version {words[1]!r} "
+                         f"(expected {MANIFEST_VERSION})", 0)
+            elif not words:
                 continue
-            fields_ = stripped.split()
-            if fields_[0] == "meta":
-                finish_tensor(line_start)
-                if len(fields_) < 3:
-                    raise WeightFormatError(f"{path}: malformed meta line (at byte {line_start})")
-                meta[fields_[1]] = " ".join(fields_[2:])
-            elif fields_[0] == "tensor":
-                finish_tensor(line_start)
-                if len(fields_) < 2:
-                    raise WeightFormatError(f"{path}: malformed tensor line (at byte {line_start})")
-                pending_name = fields_[1]
+            elif words[0] == "meta":
+                close(at)
+                current = None
+                if len(words) < 3:
+                    fail("malformed meta line", at)
+                meta[words[1]] = " ".join(words[2:])
+            elif words[0] == "tensor":
+                close(at)
+                if len(words) < 2:
+                    fail("malformed tensor line", at)
                 try:
-                    pending_shape = tuple(int(d) for d in fields_[2:])
+                    shape = tuple(int(d) for d in words[2:])
                 except ValueError:
-                    pending_shape = None
-                if pending_shape is None or any(d < 0 for d in pending_shape):
-                    raise WeightFormatError(
-                        f"{path}: bad tensor dims for {pending_name} (at byte {line_start})")
+                    shape = None
+                if shape is None or any(d < 0 for d in shape):
+                    fail(f"bad tensor dims for {words[1]}", at)
+                current = (words[1], shape, [])
+            elif current is None:
+                fail(f"unexpected content {words[0]!r}", at)
             else:
-                if pending_name is None:
-                    raise WeightFormatError(
-                        f"{path}: unexpected content {fields_[0]!r} (at byte {line_start})")
                 try:
-                    values = [float(tok) for tok in fields_]
+                    values = [float(tok) for tok in words]
                 except ValueError:
-                    raise WeightFormatError(
-                        f"{path}: non-numeric value in tensor {pending_name} "
-                        f"(at byte {line_start})") from None
+                    fail(f"non-numeric value in tensor {current[0]}", at)
                 if not all(map(math.isfinite, values)):
-                    raise WeightFormatError(
-                        f"{path}: non-finite value in tensor {pending_name} "
-                        f"(at byte {line_start})")
-                pending_values.extend(values)
-        finish_tensor(offset)
+                    fail(f"non-finite value in tensor {current[0]}", at)
+                current[2].extend(values)
+    if offset == 0:
+        fail("empty weight manifest", 0)
+    close(offset)
     return tensors, meta
 
 

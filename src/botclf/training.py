@@ -176,11 +176,15 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     `dataset` needs `.features` [N, seq_len] (already normalized) and
     `.labels` [N] ints. The training split is reshuffled each epoch from
     the run seed plus the epoch index; the trailing partial batch is kept.
+    A split that leaves no training rows is a DataError.
     """
     features, labels = _labeled_arrays(params, dataset, "training")
     x_all = features[:, :, None]
     train_idx, val_idx = _split_indices(labels.size, config.validation_fraction,
                                         config.seed, labels, config.stratified)
+    if train_idx.size == 0:
+        raise DataError(f"validation_fraction {config.validation_fraction} leaves no "
+                        f"training rows out of {labels.size}")
     state = init_rmsprop(params)
     history = []
     for epoch in range(config.epochs):
@@ -200,8 +204,8 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
             rmsprop_step(params, grads, state, config)
             epoch_loss += loss * batch.size
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
-        train_loss = epoch_loss / max(shuffled.size, 1)
-        train_acc = epoch_correct / max(shuffled.size, 1)
+        train_loss = epoch_loss / shuffled.size
+        train_acc = epoch_correct / shuffled.size
         val_loss, val_acc = _epoch_eval(params, x_all[val_idx], labels[val_idx])
         stats = EpochStats(epoch=epoch, train_loss=train_loss, train_acc=train_acc,
                            val_loss=val_loss, val_acc=val_acc,

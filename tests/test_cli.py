@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from botclf import cli, dataio, metrics, network, synth
+from botclf import cli, dataio, metrics, network, synth, training
 from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.errors import NumericError
@@ -665,20 +665,21 @@ class TestConfigResolution:
         assert weights.exists()
 
 
-def _class_map_files(folder, classes, rows=60):
-    """A features config with `classes` classes over columns c0..c15 and a
-    CSV of `rows` rows cycling through them."""
+def _class_map_files(folder, classes, rows=60, features=16):
+    """A features config with `classes` classes over columns c0..c{features-1}
+    and a CSV of `rows` rows cycling through them."""
     feats = folder / f"features{classes}.cfg"
-    feats.write_text("features = " + ", ".join(f"c{i}" for i in range(16)) + "\n"
+    names = [f"c{i}" for i in range(features)]
+    feats.write_text("features = " + ", ".join(names) + "\n"
                      + "".join(f"class.{k} = cat{k}, sub{k}, name-{k}\n"
                                for k in range(classes)))
     data = folder / f"data{classes}.csv"
     rng = np.random.default_rng(classes)
     with open(data, "w") as fh:
-        fh.write(",".join(f"c{i}" for i in range(16)) + ",category,subcategory\n")
+        fh.write(",".join(names) + ",category,subcategory\n")
         for i in range(rows):
             k = i % classes
-            fh.write(",".join(map(str, rng.uniform(0, 1, 16) + k)) + f",cat{k},sub{k}\n")
+            fh.write(",".join(map(str, rng.uniform(0, 1, features) + k)) + f",cat{k},sub{k}\n")
     return feats, data
 
 
@@ -724,6 +725,61 @@ class TestClassMap:
             f"botclf: data error: {bad}: manifest meta classes 6 does not match the "
             f"{count} classes of the class map"]
         assert not out_path.exists()
+
+
+class TestFeaturesConfigSizesTheModel:
+    def test_summary_has_one_output_per_class(self, tmp_path, capsys):
+        feats, _ = _class_map_files(tmp_path, 3)
+        assert run(["summary", "--features", feats]) == EXIT_OK
+        rows = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("dense_1 (Dense)")]
+        assert len(rows) == 1 and "(None, 3)" in rows[0]
+
+    def test_gradcheck_runs_the_configured_model(self, tmp_path, capsys, monkeypatch):
+        feats, _ = _class_map_files(tmp_path, 3, features=12)
+        checked = []
+        check = training.gradient_check
+
+        def spy(params, **kwargs):
+            checked.append(params.arch)
+            return check(params, **kwargs)
+
+        monkeypatch.setattr(training, "gradient_check", spy)
+        assert run(["gradcheck", "--features", feats, "--probes", "20"]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+        assert [(a.seq_len, a.classes) for a in checked] == [(12, 3)]
+
+    def test_train_and_predict_with_twelve_features(self, tmp_path, capsys):
+        feats, data = _class_map_files(tmp_path, 6, features=12)
+        weights = tmp_path / "w.weights"
+        assert run(["train", "--data", data, "--features", feats, "--weights", weights,
+                    "--epochs", "1"]) == EXIT_OK
+        assert "meta seq_len 12\n" in weights.read_text()
+        capsys.readouterr()
+        assert run(["predict", "--data", data, "--features", feats,
+                    "--weights", weights]) == EXIT_OK
+        out = capsys.readouterr()
+        assert len(out.out.splitlines()) == 60 and "Traceback" not in out.err
+
+
+class TestSplit:
+    def test_empty_training_split_is_data_error(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "train.csv"
+        synth.write_csv(data, 10, seed=2)
+        weights = tmp_path / "w.weights"
+        monkeypatch.setenv("BOTCLF_VALIDATION_FRACTION", "0.99")
+        assert run(["train", "--data", data, "--weights", weights]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: validation_fraction 0.99 leaves no training rows out of 10"]
+        assert not weights.exists()
+
+    def test_empty_validation_split_is_allowed(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "train.csv"
+        synth.write_csv(data, 10, seed=2)
+        monkeypatch.setenv("BOTCLF_VALIDATION_FRACTION", "0.01")
+        assert run(["train", "--data", data, "--weights", tmp_path / "w.weights",
+                    "--epochs", "1"]) == EXIT_OK
+        assert "val_loss=nan val_acc=nan" in capsys.readouterr().out
 
 
 class TestSinglePass:

@@ -76,6 +76,19 @@ class TestStreamCsv:
         assert list(stream) == []
         assert stream.skipped == 1
 
+    @pytest.mark.parametrize("cells", [["1e308", "1e308", "-1e308", "1e308"],
+                                       ["inf", "-inf", "3.0", "4.0"]],
+                             ids=["overflowing-sum", "nan-sum"])
+    def test_finiteness_is_checked_per_value_not_on_the_sum(self, tmp_path, cells):
+        path = tmp_path / "sum.csv"
+        write_csv(path, [cells + ["Normal", "Normal"]])
+        stream = dataio.stream_csv(path, CsvSchema(), FeatureSpec(names=FEATURES_4),
+                                   DEFAULT_LABEL_MAP)
+        values = [float(c) for c in cells]
+        kept = [list(r.features) for r in stream]
+        assert kept == ([values] if np.isfinite(values).all() else [])
+        assert stream.skipped == 1 - len(kept)
+
     def test_missing_column_is_fatal(self, tmp_path):
         path = tmp_path / "short.csv"
         write_csv(path, [[1.0, 2.0, 3.0, "Normal", "Normal"]],

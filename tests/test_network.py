@@ -206,6 +206,32 @@ class TestWeightsIO:
         with pytest.raises(WeightFormatError, match="byte"):
             network.load_weights(tmp_path / "cut.weights")
 
+    def test_short_tensor_is_reported_where_it_closes(self, tmp_path):
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(14), path)
+        text = path.read_text()
+        end = text.index("tensor conv.bias")
+        # drop conv.kernels' last value, then spoil a line of the next tensor
+        cut = text.rindex(" ", 0, end)
+        spoiled = text.index("\n", end) + 1
+        bad = tmp_path / "short.weights"
+        bad.write_text(text[:cut] + "\n" + text[end:spoiled] + "abc\n" + text[spoiled:])
+        at = len((text[:cut] + "\n").encode())
+        with pytest.raises(WeightFormatError, match=rf"tensor conv.kernels needs 384 values, "
+                                                    rf"got 383 \(at byte {at}\)$"):
+            network.load_weights(bad)
+
+    def test_truncated_last_tensor_is_reported_at_the_file_size(self, tmp_path):
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(14), path)
+        data = path.read_bytes()
+        # drop the last value of dense_out.bias, the last tensor
+        cut = data[:data.rindex(b" ")] + b"\n"
+        (tmp_path / "cut.weights").write_bytes(cut)
+        with pytest.raises(WeightFormatError, match=rf"tensor dense_out.bias needs 6 values, "
+                                                    rf"got 5 \(at byte {len(cut)}\)$"):
+            network.load_weights(tmp_path / "cut.weights")
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "w.weights"
         path.write_text("botclf-weights 99\n")
