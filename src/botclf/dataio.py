@@ -86,12 +86,6 @@ class LabelMap:
     pairs: tuple   # ((category, subcategory), ...) indexed by class
     names: tuple   # display name per class
 
-    def encode(self, category: str, subcategory: str) -> int:
-        try:
-            return self.codes[(category, subcategory)]
-        except KeyError:
-            raise _unmapped(category, subcategory) from None
-
     @cached_property
     def codes(self) -> dict:
         """{(category, subcategory): class index}; a pair listed twice keeps

@@ -1,10 +1,12 @@
-"""Layer forward/backward passes: Conv1D, BatchNorm, GRU, Dense, max pool.
+"""Layer forward/backward passes: the fused conv branch (Conv1D, BatchNorm,
+ReLU, global max pool), the GRU and the dense layers.
 
 All sequence activations are shaped [batch, time, channels]; flat
 activations are [batch, features]. Every forward returns (output, cache)
 and every backward consumes its cache exactly once, returning the input
 gradient plus a dict of parameter gradients. Gradients are hand-derived;
-the test suite checks each of them against central finite differences.
+the test suite checks each of them against central finite differences and
+the conv branch against the layer-by-layer reference in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -86,111 +88,27 @@ class DenseParams:
 
 
 # --------------------------------------------------------------------------
-# Conv1D, stride 1, "same" zero padding
+# the conv branch, fused: conv -> batchnorm -> ReLU -> global max pool
 
 
-def conv1d_forward(x: np.ndarray, p: Conv1DParams):
-    """x: [B, T, C_in] -> y: [B, T, filters]."""
-    k, c_in, filters = p.kernels.shape
-    if x.ndim != 3 or x.shape[2] != c_in:
-        raise ShapeError(f"conv1d expects input channels {c_in}, got input shape {x.shape}")
-    b, t, _ = x.shape
-    pad_l = (k - 1) // 2
-    pad_r = k - 1 - pad_l
-    xp = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0)))
-    # [B, T, k*C_in]: window k around each output position
-    cols = np.stack([xp[:, i:i + t, :] for i in range(k)], axis=2).reshape(b, t, k * c_in)
-    w = p.kernels.reshape(k * c_in, filters)
-    y = cols @ w + p.bias
-    cache = Cache({"cols": cols, "kernels": p.kernels, "pad_l": pad_l, "in_shape": x.shape})
-    return y, cache
+def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams,
+                        training: bool):
+    """Conv1D ("same" padding, stride 1) -> batchnorm -> ReLU -> global max
+    pool over time, fused: x: [B, T, C] -> (pooled [B, filters], cache).
 
-
-def conv1d_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("conv1d")
-    cols, kernels, pad_l = d["cols"], d["kernels"], d["pad_l"]
-    b, t, c_in = d["in_shape"]
-    k, _, filters = kernels.shape
-    w = kernels.reshape(k * c_in, filters)
-    dw = cols.reshape(b * t, k * c_in).T @ dy.reshape(b * t, filters)
-    db = dy.sum(axis=(0, 1))
-    dcols = (dy @ w.T).reshape(b, t, k, c_in)
-    dxp = np.zeros((b, t + k - 1, c_in), dtype=dy.dtype)
-    for i in range(k):
-        dxp[:, i:i + t, :] += dcols[:, :, i, :]
-    dx = dxp[:, pad_l:pad_l + t, :]
-    return dx, {"kernels": dw.reshape(k, c_in, filters), "bias": db}
-
-
-# --------------------------------------------------------------------------
-# Batch normalization over (batch, time) per channel
-
-
-def batchnorm_forward(x: np.ndarray, p: BatchNormParams, training: bool):
-    """Normalize each channel over all (batch, time) positions.
-
-    Train mode uses batch statistics and updates the moving statistics via
-    exponential moving average; infer mode uses the moving statistics and
-    is a deterministic affine map.
-    """
-    c = p.gamma.size
-    if x.ndim != 3 or x.shape[2] != c:
-        raise ShapeError(f"batchnorm expects {c} channels, got input shape {x.shape}")
-    if training:
-        m = x.shape[0] * x.shape[1]
-        if m < 2:
-            raise ShapeError("batchnorm train mode needs at least 2 positions per channel")
-        mean = x.mean(axis=(0, 1))
-        var = x.var(axis=(0, 1))
-        p.moving_mean[:] = p.momentum * p.moving_mean + (1.0 - p.momentum) * mean
-        p.moving_var[:] = p.momentum * p.moving_var + (1.0 - p.momentum) * var
-    else:
-        m = 0
-        mean = p.moving_mean
-        var = p.moving_var
-    inv = 1.0 / np.sqrt(var + p.epsilon)
-    xhat = (x - mean) * inv
-    y = p.gamma * xhat + p.beta
-    cache = Cache({"xhat": xhat, "inv": inv, "gamma": p.gamma, "m": m, "training": training})
-    return y, cache
-
-
-def batchnorm_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("batchnorm")
-    xhat, inv, gamma = d["xhat"], d["inv"], d["gamma"]
-    dgamma = (dy * xhat).sum(axis=(0, 1))
-    dbeta = dy.sum(axis=(0, 1))
-    dxhat = dy * gamma
-    if d["training"]:
-        m = d["m"]
-        dx = (inv / m) * (m * dxhat
-                          - dxhat.sum(axis=(0, 1))
-                          - xhat * (dxhat * xhat).sum(axis=(0, 1)))
-    else:
-        dx = dxhat * inv
-    return dx, {"gamma": dgamma, "beta": dbeta}
-
-
-# --------------------------------------------------------------------------
-# the conv branch in train mode, fused: conv -> batchnorm -> ReLU -> max pool
-
-
-def conv_branch_train_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams):
-    """Train-mode conv1d -> batchnorm -> ReLU -> global max pool, fused.
-
-    x: [B, T, C] -> (pooled [B, filters], cache). The same function as
-    `conv1d_forward`, `batchnorm_forward(training=True)`, ReLU and
-    `global_max_pool` composed, moving statistics update included.
-
-    Each conv output is cols . W_f + b_f for its k*C-value window cols, so
-    the batch statistics need only the windows' mean mu and centred
-    covariance Sigma: mean_f = mu . W_f + b_f and var_f = W_f' Sigma W_f, and
-    xhat = (cols - mu) . W_f * inv_f with inv_f = 1 / sqrt(var_f + epsilon).
-    The max over time is taken on cols . (W_f * gamma_f * inv_f), the
-    batchnorm folded into the kernels as `network._folded_conv` folds it for
-    inference, first occurrence on ties; normalization and ReLU then run on
-    the [B, filters] selected positions only. Statistics and gradients are
-    computed in at least double precision and returned in the input's.
+    The batchnorm normalizes each filter with the batch statistics over all
+    (batch, time) positions and updates the moving statistics (training), or
+    with the moving statistics. Each conv output is cols . W_f + b_f for its
+    k*C-value window cols, so the batch statistics need only the windows'
+    mean mu and centred covariance Sigma: mean_f = mu . W_f + b_f and
+    var_f = W_f' Sigma W_f, and xhat = (cols - mu) . W_f * inv_f with
+    inv_f = 1 / sqrt(var_f + epsilon); with the moving statistics,
+    xhat = (cols . W_f + b_f - mean_f) * inv_f. The max over time is taken on
+    cols . (W_f * gamma_f * inv_f), the batchnorm folded into the kernels as
+    `network._folded_conv` folds it, first occurrence on ties; normalization
+    and ReLU then run on the [B, filters] selected positions only.
+    Statistics and gradients are computed in at least double precision and
+    returned in the input's.
     """
     k, c_in, filters = conv.kernels.shape
     if x.ndim != 3 or x.shape[2] != c_in:
@@ -199,7 +117,7 @@ def conv_branch_train_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormPa
         raise ShapeError(f"batchnorm expects {bn.gamma.size} channels, got {filters} filters")
     b, t, _ = x.shape
     m = b * t
-    if m < 2:
+    if training and m < 2:
         raise ShapeError("batchnorm train mode needs at least 2 positions per channel")
     kc = k * c_in
     pad_l = (k - 1) // 2
@@ -211,37 +129,48 @@ def conv_branch_train_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormPa
     cols = np.lib.stride_tricks.as_strided(xp, shape=(b, t, kc), strides=xp.strides,
                                            writeable=False)
     windows = cols.reshape(m, kc)
-    mu = windows.mean(axis=0)
-    centred = windows - mu
     w = conv.kernels.reshape(kc, filters).astype(work, copy=False)
-    sigma_w = (centred.T @ centred / m) @ w           # column f: Sigma W_f
-    mean = mu @ w + conv.bias
-    var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
-    bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
-    bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
+    saved = {"training": training}
+    if training:
+        mu = windows.mean(axis=0)
+        windows = windows - mu                        # centred
+        sigma_w = (windows.T @ windows / m) @ w       # column f: Sigma W_f
+        mean = mu @ w + conv.bias
+        var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
+        bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
+        bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
+        saved.update(centred=windows, sigma_w=sigma_w)
+    else:
+        mean = bn.moving_mean.astype(work, copy=False)
+        var = bn.moving_var.astype(work, copy=False)
     inv = 1.0 / np.sqrt(var + bn.epsilon)
     key = np.matmul((w * (bn.gamma * inv)).T, cols.transpose(0, 2, 1))  # [B, filters, T]
     rows = np.arange(0, m, t)[:, None] + key.argmax(axis=2)  # [B, filters]: b*T + t_max
-    sel = centred.T.take(rows, axis=1)                # [k*C, B, filters]
-    xhat = np.einsum("jbf,jf->bf", sel, w) * inv
+    sel = windows.T.take(rows, axis=1)                # [k*C, B, filters], centred in training
+    xhat = np.einsum("jbf,jf->bf", sel, w)
+    if not training:
+        xhat += conv.bias - mean
+    xhat *= inv
     pre = bn.gamma * xhat + bn.beta
-    cache = Cache({"rows": rows, "sel": sel, "xhat": xhat, "active": pre > 0,
-                   "centred": centred, "sigma_w": sigma_w, "w": w, "inv": inv,
-                   "gamma": bn.gamma, "in_shape": x.shape, "kernel_size": k, "dtype": dtype})
-    return relu(pre).astype(dtype, copy=False), cache
+    saved.update(rows=rows, sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv,
+                 gamma=bn.gamma, in_shape=x.shape, kernel_size=k, dtype=dtype)
+    return relu(pre).astype(dtype, copy=False), Cache(saved)
 
 
-def conv_branch_train_backward(cache: Cache, dpool: np.ndarray):
-    """Backward of `conv_branch_train_forward`: (dx, grads), grads keyed
+def conv_branch_backward(cache: Cache, dpool: np.ndarray):
+    """Backward of `conv_branch_forward`: (dx, grads), grads keyed
     "kernels", "bias", "gamma" and "beta".
 
     The gradient g reaches only the selected positions where the ReLU is
-    active. There dxhat = g * gamma, so the batchnorm's sums over positions
-    are A = gamma * dbeta and S = gamma * dgamma. Its dense terms reach the
+    active, as u = g * gamma * inv on the conv output. With the moving
+    statistics that is all: the kernels get sum_b sel * u, each selected
+    window u . W_f' and the conv bias sum_b u. With the batch statistics,
+    dxhat = g * gamma, so the batchnorm's sums over positions are
+    A = gamma * dbeta and S = gamma * dgamma. Its dense terms reach the
     kernels as -inv^2 S Sigma W_f (the -inv A mu term cancels, as the
     selected windows are taken centred) and each window as a constant plus
     the centred window times a k*C x k*C matrix. The conv-bias gradient is
-    exactly zero: the batch mean absorbs the bias.
+    then exactly zero: the batch mean absorbs the bias.
     """
     d = cache.consume("conv_branch")
     sel, xhat, w, inv, gamma = d["sel"], d["xhat"], d["w"], d["inv"], d["gamma"]
@@ -252,24 +181,29 @@ def conv_branch_train_backward(cache: Cache, dpool: np.ndarray):
     g = dpool.astype(xhat.dtype, copy=False) * d["active"]
     dgamma = (g * xhat).sum(axis=0)
     dbeta = g.sum(axis=0)
-    # dxhat = g * gamma, so A = gamma * dbeta and S = gamma * dgamma
-    inv_a = inv * gamma * dbeta
-    inv2_s = inv * inv * gamma * dgamma
     u = g * (gamma * inv)                             # conv-output gradient where selected
-    dw = np.einsum("jbf,bf->jf", sel, u) - d["sigma_w"] * inv2_s
+    dw = np.einsum("jbf,bf->jf", sel, u)
     rows = d["rows"].ravel()
     dcols = np.empty((m, kc), dtype=u.dtype)
     for j in range(kc):
         dcols[:, j] = np.bincount(rows, weights=(u * w[j]).ravel(), minlength=m)
-    dcols -= (w @ inv_a) / m
-    dcols -= d["centred"] @ ((w * inv2_s) @ w.T / m)
+    if d["training"]:
+        # dxhat = g * gamma, so A = gamma * dbeta and S = gamma * dgamma
+        inv_a = inv * gamma * dbeta
+        inv2_s = inv * inv * gamma * dgamma
+        dw -= d["sigma_w"] * inv2_s
+        dcols -= (w @ inv_a) / m
+        dcols -= d["centred"] @ ((w * inv2_s) @ w.T / m)
+        dbias = np.zeros(filters)
+    else:
+        dbias = u.sum(axis=0)
     dcols = dcols.reshape(b, t, k, c_in)
     dxp = np.zeros((b, t + k - 1, c_in), dtype=dcols.dtype)
     for i in range(k):
         dxp[:, i:i + t, :] += dcols[:, :, i, :]
     pad_l = (k - 1) // 2
     dtype = d["dtype"]
-    grads = {"kernels": dw.reshape(k, c_in, filters), "bias": np.zeros(filters),
+    grads = {"kernels": dw.reshape(k, c_in, filters), "bias": dbias,
              "gamma": dgamma, "beta": dbeta}
     return (dxp[:, pad_l:pad_l + t, :].astype(dtype, copy=False),
             {name: v.astype(dtype, copy=False) for name, v in grads.items()})
@@ -403,26 +337,6 @@ def gru_backward(cache: Cache, dh_seq: np.ndarray):
              "rb_z": db[units:2 * units].copy(), "rb_r": db[2 * units:3 * units].copy(),
              "rb_h": db[3 * units:]}
     return np.ascontiguousarray(dx), grads, dh_next
-
-
-# --------------------------------------------------------------------------
-# global max pool over time
-
-
-def global_max_pool(x: np.ndarray):
-    """x: [B, T, C] -> y: [B, C]; gradient flows to the first argmax per channel."""
-    if x.ndim != 3 or x.shape[1] < 1:
-        raise ShapeError(f"global max pool expects [batch, time, channels], got {x.shape}")
-    idx = x.argmax(axis=1)  # first occurrence on ties
-    y = np.take_along_axis(x, idx[:, None, :], axis=1)[:, 0, :]
-    return y, Cache({"idx": idx, "in_shape": x.shape})
-
-
-def global_max_pool_backward(cache: Cache, dy: np.ndarray):
-    d = cache.consume("global_max_pool")
-    dx = np.zeros(d["in_shape"], dtype=dy.dtype)
-    np.put_along_axis(dx, d["idx"][:, None, :], dy[:, None, :], axis=1)
-    return dx, {}
 
 
 # --------------------------------------------------------------------------

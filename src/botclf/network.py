@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, WeightForm
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
-from .numerics import (DOUBLE, d_relu, init_he_uniform, init_truncated_normal, relu,
+from .numerics import (DOUBLE, init_he_uniform, init_truncated_normal, relu,
                        resolve_dtype, substream)
 
 # rows per pass of the inference engine; bounds its working memory
@@ -196,8 +196,7 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
 
 @dataclass
 class ForwardCaches:
-    # fused (train), or (conv, bn, the batchnorm output, pool) (infer)
-    conv_branch: layers.Cache | tuple
+    conv_branch: layers.Cache
     gru: layers.Cache
     dense_hidden: layers.Cache
     dense_out: layers.Cache
@@ -213,9 +212,10 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     """x: [B, seq_len, in_channels] -> (probs [B, classes], caches).
 
     Each output row is a probability vector summing to 1. `mode` is
-    "train" (batch-statistic batchnorm, moving stats updated) or "infer".
-    Train mode runs the conv branch fused (`layers.conv_branch_train_forward`);
-    infer mode runs it layer by layer, the reference for `gradient_check`.
+    "train" (batch-statistic batchnorm, moving stats updated) or "infer"
+    (moving-statistic batchnorm); either way the conv branch is one call of
+    `layers.conv_branch_forward`. `fit` trains in train mode and
+    `gradient_check` differentiates infer mode.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -223,14 +223,8 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     x = np.asarray(x)
     _check_input(a, x)
 
-    if mode == "train":
-        pool_y, c_branch = layers.conv_branch_train_forward(x, params.conv, params.bn)
-    else:
-        conv_y, c_conv = layers.conv1d_forward(x, params.conv)
-        bn_y, c_bn = layers.batchnorm_forward(conv_y, params.bn, training=False)
-        pool_y, c_pool = layers.global_max_pool(relu(bn_y))
-        c_branch = (c_conv, c_bn, bn_y, c_pool)
-
+    pool_y, c_branch = layers.conv_branch_forward(x, params.conv, params.bn,
+                                                  training=mode == "train")
     gru_y, c_gru = layers.gru_forward(x, params.gru)
     concat_y = np.concatenate([pool_y, gru_y.reshape(x.shape[0], -1)], axis=1)
     hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
@@ -252,7 +246,7 @@ def _folded_conv(params: NetworkParameters) -> Conv1DParams:
 
 
 def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams) -> np.ndarray:
-    """max over time of `layers.conv1d_forward(x, conv)`: [B, T, C] -> [B, filters].
+    """max over time of the conv1d ("same" padding) of x: [B, T, C] -> [B, filters].
 
     One [B, filters] window product per time step, max-accumulated, so the
     [B, T, filters] conv output is never stored. The bias is added after
@@ -311,21 +305,12 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
     a = params.arch
     d_pool, d_flat = d_concat[:, :a.filters], d_concat[:, a.filters:]
 
-    if isinstance(caches.conv_branch, layers.Cache):
-        dx_a, g_branch = layers.conv_branch_train_backward(caches.conv_branch, d_pool)
-        g_conv = {k: g_branch[k] for k in ("kernels", "bias")}
-        g_bn = {k: g_branch[k] for k in ("gamma", "beta")}
-    else:
-        c_conv, c_bn, bn_y, c_pool = caches.conv_branch
-        d_act, _ = layers.global_max_pool_backward(c_pool, d_pool)
-        d_conv, g_bn = layers.batchnorm_backward(c_bn, d_act * d_relu(bn_y))
-        dx_a, g_conv = layers.conv1d_backward(c_conv, d_conv)
-
+    dx_a, g_branch = layers.conv_branch_backward(caches.conv_branch, d_pool)
     d_gru_seq = d_flat.reshape(-1, a.seq_len, a.gru_units)
     dx_b, g_gru, _ = layers.gru_backward(caches.gru, d_gru_seq)
 
-    grads = {f"conv.{k}": v for k, v in g_conv.items()}
-    grads.update({f"bn.{k}": v for k, v in g_bn.items()})
+    grads = {f"conv.{k}": g_branch[k] for k in ("kernels", "bias")}
+    grads.update({f"bn.{k}": g_branch[k] for k in ("gamma", "beta")})
     grads.update({f"gru.{k}": v for k, v in g_gru.items()})
     grads.update({f"dense_hidden.{k}": v for k, v in g_hidden.items()})
     grads.update({f"dense_out.{k}": v for k, v in g_out.items()})
@@ -536,7 +521,8 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     Every tensor's shape is checked against the meta sizes before anything
     is allocated, so an oversized meta size cannot allocate; sizes that fit
     the tensors but exceed MAX_PARAMETERS are refused next. A value that
-    overflows the manifest's precision is refused by tensor name.
+    overflows the manifest's precision, or a negative moving variance, is
+    refused by tensor name.
     """
     sizes = _meta_sizes(meta)
     precision = meta.get("precision", "double")
@@ -563,6 +549,9 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
             if not np.isfinite(arrays[name]).all():
                 raise WeightFormatError(f"tensor {name} holds a value out of the range "
                                         f"of {precision} precision")
+    if (arrays["bn.moving_var"] < 0).any():
+        raise WeightFormatError("tensor bn.moving_var holds a negative value; "
+                                "a variance cannot be negative")
     return _assemble(arrays, arch)
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written as plain scalar loops (or direct
-formula evaluation), separate from the vectorized code paths under test.
+Everything here is deliberately written as plain scalar loops, direct
+formula evaluation or one layer at a time, separate from the vectorized and
+fused code paths under test.
 """
 
 import csv
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from botclf import layers
-from botclf.errors import DataError, SchemaError
+from botclf.errors import DataError, SchemaError, ShapeError
 from botclf.training import RMS_DECAY, RMS_EPSILON
 
 
@@ -31,6 +32,108 @@ def conv_oracle(x, kernels, bias):
                             acc += x[bi, src, ci] * kernels[ki, ci, f]
                 y[bi, ti, f] = acc
     return y
+
+
+# --------------------------------------------------------------------------
+# the conv branch layer by layer: Conv1D, BatchNorm and global max pool, each a
+# forward returning (output, layers.Cache) and a backward consuming it. The
+# reference that `layers.conv_branch_forward`/`conv_branch_backward` must match.
+
+
+def conv1d_forward(x, p):
+    """x: [B, T, C_in] -> y: [B, T, filters]."""
+    k, c_in, filters = p.kernels.shape
+    if x.ndim != 3 or x.shape[2] != c_in:
+        raise ShapeError(f"conv1d expects input channels {c_in}, got input shape {x.shape}")
+    b, t, _ = x.shape
+    pad_l = (k - 1) // 2
+    pad_r = k - 1 - pad_l
+    xp = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0)))
+    # [B, T, k*C_in]: window k around each output position
+    cols = np.stack([xp[:, i:i + t, :] for i in range(k)], axis=2).reshape(b, t, k * c_in)
+    w = p.kernels.reshape(k * c_in, filters)
+    y = cols @ w + p.bias
+    cache = layers.Cache({"cols": cols, "kernels": p.kernels, "pad_l": pad_l,
+                          "in_shape": x.shape})
+    return y, cache
+
+
+def conv1d_backward(cache, dy):
+    d = cache.consume("conv1d")
+    cols, kernels, pad_l = d["cols"], d["kernels"], d["pad_l"]
+    b, t, c_in = d["in_shape"]
+    k, _, filters = kernels.shape
+    w = kernels.reshape(k * c_in, filters)
+    dw = cols.reshape(b * t, k * c_in).T @ dy.reshape(b * t, filters)
+    db = dy.sum(axis=(0, 1))
+    dcols = (dy @ w.T).reshape(b, t, k, c_in)
+    dxp = np.zeros((b, t + k - 1, c_in), dtype=dy.dtype)
+    for i in range(k):
+        dxp[:, i:i + t, :] += dcols[:, :, i, :]
+    dx = dxp[:, pad_l:pad_l + t, :]
+    return dx, {"kernels": dw.reshape(k, c_in, filters), "bias": db}
+
+
+def batchnorm_forward(x, p, training: bool):
+    """Normalize each channel over all (batch, time) positions.
+
+    Train mode uses batch statistics and updates the moving statistics via
+    exponential moving average; infer mode uses the moving statistics and
+    is a deterministic affine map.
+    """
+    c = p.gamma.size
+    if x.ndim != 3 or x.shape[2] != c:
+        raise ShapeError(f"batchnorm expects {c} channels, got input shape {x.shape}")
+    if training:
+        m = x.shape[0] * x.shape[1]
+        if m < 2:
+            raise ShapeError("batchnorm train mode needs at least 2 positions per channel")
+        mean = x.mean(axis=(0, 1))
+        var = x.var(axis=(0, 1))
+        p.moving_mean[:] = p.momentum * p.moving_mean + (1.0 - p.momentum) * mean
+        p.moving_var[:] = p.momentum * p.moving_var + (1.0 - p.momentum) * var
+    else:
+        m = 0
+        mean = p.moving_mean
+        var = p.moving_var
+    inv = 1.0 / np.sqrt(var + p.epsilon)
+    xhat = (x - mean) * inv
+    y = p.gamma * xhat + p.beta
+    cache = layers.Cache({"xhat": xhat, "inv": inv, "gamma": p.gamma, "m": m,
+                          "training": training})
+    return y, cache
+
+
+def batchnorm_backward(cache, dy):
+    d = cache.consume("batchnorm")
+    xhat, inv, gamma = d["xhat"], d["inv"], d["gamma"]
+    dgamma = (dy * xhat).sum(axis=(0, 1))
+    dbeta = dy.sum(axis=(0, 1))
+    dxhat = dy * gamma
+    if d["training"]:
+        m = d["m"]
+        dx = (inv / m) * (m * dxhat
+                          - dxhat.sum(axis=(0, 1))
+                          - xhat * (dxhat * xhat).sum(axis=(0, 1)))
+    else:
+        dx = dxhat * inv
+    return dx, {"gamma": dgamma, "beta": dbeta}
+
+
+def global_max_pool(x):
+    """x: [B, T, C] -> y: [B, C]; gradient flows to the first argmax per channel."""
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise ShapeError(f"global max pool expects [batch, time, channels], got {x.shape}")
+    idx = x.argmax(axis=1)  # first occurrence on ties
+    y = np.take_along_axis(x, idx[:, None, :], axis=1)[:, 0, :]
+    return y, layers.Cache({"idx": idx, "in_shape": x.shape})
+
+
+def global_max_pool_backward(cache, dy):
+    d = cache.consume("global_max_pool")
+    dx = np.zeros(d["in_shape"], dtype=dy.dtype)
+    np.put_along_axis(dx, d["idx"][:, None, :], dy[:, None, :], axis=1)
+    return dx, {}
 
 
 def gru_oracle(x, p, h0=None):

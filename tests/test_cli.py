@@ -251,6 +251,21 @@ class TestFailClosed:
                                     "feature names"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_negative_moving_variance_is_data_error(self, tmp_path, trained_weights,
+                                                    eval_csv, command, capsys):
+        text = trained_weights.read_text()
+        start = text.index("\n", text.index("tensor bn.moving_var")) + 1
+        bad = tmp_path / "var.weights"
+        bad.write_text(text[:start] + "-0.5" + text[text.index(" ", start):])
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: tensor bn.moving_var holds a negative value; "
+            "a variance cannot be negative"]
+        assert not out_path.exists()
+
 
 class TestSettingsFailClosed:
     # --data names a file that does not exist: exit 2 rather than 3 shows

@@ -324,21 +324,25 @@ class TestReaderMatchesOracle:
 
 class TestLabelMap:
     def test_default_encoding(self):
-        m = DEFAULT_LABEL_MAP
-        assert m.encode("Normal", "Normal") == 0
-        assert m.encode("DDoS", "TCP") == 1
-        assert m.encode("DDoS", "UDP") == 2
-        assert m.encode("DoS", "HTTP") == 3
-        assert m.encode("Reconnaissance", "OS_Fingerprint") == 4
-        assert m.encode("Theft", "Data_Exfiltration") == 5
+        assert DEFAULT_LABEL_MAP.codes == {
+            ("Normal", "Normal"): 0, ("DDoS", "TCP"): 1, ("DDoS", "UDP"): 2,
+            ("DoS", "HTTP"): 3, ("Reconnaissance", "OS_Fingerprint"): 4,
+            ("Theft", "Data_Exfiltration"): 5}
 
-    def test_unmapped_pair_names_the_pair(self):
-        with pytest.raises(DataError, match="Keylogging"):
-            DEFAULT_LABEL_MAP.encode("Theft", "Keylogging")
+    def test_unmapped_pair_names_the_pair(self, tmp_path):
+        path = tmp_path / "unmapped.csv"
+        write_csv(path, [[1.0, 2.0, 3.0, 4.0, "Normal", "Normal"],
+                         [1.0, 2.0, 3.0, 4.0, "Theft", "Keylogging"]])
+        stream = dataio.stream_csv(path, CsvSchema(), FeatureSpec(names=FEATURES_4),
+                                   DEFAULT_LABEL_MAP, policy="fail")
+        with pytest.raises(DataError) as err:
+            list(stream)
+        assert str(err.value) == (f"{path}:3: no class mapping for "
+                                  "(category='Theft', subcategory='Keylogging')")
 
     def test_custom_map(self):
         m = LabelMap(pairs=(("a", "x"), ("b", "y")), names=("A", "B"))
-        assert m.encode("b", "y") == 1
+        assert m.codes[("b", "y")] == 1
         assert m.num_classes == 2
 
 

@@ -7,8 +7,10 @@ import pytest
 from botclf import layers
 from botclf.errors import CacheReusedError, ShapeError
 from botclf.numerics import make_rng, sigmoid
-from oracles import (check_grads, conv_oracle, gru_oracle, gru_stepwise_backward,
-                     gru_stepwise_forward, random_gru_params)
+from oracles import (batchnorm_backward, batchnorm_forward, check_grads, conv1d_backward,
+                     conv1d_forward, conv_oracle, global_max_pool, global_max_pool_backward,
+                     gru_oracle, gru_stepwise_backward, gru_stepwise_forward,
+                     random_gru_params)
 
 RNG = make_rng(20240517)
 
@@ -22,27 +24,27 @@ class TestConv1D:
         p = layers.Conv1DParams(kernels=RNG.normal(size=(3, 1, 128)),
                                 bias=RNG.normal(size=128))
         for t in (1, 2, 5, 16):
-            y, _ = layers.conv1d_forward(RNG.normal(size=(2, t, 1)), p)
+            y, _ = conv1d_forward(RNG.normal(size=(2, t, 1)), p)
             assert y.shape == (2, t, 128)
 
     def test_identity_kernel(self):
         p = layers.Conv1DParams(kernels=np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1),
                                 bias=np.zeros(1))
         x = RNG.normal(size=(3, 16, 1))
-        y, _ = layers.conv1d_forward(x, p)
+        y, _ = conv1d_forward(x, p)
         npt.assert_allclose(y, x, atol=1e-15)
 
     def test_against_sliding_window_oracle(self):
         p = layers.Conv1DParams(kernels=RNG.normal(size=(3, 2, 4)),
                                 bias=RNG.normal(size=4))
         x = RNG.normal(size=(2, 7, 2))
-        y, _ = layers.conv1d_forward(x, p)
+        y, _ = conv1d_forward(x, p)
         npt.assert_allclose(y, conv_oracle(x, p.kernels, p.bias), atol=1e-12)
 
     def test_channel_mismatch(self):
         p = layers.Conv1DParams(kernels=np.zeros((3, 2, 4)), bias=np.zeros(4))
         with pytest.raises(ShapeError):
-            layers.conv1d_forward(np.zeros((1, 5, 1)), p)
+            conv1d_forward(np.zeros((1, 5, 1)), p)
 
     def test_backward_finite_differences(self):
         rng = make_rng(101)
@@ -52,11 +54,11 @@ class TestConv1D:
         upstream = rng.normal(size=(2, 6, 5))
 
         def loss():
-            y, _ = layers.conv1d_forward(x, p)
+            y, _ = conv1d_forward(x, p)
             return float((y * upstream).sum())
 
-        y, cache = layers.conv1d_forward(x, p)
-        dx, grads = layers.conv1d_backward(cache, upstream)
+        y, cache = conv1d_forward(x, p)
+        dx, grads = conv1d_backward(cache, upstream)
         check_grads(grads["kernels"], loss, p.kernels, rng)
         check_grads(grads["bias"], loss, p.bias, rng)
         check_grads(dx, loss, x, rng)
@@ -64,8 +66,8 @@ class TestConv1D:
     def test_zero_upstream_gives_zero_grads(self):
         p = layers.Conv1DParams(kernels=RNG.normal(size=(3, 1, 4)), bias=RNG.normal(size=4))
         x = RNG.normal(size=(2, 5, 1))
-        _, cache = layers.conv1d_forward(x, p)
-        dx, grads = layers.conv1d_backward(cache, np.zeros((2, 5, 4)))
+        _, cache = conv1d_forward(x, p)
+        dx, grads = conv1d_backward(cache, np.zeros((2, 5, 4)))
         assert not dx.any() and not grads["kernels"].any() and not grads["bias"].any()
 
 
@@ -86,7 +88,7 @@ class TestBatchNorm:
         p = layers.BatchNormParams(gamma=np.ones(4), beta=np.zeros(4),
                                    moving_mean=np.zeros(4), moving_var=np.ones(4))
         x = make_rng(1).normal(loc=3.0, scale=2.0, size=(8, 6, 4))
-        y, _ = layers.batchnorm_forward(x, p, training=True)
+        y, _ = batchnorm_forward(x, p, training=True)
         npt.assert_allclose(y.mean(axis=(0, 1)), 0.0, atol=1e-12)
         npt.assert_allclose(y.var(axis=(0, 1)), 1.0, atol=2e-3)  # epsilon effect
 
@@ -94,14 +96,14 @@ class TestBatchNorm:
         p = layers.BatchNormParams(gamma=np.full(3, 2.0), beta=np.full(3, 3.0),
                                    moving_mean=np.zeros(3), moving_var=np.ones(3))
         x = make_rng(2).normal(size=(10, 8, 3))
-        y, _ = layers.batchnorm_forward(x, p, training=True)
+        y, _ = batchnorm_forward(x, p, training=True)
         npt.assert_allclose(y.mean(axis=(0, 1)), 3.0, atol=1e-12)
         npt.assert_allclose(y.std(axis=(0, 1)), 2.0, atol=4e-3)
 
     def test_infer_matches_scalar_oracle(self):
         p = make_bn(3)
         x = make_rng(3).normal(size=(2, 4, 3))
-        y, _ = layers.batchnorm_forward(x, p, training=False)
+        y, _ = batchnorm_forward(x, p, training=False)
         expect = np.zeros_like(x)
         for b in range(2):
             for t in range(4):
@@ -114,28 +116,28 @@ class TestBatchNorm:
     def test_infer_deterministic(self):
         p = make_bn(5)
         x = make_rng(4).normal(size=(3, 4, 5))
-        y1, _ = layers.batchnorm_forward(x, p, training=False)
-        y2, _ = layers.batchnorm_forward(x, p, training=False)
+        y1, _ = batchnorm_forward(x, p, training=False)
+        y2, _ = batchnorm_forward(x, p, training=False)
         npt.assert_array_equal(y1, y2)
 
     def test_moving_stats_update(self):
         p = make_bn(2, momentum=0.9)
         mm, mv = p.moving_mean.copy(), p.moving_var.copy()
         x = make_rng(5).normal(size=(4, 3, 2))
-        layers.batchnorm_forward(x, p, training=True)
+        batchnorm_forward(x, p, training=True)
         npt.assert_allclose(p.moving_mean, 0.9 * mm + 0.1 * x.mean(axis=(0, 1)), atol=1e-12)
         npt.assert_allclose(p.moving_var, 0.9 * mv + 0.1 * x.var(axis=(0, 1)), atol=1e-12)
 
     def test_zero_variance_input_is_finite(self):
         p = layers.BatchNormParams(gamma=np.ones(2), beta=np.zeros(2),
                                    moving_mean=np.zeros(2), moving_var=np.ones(2))
-        y, _ = layers.batchnorm_forward(np.full((3, 4, 2), 7.0), p, training=True)
+        y, _ = batchnorm_forward(np.full((3, 4, 2), 7.0), p, training=True)
         assert np.isfinite(y).all()
 
     def test_train_requires_two_positions(self):
         p = make_bn(2)
         with pytest.raises(ShapeError):
-            layers.batchnorm_forward(np.zeros((1, 1, 2)), p, training=True)
+            batchnorm_forward(np.zeros((1, 1, 2)), p, training=True)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_backward_finite_differences(self, training):
@@ -145,11 +147,11 @@ class TestBatchNorm:
         upstream = rng.normal(size=(3, 5, 3))
 
         def loss():
-            y, _ = layers.batchnorm_forward(x, p, training=training)
+            y, _ = batchnorm_forward(x, p, training=training)
             return float((y * upstream).sum())
 
-        _, cache = layers.batchnorm_forward(x, p, training=training)
-        dx, grads = layers.batchnorm_backward(cache, upstream)
+        _, cache = batchnorm_forward(x, p, training=training)
+        dx, grads = batchnorm_backward(cache, upstream)
         check_grads(grads["gamma"], loss, p.gamma, rng)
         check_grads(grads["beta"], loss, p.beta, rng)
         check_grads(dx, loss, x, rng)
@@ -289,16 +291,16 @@ class TestGRU:
 
 class TestPooling:
     def test_constant_input(self):
-        y, _ = layers.global_max_pool(np.full((2, 5, 3), 4.2))
+        y, _ = global_max_pool(np.full((2, 5, 3), 4.2))
         npt.assert_array_equal(y, np.full((2, 3), 4.2))
 
     def test_shape_contract(self):
-        y, _ = layers.global_max_pool(RNG.normal(size=(2, 16, 128)))
+        y, _ = global_max_pool(RNG.normal(size=(2, 16, 128)))
         assert y.shape == (2, 128)
 
     def test_matches_scalar_max(self):
         x = RNG.normal(size=(3, 7, 4))
-        y, _ = layers.global_max_pool(x)
+        y, _ = global_max_pool(x)
         for b in range(3):
             for c in range(4):
                 assert y[b, c] == max(x[b, t, c] for t in range(7))
@@ -308,8 +310,8 @@ class TestPooling:
         x[0, 1, 0] = 5.0
         x[0, 3, 0] = 5.0  # tie: first occurrence wins
         x[0, 2, 1] = 1.0
-        _, cache = layers.global_max_pool(x)
-        dx, _ = layers.global_max_pool_backward(cache, np.array([[2.0, 3.0]]))
+        _, cache = global_max_pool(x)
+        dx, _ = global_max_pool_backward(cache, np.array([[2.0, 3.0]]))
         expect = np.zeros((1, 4, 2))
         expect[0, 1, 0] = 2.0
         expect[0, 2, 1] = 3.0
@@ -370,7 +372,7 @@ class TestDense:
 def test_cache_reuse_rejected():
     p = layers.Conv1DParams(kernels=RNG.normal(size=(3, 1, 2)), bias=np.zeros(2))
     x = RNG.normal(size=(1, 4, 1))
-    _, cache = layers.conv1d_forward(x, p)
-    layers.conv1d_backward(cache, np.zeros((1, 4, 2)))
+    _, cache = layers.conv_branch_forward(x, p, make_bn(2), training=False)
+    layers.conv_branch_backward(cache, np.zeros((1, 2)))
     with pytest.raises(CacheReusedError):
-        layers.conv1d_backward(cache, np.zeros((1, 4, 2)))
+        layers.conv_branch_backward(cache, np.zeros((1, 2)))

@@ -8,7 +8,8 @@ from botclf import layers, network, synth, training
 from botclf.errors import NumericError, ShapeError, WeightFormatError
 from botclf.network import Architecture
 from botclf.numerics import make_rng
-from oracles import check_grads
+from oracles import (batchnorm_backward, batchnorm_forward, check_grads, conv1d_backward,
+                     conv1d_forward, global_max_pool, global_max_pool_backward)
 
 
 def test_param_count_default():
@@ -80,9 +81,9 @@ class TestForward:
         x = make_rng(22).uniform(0, 1, size=(3, 16, 1))
         probs, _ = network.forward(p, x, mode="infer")
 
-        conv_y, _ = layers.conv1d_forward(x, p.conv)
-        bn_y, _ = layers.batchnorm_forward(conv_y, p.bn, training=False)
-        pool_y, _ = layers.global_max_pool(np.maximum(bn_y, 0.0))
+        conv_y, _ = conv1d_forward(x, p.conv)
+        bn_y, _ = batchnorm_forward(conv_y, p.bn, training=False)
+        pool_y, _ = global_max_pool(np.maximum(bn_y, 0.0))
         gru_y, _ = layers.gru_forward(x, p.gru)
         concat_y = np.concatenate([pool_y, gru_y.reshape(3, 16 * 10)], axis=1)
         hidden_y, _ = layers.dense_forward(concat_y, p.dense_hidden, "relu")
@@ -341,12 +342,13 @@ class TestWeightsIO:
 
 
 # --------------------------------------------------------------------------
-# train mode: the fused conv branch against the layer-by-layer composition
+# the fused conv branch against the layer-by-layer composition, in both modes
 
 
 def _randomized(seed, arch=Architecture(), dtype=np.float64):
-    """Built parameters with random biases and batchnorm affine maps, a third
-    of the gammas negative, so that no term of the train-mode gradient is 0."""
+    """Built parameters with random biases, batchnorm affine maps and moving
+    statistics, a third of the gammas negative, so that no term of the
+    gradient is 0."""
     p = network.build(seed, arch, dtype=dtype)
     rng = make_rng(seed + 1)
     for arr in (p.conv.bias, p.bn.beta, p.dense_hidden.bias, p.dense_out.bias):
@@ -358,13 +360,13 @@ def _randomized(seed, arch=Architecture(), dtype=np.float64):
     return p
 
 
-def _layerwise_train(p, x, labels):
-    """`network.forward(mode="train")` then `network.backward`, composed one
-    layer at a time, the conv branch by conv1d -> batchnorm(training=True) ->
-    ReLU -> global max pool. Returns (probs, dlogits, grads, dx)."""
-    conv_y, c_conv = layers.conv1d_forward(x, p.conv)
-    bn_y, c_bn = layers.batchnorm_forward(conv_y, p.bn, training=True)
-    pool_y, c_pool = layers.global_max_pool(np.maximum(bn_y, 0.0))
+def _layerwise(p, x, labels, mode):
+    """`network.forward(mode=mode)` then `network.backward`, composed one
+    layer at a time from `tests/oracles.py`, the conv branch by conv1d ->
+    batchnorm -> ReLU -> global max pool. Returns (probs, dlogits, grads, dx)."""
+    conv_y, c_conv = conv1d_forward(x, p.conv)
+    bn_y, c_bn = batchnorm_forward(conv_y, p.bn, training=mode == "train")
+    pool_y, c_pool = global_max_pool(np.maximum(bn_y, 0.0))
     gru_y, c_gru = layers.gru_forward(x, p.gru)
     concat_y = np.concatenate([pool_y, gru_y.reshape(len(x), -1)], axis=1)
     hidden_y, c_hidden = layers.dense_forward(concat_y, p.dense_hidden, "relu")
@@ -374,9 +376,9 @@ def _layerwise_train(p, x, labels):
     d_hidden, g_out = layers.dense_backward(c_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(c_hidden, d_hidden)
     filters = p.arch.filters
-    d_act, _ = layers.global_max_pool_backward(c_pool, d_concat[:, :filters])
-    d_conv, g_bn = layers.batchnorm_backward(c_bn, d_act * (bn_y > 0))
-    dx_a, g_conv = layers.conv1d_backward(c_conv, d_conv)
+    d_act, _ = global_max_pool_backward(c_pool, d_concat[:, :filters])
+    d_conv, g_bn = batchnorm_backward(c_bn, d_act * (bn_y > 0))
+    dx_a, g_conv = conv1d_backward(c_conv, d_conv)
     dx_b, g_gru, _ = layers.gru_backward(c_gru, d_concat[:, filters:].reshape(gru_y.shape))
     grads = {}
     for prefix, group in (("conv", g_conv), ("bn", g_bn), ("gru", g_gru),
@@ -385,18 +387,19 @@ def _layerwise_train(p, x, labels):
     return probs, dlogits, grads, dx_a + dx_b
 
 
-def _compare_train_step(p, x, labels, tol):
-    """Check the fused train-mode forward and backward of `p` on x against
-    `_layerwise_train` run on the same weights widened to extended precision,
-    so that the bound measures the fused path's rounding, not the
-    reference's. Every compared value must lie within tol * max(1, |ref|)."""
+def _compare_step(p, x, labels, tol, mode):
+    """Check the fused forward and backward of `p` on x in `mode` against
+    `_layerwise` run on the same weights widened to extended precision, so
+    that the bound measures the fused path's rounding, not the reference's.
+    Every compared value must lie within tol * max(1, |ref|)."""
     assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps, \
         "the reference needs a long double wider than double (x86-64 or aarch64 Linux)"
     wide = network._assemble({n: a.astype(np.longdouble) for n, a in p.named_arrays()},
                              p.arch)
-    ref_probs, ref_dlogits, ref_grads, ref_dx = _layerwise_train(
-        wide, x.astype(np.longdouble), labels)
-    probs, caches = network.forward(p, x, mode="train")
+    ref_probs, ref_dlogits, ref_grads, ref_dx = _layerwise(
+        wide, x.astype(np.longdouble), labels, mode)
+    moving = p.bn.moving_mean.copy(), p.bn.moving_var.copy()
+    probs, caches = network.forward(p, x, mode=mode)
     grads, dx = network.backward(p, caches, ref_dlogits.astype(p.dtype))
 
     pairs = [("probs", probs, ref_probs), ("dx", dx, ref_dx),
@@ -408,22 +411,29 @@ def _compare_train_step(p, x, labels, tol):
         assert got.shape == ref.shape and got.dtype == p.dtype, name
         excess = np.abs(got - ref) - tol * np.maximum(1.0, np.abs(ref))
         assert excess.max() <= 0, f"{name}: off by up to {float(np.abs(got - ref).max()):.3e}"
-    # train-mode batchnorm subtracts the batch mean, which absorbs the conv bias
-    assert not grads["conv.bias"].any()
+    if mode == "train":
+        # batchnorm subtracts the batch mean, which absorbs the conv bias
+        assert not grads["conv.bias"].any()
+    else:
+        assert grads["conv.bias"].any()
+        for before, after in zip(moving, (p.bn.moving_mean, p.bn.moving_var)):
+            npt.assert_array_equal(after, before)
 
 
-class TestFusedTrainStep:
+class TestFusedStep:
+    @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("seq_len", [16, 7])
     @pytest.mark.parametrize("b", [2, 10, 37, 512])
-    def test_matches_layerwise(self, b, seq_len, dtype, tol):
+    def test_matches_layerwise(self, b, seq_len, dtype, tol, mode):
         p = _randomized(b + seq_len, Architecture(seq_len=seq_len), dtype)
         rng = make_rng(b * seq_len)
         x = rng.uniform(0.0, 1.0, size=(b, seq_len, 1)).astype(dtype)
-        _compare_train_step(p, x, rng.integers(0, 6, size=b), tol)
+        _compare_step(p, x, rng.integers(0, 6, size=b), tol, mode)
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_exact_ties_pick_the_first_time_step(self, dtype, tol):
+    def test_exact_ties_pick_the_first_time_step(self, dtype, tol, mode):
         # Constant rows give equal interior windows, gamma = 0 makes every
         # step of a filter tie, and a negative gamma turns the max into a min.
         # A different pick among tied steps moves the input gradient (and, at
@@ -435,7 +445,7 @@ class TestFusedTrainStep:
         x = rng.uniform(0.0, 1.0, size=(10, 16, 1))
         x[:4] = rng.uniform(0.0, 1.0, size=(4, 1, 1))
         x[4] = 0.0
-        _compare_train_step(p, x.astype(dtype), rng.integers(0, 6, size=10), tol)
+        _compare_step(p, x.astype(dtype), rng.integers(0, 6, size=10), tol, mode)
 
     def test_train_mode_gradients_against_finite_differences(self):
         # gradient_check runs the batchnorm in infer mode; this probes the

@@ -333,6 +333,20 @@ class TestGradientCheck:
         failing = {p.tensor for p in report.probes if not p.passed}
         assert "gru.u_h" in failing
 
+    def test_corrupted_conv_branch_backward_fails(self, monkeypatch):
+        real = layers.conv_branch_backward
+
+        def flipped(cache, dpool):
+            dx, grads = real(cache, dpool)
+            grads["kernels"] = -grads["kernels"]
+            return dx, grads
+
+        monkeypatch.setattr(layers, "conv_branch_backward", flipped)
+        report = training.gradient_check(network.build(32), probes=60, seed=3)
+        assert not report.passed
+        failing = {p.tensor for p in report.probes if not p.passed}
+        assert "conv.kernels" in failing
+
     def test_unreachable_tolerance_fails(self):
         report = training.gradient_check(network.build(33), probes=40,
                                          tolerance=1e-12, seed=4)
