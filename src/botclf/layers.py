@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheReusedError, ShapeError
-from .numerics import d_relu, relu, sigmoid, softmax
+from .numerics import d_relu, relu, softmax
 
 
 @dataclass
@@ -216,16 +216,23 @@ def conv_branch_backward(cache: Cache, dpool: np.ndarray):
 def _gru_input_projection(x: np.ndarray, p: GRUParams) -> np.ndarray:
     """Input-side pre-activations of the three gates for every step at once.
 
-    x: [B, T, input_dim] -> time-major [T, B, 3 * units], columns z | r | h,
-    so each step reads one contiguous block. Holds x W_* plus the biases
+    x: [B, T, input_dim] -> unit-major [T, 3 * units, B], rows z | r | h, so
+    each step reads one contiguous block. Holds W_*' x plus the biases
     b_z + rb_z, b_r + rb_r and b_h; rb_h stays out, as it sits inside the
-    reset product.
+    reset product. The z and r rows are halved, sigmoid(a) being
+    0.5 * (1 + tanh(a / 2)); scaling by 0.5 is exact barring subnormals.
+    One broadcast product over the input channels: at input_dim 1 it is an
+    outer product, with no sum.
     """
-    b, t, c = x.shape
-    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1)
-    proj = x.transpose(1, 0, 2).reshape(t * b, c) @ w
-    proj += np.concatenate([p.b_z + p.rb_z, p.b_r + p.rb_r, p.b_h])
-    return proj.reshape(t, b, 3 * p.units)
+    units = p.units
+    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1).T  # [3 * units, input_dim]
+    bias = np.concatenate([p.b_z + p.rb_z, p.b_r + p.rb_r, p.b_h])
+    w[:2 * units] *= 0.5
+    bias[:2 * units] *= 0.5
+    # from a C-ordered [T, C, B] operand einsum returns a C-ordered [T, 3U, B]
+    proj = np.einsum("gc,tcb->tgb", w, np.ascontiguousarray(x.transpose(1, 2, 0)))
+    proj += bias[:, None]
+    return proj
 
 
 def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
@@ -237,12 +244,16 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
               hcand = tanh(x W_h + b_h + r * (h U_h + rb_h))
               h <- (1 - z) * h + z * hcand, computed as h + z * (hcand - h)
 
-    The input projection runs before the time loop (`_gru_input_projection`);
-    each step does one h [U_z | U_r] and one h U_h product. The states
-    entering each step, z | r, the reset product's inner term and hcand are
-    kept time-major, [T, B, .], for `gru_backward`. With keep_cache=False
-    (inference) the per-step gate buffers are reused from step to step and
-    the cache returned is None; the hidden states are the same.
+    The loop runs unit-major: each state is [units, B], so every gate is a
+    contiguous row block. The input projection runs before the loop
+    (`_gru_input_projection`); each step does one [U_z | U_r]' h and one
+    U_h' h product, with sigmoid's 1/2 folded into the z and r rows, and
+    finishes the sigmoid as 0.5 * (1 + tanh), which cannot overflow. The
+    states entering each step, z | r, the reset product's inner term and
+    hcand are kept as [T, ., B] arrays for `gru_backward`. With
+    keep_cache=False (inference) the per-step gate buffers are reused from
+    step to step and the cache returned is None; the hidden states are the
+    same.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
@@ -251,35 +262,38 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
     units = p.units
     proj = _gru_input_projection(x, p)
     dtype = proj.dtype
-    hs = np.empty((t + 1, b, units), dtype=dtype)  # hs[i]: the state entering step i
+    hs = np.empty((t + 1, units, b), dtype=dtype)  # hs[i]: the state entering step i
     if h0 is None:
         hs[0] = 0.0
     else:
         h0 = np.asarray(h0)
         if h0.shape[-1] != units:
             raise ShapeError(f"gru h0 must have {units} units, got shape {h0.shape}")
-        hs[0] = np.broadcast_to(h0, (b, units))
+        hs[0] = np.broadcast_to(h0, (b, units)).T
     slots = t if keep_cache else 1
-    zr = np.empty((slots, b, 2 * units), dtype=dtype)
-    inner = np.empty((slots, b, units), dtype=dtype)
-    hcand = np.empty((slots, b, units), dtype=dtype)
-    proj_zr, proj_h = proj[:, :, :2 * units], proj[:, :, 2 * units:]
-    u_zr = np.concatenate([p.u_z, p.u_r], axis=1)
+    zr = np.empty((slots, 2 * units, b), dtype=dtype)
+    inner = np.empty((slots, units, b), dtype=dtype)
+    hcand = np.empty((slots, units, b), dtype=dtype)
+    u_zr = np.concatenate([p.u_z, p.u_r], axis=1).T * 0.5  # halved, as in the projection
+    u_h = p.u_h.T
+    rb_h = p.rb_h[:, None]
     for i in range(t):
         k = i % slots
         h, zr_i, inner_i, hcand_i, h_new = hs[i], zr[k], inner[k], hcand[k], hs[i + 1]
-        np.matmul(h, u_zr, out=zr_i)
-        zr_i += proj_zr[i]
-        sigmoid(zr_i, out=zr_i)
-        np.matmul(h, p.u_h, out=inner_i)
-        inner_i += p.rb_h
-        np.multiply(zr_i[:, units:], inner_i, out=hcand_i)
-        hcand_i += proj_h[i]
+        np.dot(u_zr, h, out=zr_i)
+        zr_i += proj[i, :2 * units]
+        np.tanh(zr_i, out=zr_i)
+        zr_i += 1.0
+        zr_i *= 0.5
+        np.dot(u_h, h, out=inner_i)
+        inner_i += rb_h
+        np.multiply(zr_i[units:], inner_i, out=hcand_i)
+        hcand_i += proj[i, 2 * units:]
         np.tanh(hcand_i, out=hcand_i)
         np.subtract(hcand_i, h, out=h_new)
-        h_new *= zr_i[:, :units]
+        h_new *= zr_i[:units]
         h_new += h
-    h_seq = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+    h_seq = np.ascontiguousarray(hs[1:].transpose(2, 0, 1))
     if not keep_cache:
         return h_seq, None
     cache = Cache({"x": x, "params": p, "hs": hs, "zr": zr, "inner": inner,
@@ -290,53 +304,54 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
 def gru_backward(cache: Cache, dh_seq: np.ndarray):
     """Backprop through time; returns (dx, grads, dh0).
 
-    Only the recurrence runs inside the reversed time loop: it writes each
-    step's pre-activation gradients into one time-major stack, columns
-    da_h | da_z | da_r | d_inner (d_inner being the gradient of h U_h + rb_h).
-    After the loop, one product over all B*T rows gives the W_* gradients,
-    one the U_* gradients, one row sum every bias gradient and one product dx.
+    Only the recurrence runs inside the reversed time loop, unit-major like
+    the forward: it writes each step's pre-activation gradients into one
+    [T, 4 * units, B] stack, rows da_h | da_z | da_r | d_inner (d_inner
+    being the gradient of h U_h + rb_h), and takes the state gradient from
+    the last three as [U_z | U_r | U_h] . g. After the loop, one product over
+    all B*T columns gives the W_* gradients, one the U_* gradients, one row
+    sum every bias gradient and one product dx.
     """
     d = cache.consume("gru")
     x, p, hs = d["x"], d["params"], d["hs"]
     zr, inner, hcand = d["zr"], d["inner"], d["hcand"]
     b, t, input_dim = x.shape
     units = p.units
-    z, r, h_prev = zr[:, :, :units], zr[:, :, units:], hs[:-1]
+    z, r, h_prev = zr[:, :units], zr[:, units:], hs[:-1]
     # factors of the per-step gate gradients, computed for all steps at once
     dzr = zr * (1.0 - zr)
     coef_h = z * (1.0 - hcand * hcand)
-    coef_z = (hcand - h_prev) * dzr[:, :, :units]
-    coef_r = inner * dzr[:, :, units:]
+    coef_z = (hcand - h_prev) * dzr[:, :units]
+    coef_r = inner * dzr[:, units:]
     keep = 1.0 - z
-    g = np.empty((t, b, 4 * units), dtype=hs.dtype)
-    g_h, g_z, g_r, g_inner = (g[:, :, k * units:(k + 1) * units] for k in range(4))
-    g_rec = g[:, :, units:]  # da_z | da_r | d_inner, the terms that reach h_prev
-    u_rec_t = np.ascontiguousarray(np.concatenate([p.u_z, p.u_r, p.u_h], axis=1).T)
-    dh_tm = dh_seq.transpose(1, 0, 2)
-    dh_next = np.zeros((b, units), dtype=dh_seq.dtype)
+    g = np.empty((t, 4 * units, b), dtype=hs.dtype)
+    g_h, g_z, g_r, g_inner = (g[:, k * units:(k + 1) * units] for k in range(4))
+    u_rec = np.concatenate([p.u_z, p.u_r, p.u_h], axis=1)  # takes da_z | da_r | d_inner
+    dh_um = np.ascontiguousarray(dh_seq.transpose(1, 2, 0))
+    dh_next = np.zeros((units, b), dtype=dh_seq.dtype)
     for i in range(t - 1, -1, -1):
-        dh = dh_tm[i] + dh_next
+        dh = dh_um[i] + dh_next
         np.multiply(dh, coef_h[i], out=g_h[i])
         np.multiply(dh, coef_z[i], out=g_z[i])
         np.multiply(g_h[i], coef_r[i], out=g_r[i])
         np.multiply(g_h[i], r[i], out=g_inner[i])
-        dh_next = g_rec[i] @ u_rec_t
+        dh_next = np.dot(u_rec, g[i, units:])
         dh *= keep[i]
         dh_next += dh
 
-    rows = g.reshape(t * b, 4 * units)
-    gate_rows = rows[:, :3 * units]  # da_h | da_z | da_r
-    dw = x.transpose(1, 0, 2).reshape(t * b, input_dim).T @ gate_rows
-    du = h_prev.reshape(t * b, units).T @ rows[:, units:]
-    db = rows.sum(axis=0)
+    cols = g.transpose(1, 0, 2).reshape(4 * units, t * b)
+    gate_cols = cols[:3 * units]  # da_h | da_z | da_r
+    dw = x.transpose(2, 1, 0).reshape(input_dim, t * b) @ gate_cols.T
+    du = h_prev.transpose(1, 0, 2).reshape(units, t * b) @ cols[units:].T
+    db = cols.sum(axis=1)
     w_hzr = np.concatenate([p.w_h, p.w_z, p.w_r], axis=1)
-    dx = (gate_rows @ w_hzr.T).reshape(t, b, input_dim).transpose(1, 0, 2)
+    dx = (w_hzr @ gate_cols).reshape(input_dim, t, b).transpose(2, 1, 0)
     grads = {"w_h": dw[:, :units], "w_z": dw[:, units:2 * units], "w_r": dw[:, 2 * units:],
              "u_z": du[:, :units], "u_r": du[:, units:2 * units], "u_h": du[:, 2 * units:],
              "b_h": db[:units], "b_z": db[units:2 * units], "b_r": db[2 * units:3 * units],
              "rb_z": db[units:2 * units].copy(), "rb_r": db[2 * units:3 * units].copy(),
              "rb_h": db[3 * units:]}
-    return np.ascontiguousarray(dx), grads, dh_next
+    return np.ascontiguousarray(dx), grads, np.ascontiguousarray(dh_next.T)
 
 
 # --------------------------------------------------------------------------

@@ -45,20 +45,12 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return make_rng(int.from_bytes(digest[:8], "little"))
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)), output in [0, 1].
 
-    Evaluated as 0.5 * (1 + tanh(x / 2)), which cannot overflow, in four
-    passes over one array: a new one, or `out` (which may be `x` itself).
+    Evaluated as 0.5 * (1 + tanh(x / 2)), which cannot overflow.
     """
-    x = np.asarray(x)
-    if out is None:
-        out = np.empty(x.shape, dtype=np.result_type(x, 0.5))
-    np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -245,20 +245,40 @@ class TestGRU:
         npt.assert_allclose(dh0[0], expect, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_forward_without_cache_gives_same_states(self, dtype):
+    @pytest.mark.parametrize("b", [37, 512])
+    def test_forward_without_cache_gives_same_states(self, b, dtype):
         rng = make_rng(17)
         p = random_gru_params(rng, 1, 10)
         for name in layers.GRU_FIELDS:
             setattr(p, name, getattr(p, name).astype(dtype))
-        x = rng.normal(size=(37, 16, 1)).astype(dtype)
+        x = rng.normal(size=(b, 16, 1)).astype(dtype)
         h_seq, cache = layers.gru_forward(x, p, keep_cache=False)
         assert cache is None
         npt.assert_array_equal(h_seq, layers.gru_forward(x, p)[0])
 
+    def test_backward_same_for_strided_upstream(self):
+        # network.backward hands over a reshaped column slice of its
+        # concatenated gradient; a contiguous copy must give the same bits.
+        rng = make_rng(18)
+        b, t, units, pooled = 10, 16, 10, 7
+        p = random_gru_params(rng, 1, units)
+        x = rng.normal(size=(b, t, 1))
+        d_concat = rng.normal(size=(b, pooled + t * units))
+        strided = d_concat[:, pooled:].reshape(b, t, units)
+        assert not strided.flags["C_CONTIGUOUS"]
+        results = [layers.gru_backward(layers.gru_forward(x, p)[1], dh_seq)
+                   for dh_seq in (strided, np.ascontiguousarray(strided))]
+        (dx, grads, dh0), (ref_dx, ref_grads, ref_dh0) = results
+        npt.assert_array_equal(dx, ref_dx)
+        npt.assert_array_equal(dh0, ref_dh0)
+        for name in layers.GRU_FIELDS:
+            npt.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("with_h0", [False, True])
     @pytest.mark.parametrize("b,t,c,units", [(1, 1, 1, 1), (3, 7, 2, 4), (4, 5, 3, 6),
-                                             (10, 16, 1, 10), (33, 16, 1, 10)])
+                                             (10, 16, 1, 10), (33, 16, 1, 10),
+                                             (512, 16, 1, 10)])
     def test_fused_matches_stepwise(self, b, t, c, units, with_h0, dtype, tol):
         # The fused path reorders the floating-point sums. In double precision
         # each array must agree with the stepwise reference within 1e-12; in
