@@ -3,8 +3,10 @@ ReLU, global max pool), the GRU and the dense layers.
 
 All sequence activations are shaped [batch, time, channels]; flat
 activations are [batch, features]. Every forward returns (output, cache)
-and every backward consumes its cache exactly once, returning the input
-gradient plus a dict of parameter gradients. Gradients are hand-derived;
+and every backward consumes its cache exactly once. The dense backward
+returns its input gradient plus a dict of weight gradients; the conv
+branch and the GRU read the network's input, which is data, so their
+backwards return the weight gradients only. Gradients are hand-derived;
 the test suite checks each of them against central finite differences and
 the conv branch against the layer-by-layer reference in `tests/oracles.py`.
 """
@@ -139,7 +141,7 @@ def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams,
         var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
         bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
         bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
-        saved.update(centred=windows, sigma_w=sigma_w)
+        saved["sigma_w"] = sigma_w
     else:
         mean = bn.moving_mean.astype(work, copy=False)
         var = bn.moving_var.astype(work, copy=False)
@@ -152,61 +154,38 @@ def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams,
         xhat += conv.bias - mean
     xhat *= inv
     pre = bn.gamma * xhat + bn.beta
-    saved.update(rows=rows, sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv,
-                 gamma=bn.gamma, in_shape=x.shape, kernel_size=k, dtype=dtype)
+    saved.update(sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv, gamma=bn.gamma,
+                 shape=conv.kernels.shape, dtype=dtype)
     return relu(pre).astype(dtype, copy=False), Cache(saved)
 
 
 def conv_branch_backward(cache: Cache, dpool: np.ndarray):
-    """Backward of `conv_branch_forward`: (dx, grads), grads keyed
+    """Backward of `conv_branch_forward`: the weight gradients, keyed
     "kernels", "bias", "gamma" and "beta".
 
     The gradient g reaches only the selected positions where the ReLU is
     active, as u = g * gamma * inv on the conv output. With the moving
-    statistics that is all: the kernels get sum_b sel * u, each selected
-    window u . W_f' and the conv bias sum_b u. With the batch statistics,
-    dxhat = g * gamma, so the batchnorm's sums over positions are
-    A = gamma * dbeta and S = gamma * dgamma. Its dense terms reach the
-    kernels as -inv^2 S Sigma W_f (the -inv A mu term cancels, as the
-    selected windows are taken centred) and each window as a constant plus
-    the centred window times a k*C x k*C matrix. The conv-bias gradient is
-    then exactly zero: the batch mean absorbs the bias.
+    statistics that is all: the kernels get sum_b sel * u and the conv bias
+    sum_b u. With the batch statistics, dxhat = g * gamma, so the
+    batchnorm's sums over positions are A = gamma * dbeta and
+    S = gamma * dgamma. They reach the kernels as -inv^2 S Sigma W_f (the
+    -inv A mu term cancels, as the selected windows are taken centred), and
+    the conv-bias gradient is exactly zero: the batch mean absorbs the bias.
     """
     d = cache.consume("conv_branch")
-    sel, xhat, w, inv, gamma = d["sel"], d["xhat"], d["w"], d["inv"], d["gamma"]
-    b, t, c_in = d["in_shape"]
-    k = d["kernel_size"]
-    m = b * t
-    kc, filters = w.shape
+    sel, xhat, inv, gamma = d["sel"], d["xhat"], d["inv"], d["gamma"]
     g = dpool.astype(xhat.dtype, copy=False) * d["active"]
     dgamma = (g * xhat).sum(axis=0)
     dbeta = g.sum(axis=0)
     u = g * (gamma * inv)                             # conv-output gradient where selected
     dw = np.einsum("jbf,bf->jf", sel, u)
-    rows = d["rows"].ravel()
-    dcols = np.empty((m, kc), dtype=u.dtype)
-    for j in range(kc):
-        dcols[:, j] = np.bincount(rows, weights=(u * w[j]).ravel(), minlength=m)
     if d["training"]:
-        # dxhat = g * gamma, so A = gamma * dbeta and S = gamma * dgamma
-        inv_a = inv * gamma * dbeta
-        inv2_s = inv * inv * gamma * dgamma
-        dw -= d["sigma_w"] * inv2_s
-        dcols -= (w @ inv_a) / m
-        dcols -= d["centred"] @ ((w * inv2_s) @ w.T / m)
-        dbias = np.zeros(filters)
+        dw -= d["sigma_w"] * (inv * inv * gamma * dgamma)
+        dbias = np.zeros(u.shape[1])
     else:
         dbias = u.sum(axis=0)
-    dcols = dcols.reshape(b, t, k, c_in)
-    dxp = np.zeros((b, t + k - 1, c_in), dtype=dcols.dtype)
-    for i in range(k):
-        dxp[:, i:i + t, :] += dcols[:, :, i, :]
-    pad_l = (k - 1) // 2
-    dtype = d["dtype"]
-    grads = {"kernels": dw.reshape(k, c_in, filters), "bias": dbias,
-             "gamma": dgamma, "beta": dbeta}
-    return (dxp[:, pad_l:pad_l + t, :].astype(dtype, copy=False),
-            {name: v.astype(dtype, copy=False) for name, v in grads.items()})
+    grads = {"kernels": dw.reshape(d["shape"]), "bias": dbias, "gamma": dgamma, "beta": dbeta}
+    return {name: v.astype(d["dtype"], copy=False) for name, v in grads.items()}
 
 
 # --------------------------------------------------------------------------
@@ -235,9 +214,9 @@ def _gru_input_projection(x: np.ndarray, p: GRUParams) -> np.ndarray:
     return proj
 
 
-def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
-                keep_cache: bool = True):
-    """x: [B, T, input_dim] -> (h_seq: [B, T, units], cache).
+def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
+    """x: [B, T, input_dim] -> (h_seq: [B, T, units], cache), from the zero
+    state.
 
     Per step: z = sigma(x W_z + h U_z + b_z + rb_z)
               r = sigma(x W_r + h U_r + b_r + rb_r)
@@ -263,13 +242,7 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
     proj = _gru_input_projection(x, p)
     dtype = proj.dtype
     hs = np.empty((t + 1, units, b), dtype=dtype)  # hs[i]: the state entering step i
-    if h0 is None:
-        hs[0] = 0.0
-    else:
-        h0 = np.asarray(h0)
-        if h0.shape[-1] != units:
-            raise ShapeError(f"gru h0 must have {units} units, got shape {h0.shape}")
-        hs[0] = np.broadcast_to(h0, (b, units)).T
+    hs[0] = 0.0
     slots = t if keep_cache else 1
     zr = np.empty((slots, 2 * units, b), dtype=dtype)
     inner = np.empty((slots, units, b), dtype=dtype)
@@ -302,15 +275,15 @@ def gru_forward(x: np.ndarray, p: GRUParams, h0: np.ndarray | None = None, *,
 
 
 def gru_backward(cache: Cache, dh_seq: np.ndarray):
-    """Backprop through time; returns (dx, grads, dh0).
+    """Backprop through time; returns the weight gradients keyed like GRU_FIELDS.
 
     Only the recurrence runs inside the reversed time loop, unit-major like
     the forward: it writes each step's pre-activation gradients into one
     [T, 4 * units, B] stack, rows da_h | da_z | da_r | d_inner (d_inner
     being the gradient of h U_h + rb_h), and takes the state gradient from
     the last three as [U_z | U_r | U_h] . g. After the loop, one product over
-    all B*T columns gives the W_* gradients, one the U_* gradients, one row
-    sum every bias gradient and one product dx.
+    all B*T columns gives the W_* gradients, one the U_* gradients and one
+    row sum every bias gradient.
     """
     d = cache.consume("gru")
     x, p, hs = d["x"], d["params"], d["hs"]
@@ -340,18 +313,15 @@ def gru_backward(cache: Cache, dh_seq: np.ndarray):
         dh_next += dh
 
     cols = g.transpose(1, 0, 2).reshape(4 * units, t * b)
-    gate_cols = cols[:3 * units]  # da_h | da_z | da_r
-    dw = x.transpose(2, 1, 0).reshape(input_dim, t * b) @ gate_cols.T
+    # rows da_h | da_z | da_r take x, rows da_z | da_r | d_inner the states
+    dw = x.transpose(2, 1, 0).reshape(input_dim, t * b) @ cols[:3 * units].T
     du = h_prev.transpose(1, 0, 2).reshape(units, t * b) @ cols[units:].T
     db = cols.sum(axis=1)
-    w_hzr = np.concatenate([p.w_h, p.w_z, p.w_r], axis=1)
-    dx = (w_hzr @ gate_cols).reshape(input_dim, t, b).transpose(2, 1, 0)
-    grads = {"w_h": dw[:, :units], "w_z": dw[:, units:2 * units], "w_r": dw[:, 2 * units:],
-             "u_z": du[:, :units], "u_r": du[:, units:2 * units], "u_h": du[:, 2 * units:],
-             "b_h": db[:units], "b_z": db[units:2 * units], "b_r": db[2 * units:3 * units],
-             "rb_z": db[units:2 * units].copy(), "rb_r": db[2 * units:3 * units].copy(),
-             "rb_h": db[3 * units:]}
-    return np.ascontiguousarray(dx), grads, np.ascontiguousarray(dh_next.T)
+    return {"w_h": dw[:, :units], "w_z": dw[:, units:2 * units], "w_r": dw[:, 2 * units:],
+            "u_z": du[:, :units], "u_r": du[:, units:2 * units], "u_h": du[:, 2 * units:],
+            "b_h": db[:units], "b_z": db[units:2 * units], "b_r": db[2 * units:3 * units],
+            "rb_z": db[units:2 * units].copy(), "rb_r": db[2 * units:3 * units].copy(),
+            "rb_h": db[3 * units:]}
 
 
 # --------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     Each output row is a probability vector summing to 1. `mode` is
     "train" (batch-statistic batchnorm, moving stats updated) or "infer"
     (moving-statistic batchnorm); either way the conv branch is one call of
-    `layers.conv_branch_forward`. `fit` trains in train mode and
-    `gradient_check` differentiates infer mode.
+    `layers.conv_branch_forward`. `fit` trains in train mode, and
+    `gradient_check` differentiates it.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -294,27 +294,27 @@ def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
 
 
 def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray):
-    """Gradient of the loss w.r.t. every trainable weight and the input.
+    """Gradient of the loss w.r.t. every trainable weight, keyed like
+    `trainable_arrays()`.
 
     `dlogits` is the loss gradient w.r.t. the final dense layer's
-    pre-softmax logits, as produced by the cross-entropy loss. Returns
-    (grads, dx) with grads keyed like `trainable_arrays()`.
+    pre-softmax logits, as produced by the cross-entropy loss. The input is
+    data, so no gradient w.r.t. it is formed.
     """
     d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
     a = params.arch
     d_pool, d_flat = d_concat[:, :a.filters], d_concat[:, a.filters:]
 
-    dx_a, g_branch = layers.conv_branch_backward(caches.conv_branch, d_pool)
-    d_gru_seq = d_flat.reshape(-1, a.seq_len, a.gru_units)
-    dx_b, g_gru, _ = layers.gru_backward(caches.gru, d_gru_seq)
+    g_branch = layers.conv_branch_backward(caches.conv_branch, d_pool)
+    g_gru = layers.gru_backward(caches.gru, d_flat.reshape(-1, a.seq_len, a.gru_units))
 
     grads = {f"conv.{k}": g_branch[k] for k in ("kernels", "bias")}
     grads.update({f"bn.{k}": g_branch[k] for k in ("gamma", "beta")})
     grads.update({f"gru.{k}": v for k, v in g_gru.items()})
     grads.update({f"dense_hidden.{k}": v for k, v in g_hidden.items()})
     grads.update({f"dense_out.{k}": v for k, v in g_out.items()})
-    return grads, dx_a + dx_b
+    return grads
 
 
 def param_count(params: NetworkParameters):

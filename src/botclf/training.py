@@ -78,12 +78,16 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
         raise ValueError(f"probs shape {probs.shape} and labels shape {labels.shape} "
                          "must be [batch, classes] and [batch]")
     b = probs.shape[0]
-    rows = np.arange(b)
-    loss = float(-np.log(np.maximum(probs[rows, labels], _PROB_FLOOR)).mean())
+    loss = float(_mean_nll(probs, labels))
     dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
+    dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
     return loss, dlogits
+
+
+def _mean_nll(probs: np.ndarray, labels: np.ndarray):
+    """Mean negative log-likelihood of the labels, in the precision of `probs`."""
+    return -np.log(np.maximum(probs[np.arange(labels.size), labels], _PROB_FLOOR)).mean()
 
 
 def init_rmsprop(params: NetworkParameters) -> dict:
@@ -200,7 +204,7 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
             loss, dlogits = cross_entropy(probs, yb)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads, _ = network.backward(params, caches, dlogits)
+            grads = network.backward(params, caches, dlogits)
             rmsprop_step(params, grads, state, config)
             epoch_loss += loss * batch.size
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
@@ -266,11 +270,13 @@ class GradCheckReport:
 _FD_STEP = 1e-6
 _CHECK_BATCH = 4
 # Coordinates whose analytic gradient is below this cannot be resolved by
-# central differences at _FD_STEP to better than ~1e-5 relative error
-# (round-off in the loss contributes ~4e-10 absolute), so probe selection
-# redraws instead of probing them. Tensors with no resolvable coordinate
-# are checked at their largest entry for absolute agreement instead.
-_GRAD_FLOOR = 1e-4
+# central differences at _FD_STEP to better than ~1e-5 relative error, so
+# probe selection redraws instead of probing them. The differences are taken
+# in long double: with its 64-bit mantissa (x86-64 Linux) round-off in the
+# loss contributes ~1e-13 absolute, against ~4e-10 in double, which needed a
+# floor of 1e-4. Tensors with no resolvable coordinate are checked at their
+# largest entry for absolute agreement instead.
+_GRAD_FLOOR = 1e-6
 _ABS_AGREEMENT = 1e-8
 _REDRAW_LIMIT = 50
 
@@ -279,11 +285,18 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
                    tolerance: float = 1e-5, seed: int = 0) -> GradCheckReport:
     """Check hand-written backprop against central finite differences.
 
-    Probes are spread round-robin over every trainable tensor (so all five
-    parametered layers are covered), with a random coordinate per probe;
-    coordinates whose gradient sits below the finite-difference resolution
-    floor are redrawn. Batchnorm runs in infer mode so the loss is a
-    deterministic function of the parameters.
+    The loss is the train-mode one that `fit` descends: for a fixed batch,
+    batchnorm with the batch statistics is a deterministic function of the
+    weights. The moving statistics that every train-mode forward updates
+    are restored after it, so `params` come back byte-identical. The
+    analytic gradient is `network.backward` in double precision, as in
+    training; the differences are taken on a long-double copy of the
+    weights, with the loss kept in long double. Where long double is no
+    wider than double, they carry double's round-off, and probes near the
+    floor can fail. Probes are spread round-robin over every trainable
+    tensor (so all five parametered layers are covered), with a random
+    coordinate per probe; coordinates whose gradient sits below the
+    finite-difference resolution floor are redrawn.
     """
     if probes < 1:
         raise ConfigError(f"probes must be at least 1, got {probes}")
@@ -296,16 +309,21 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
     x = rng.uniform(0.0, 1.0, size=(_CHECK_BATCH, arch.seq_len, arch.in_channels))
     labels = rng.integers(0, arch.classes, size=_CHECK_BATCH)
 
+    def train_forward(p):
+        moving = p.bn.moving_mean.copy(), p.bn.moving_var.copy()
+        probs, caches = network.forward(p, x, mode="train")
+        p.bn.moving_mean[:], p.bn.moving_var[:] = moving
+        return probs, caches
+
+    probs, caches = train_forward(params)
+    grads = network.backward(params, caches, cross_entropy(probs, labels)[1])
+    wide = network._assemble({name: a.astype(np.longdouble)
+                              for name, a in params.named_arrays()}, arch)
+
     def loss_fn():
-        probs, _ = network.forward(params, x, mode="infer")
-        loss, _ = cross_entropy(probs, labels)
-        return loss
+        return _mean_nll(train_forward(wide)[0], labels)
 
-    probs, caches = network.forward(params, x, mode="infer")
-    _, dlogits = cross_entropy(probs, labels)
-    grads, _ = network.backward(params, caches, dlogits)
-
-    tensors = params.trainable_arrays()
+    tensors = wide.trainable_arrays()
     results = []
     for i in range(probes):
         name, theta = tensors[i % len(tensors)]
@@ -325,7 +343,7 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
         theta[index] = original - _FD_STEP
         loss_minus = loss_fn()
         theta[index] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * _FD_STEP)
+        numeric = float((loss_plus - loss_minus) / (2.0 * _FD_STEP))
         analytic = float(grads[name][index])
         diff = abs(analytic - numeric)
         scale = max(abs(analytic), abs(numeric))

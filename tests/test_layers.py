@@ -174,12 +174,13 @@ class TestGRU:
         rng = make_rng(11)
         p = random_gru_params(rng, 1, 3, scale=0.3)
         p.b_z[:] = 50.0  # force z ~= 1
-        x = rng.normal(size=(1, 1, 1))
-        h0 = rng.uniform(-0.5, 0.5, size=3)
-        h_seq, _ = layers.gru_forward(x, p, h0=h0)
-        r = sigmoid(x[0, 0] @ p.w_r + h0 @ p.u_r + p.b_r + p.rb_r)
-        cand = np.tanh(x[0, 0] @ p.w_h + p.b_h + r * (h0 @ p.u_h + p.rb_h))
-        npt.assert_allclose(h_seq[0, 0], cand, atol=1e-9)
+        x = rng.normal(size=(1, 2, 1))
+        h_seq, _ = layers.gru_forward(x, p)
+        h1 = h_seq[0, 0]  # the state the second step starts from
+        assert np.abs(h1).min() > 1e-3
+        r = sigmoid(x[0, 1] @ p.w_r + h1 @ p.u_r + p.b_r + p.rb_r)
+        cand = np.tanh(x[0, 1] @ p.w_h + p.b_h + r * (h1 @ p.u_h + p.rb_h))
+        npt.assert_allclose(h_seq[0, 1], cand, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
         rng = make_rng(12)
@@ -196,8 +197,9 @@ class TestGRU:
         rng = make_rng(13)
         p = random_gru_params(rng, 1, 5, scale=2.0)
         x = rng.normal(size=(3, 16, 1)) * 4
-        h0 = rng.uniform(-0.99, 0.99, size=5)
-        h_seq, _ = layers.gru_forward(x, p, h0=h0)
+        h_seq, _ = layers.gru_forward(x, p)
+        # every step after the first starts from the state the one before left
+        assert np.abs(h_seq[:, :-1]).max() > 0.5
         assert (np.abs(h_seq) < 1.0).all()
 
     def test_backward_finite_differences(self):
@@ -211,38 +213,9 @@ class TestGRU:
             return float((h_seq * upstream).sum())
 
         _, cache = layers.gru_forward(x, p)
-        dx, grads, _ = layers.gru_backward(cache, upstream)
+        grads = layers.gru_backward(cache, upstream)
         for name in layers.GRU_FIELDS:
             check_grads(grads[name], loss, getattr(p, name), rng)
-        check_grads(dx, loss, x, rng)
-
-    def test_h0_gradient_saturated_gate_matches_hand_chain(self):
-        # T=1 with z forced to 1: h1 = tanh(W x + b + r*(U h0 + rb)), so
-        # dh1/dh0 flows through the candidate (and through r) only.
-        rng = make_rng(15)
-        units = 3
-        p = random_gru_params(rng, 1, units, scale=0.4)
-        p.b_z[:] = 60.0
-        x = rng.normal(size=(1, 1, 1))
-        h0 = rng.uniform(-0.5, 0.5, size=units)
-        upstream = rng.normal(size=(1, 1, units))
-
-        _, cache = layers.gru_forward(x, p, h0=h0)
-        _, _, dh0 = layers.gru_backward(cache, upstream)
-
-        a_r = x[0, 0] @ p.w_r + h0 @ p.u_r + p.b_r + p.rb_r
-        r = sigmoid(a_r)
-        inner = h0 @ p.u_h + p.rb_h
-        a_h = x[0, 0] @ p.w_h + p.b_h + r * inner
-        cand = np.tanh(a_h)
-        expect = np.zeros(units)
-        for j in range(units):  # dL/dh0_j
-            for i in range(units):
-                dcand = upstream[0, 0, i] * (1 - cand[i] ** 2)
-                direct = r[i] * p.u_h[j, i]
-                via_reset = inner[i] * r[i] * (1 - r[i]) * p.u_r[j, i]
-                expect[j] += dcand * (direct + via_reset)
-        npt.assert_allclose(dh0[0], expect, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("b", [37, 512])
@@ -268,18 +241,15 @@ class TestGRU:
         assert not strided.flags["C_CONTIGUOUS"]
         results = [layers.gru_backward(layers.gru_forward(x, p)[1], dh_seq)
                    for dh_seq in (strided, np.ascontiguousarray(strided))]
-        (dx, grads, dh0), (ref_dx, ref_grads, ref_dh0) = results
-        npt.assert_array_equal(dx, ref_dx)
-        npt.assert_array_equal(dh0, ref_dh0)
+        grads, ref_grads = results
         for name in layers.GRU_FIELDS:
             npt.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("with_h0", [False, True])
     @pytest.mark.parametrize("b,t,c,units", [(1, 1, 1, 1), (3, 7, 2, 4), (4, 5, 3, 6),
                                              (10, 16, 1, 10), (33, 16, 1, 10),
                                              (512, 16, 1, 10)])
-    def test_fused_matches_stepwise(self, b, t, c, units, with_h0, dtype, tol):
+    def test_fused_matches_stepwise(self, b, t, c, units, dtype, tol):
         # The fused path reorders the floating-point sums. In double precision
         # each array must agree with the stepwise reference within 1e-12; in
         # single precision within 1e-5 times its largest entry (at least 1),
@@ -289,15 +259,14 @@ class TestGRU:
         for name in layers.GRU_FIELDS:
             setattr(p, name, getattr(p, name).astype(dtype))
         x = rng.normal(size=(b, t, c)).astype(dtype)
-        h0 = rng.uniform(-0.9, 0.9, size=units).astype(dtype) if with_h0 else None
         upstream = rng.normal(size=(b, t, units)).astype(dtype)
 
-        h_seq, cache = layers.gru_forward(x, p, h0=h0)
-        dx, grads, dh0 = layers.gru_backward(cache, upstream)
-        ref_h, steps = gru_stepwise_forward(x, p, h0=h0)
-        ref_dx, ref_grads, ref_dh0 = gru_stepwise_backward(steps, p, upstream)
+        h_seq, cache = layers.gru_forward(x, p)
+        grads = layers.gru_backward(cache, upstream)
+        ref_h, steps = gru_stepwise_forward(x, p)
+        _, ref_grads, _ = gru_stepwise_backward(steps, p, upstream)
 
-        pairs = [("h_seq", h_seq, ref_h), ("dx", dx, ref_dx), ("dh0", dh0, ref_dh0)]
+        pairs = [("h_seq", h_seq, ref_h)]
         pairs += [(name, grads[name], ref_grads[name]) for name in layers.GRU_FIELDS]
         for name, got, ref in pairs:
             assert got.shape == ref.shape and got.dtype == dtype, name

@@ -323,9 +323,9 @@ class TestGradientCheck:
         real = layers.gru_backward
 
         def flipped(cache, dh_seq):
-            dx, grads, dh0 = real(cache, dh_seq)
+            grads = real(cache, dh_seq)
             grads["u_h"] = -grads["u_h"]
-            return dx, grads, dh0
+            return grads
 
         monkeypatch.setattr(layers, "gru_backward", flipped)
         report = training.gradient_check(network.build(32), probes=60, seed=3)
@@ -337,15 +337,53 @@ class TestGradientCheck:
         real = layers.conv_branch_backward
 
         def flipped(cache, dpool):
-            dx, grads = real(cache, dpool)
+            grads = real(cache, dpool)
             grads["kernels"] = -grads["kernels"]
-            return dx, grads
+            return grads
 
         monkeypatch.setattr(layers, "conv_branch_backward", flipped)
         report = training.gradient_check(network.build(32), probes=60, seed=3)
         assert not report.passed
         failing = {p.tensor for p in report.probes if not p.passed}
         assert "conv.kernels" in failing
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flipped_batch_statistics_kernel_term_fails(self, monkeypatch, seed):
+        # The batch statistics reach the kernel gradient only through the
+        # train-mode term -inv^2 S Sigma W_f; flip its sign and nothing else.
+        real = layers.conv_branch_backward
+
+        def flipped(cache, dpool):
+            d = cache.data
+            grads = real(cache, dpool)
+            if d["training"]:
+                term = d["sigma_w"] * (d["inv"] * d["inv"] * d["gamma"] * grads["gamma"])
+                grads["kernels"] = grads["kernels"] + 2.0 * term.reshape(grads["kernels"].shape)
+            return grads
+
+        monkeypatch.setattr(layers, "conv_branch_backward", flipped)
+        report = training.gradient_check(network.build(0), seed=seed)
+        assert not report.passed
+        assert {p.tensor for p in report.probes if not p.passed} == {"conv.kernels"}
+
+    def test_default_check_resolves_small_gradients(self):
+        # the default `botclf gradcheck`: the GRU's recurrent gradients, all
+        # near 1e-5 at this init, are held to the relative tolerance
+        report = training.gradient_check(network.build(0))
+        assert report.passed, report.render()
+        assert report.worst.rel_error < 1e-6
+        absolute = [p.tensor for p in report.probes
+                    if max(abs(p.analytic), abs(p.numeric)) < training._GRAD_FLOOR]
+        assert not {"gru.u_z", "gru.u_r"} & set(absolute)
+        # the batch mean absorbs the conv bias: its train-mode gradient is 0
+        assert set(absolute) == {"conv.bias"}
+
+    def test_leaves_parameters_byte_identical(self):
+        p = network.build(37)
+        p.bn.moving_mean[:] = make_rng(37).normal(size=p.bn.moving_mean.shape)
+        before = [a.tobytes() for a in (p.flat, p.bn.moving_mean, p.bn.moving_var)]
+        training.gradient_check(p, probes=30, seed=6)
+        assert [a.tobytes() for a in (p.flat, p.bn.moving_mean, p.bn.moving_var)] == before
 
     def test_unreachable_tolerance_fails(self):
         report = training.gradient_check(network.build(33), probes=40,
@@ -363,7 +401,7 @@ class TestGradientCheck:
         x = np.zeros((2, 16, 1))
         probs, caches = network.forward(p, x, mode="infer")
         loss, dlogits = training.cross_entropy(probs, np.array([0, 1]))
-        grads, _ = network.backward(p, caches, dlogits)
+        grads = network.backward(p, caches, dlogits)
         assert math.isfinite(loss)
         assert all(np.isfinite(g).all() for g in grads.values())
 
