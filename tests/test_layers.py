@@ -246,20 +246,24 @@ class TestGRU:
             npt.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("b,t,c,units", [(1, 1, 1, 1), (3, 7, 2, 4), (4, 5, 3, 6),
                                              (10, 16, 1, 10), (33, 16, 1, 10),
                                              (512, 16, 1, 10)])
-    def test_fused_matches_stepwise(self, b, t, c, units, dtype, tol):
+    def test_fused_matches_stepwise(self, b, t, c, units, warm_start, dtype, tol):
         # The fused path reorders the floating-point sums. In double precision
         # each array must agree with the stepwise reference within 1e-12; in
         # single precision within 1e-5 times its largest entry (at least 1),
-        # as the summed gradients grow with the batch.
+        # as the summed gradients grow with the batch. With warm_start a step is
+        # prepended, so the t compared steps begin from the nonzero state it
+        # leaves; the stepwise reference restarted from that state must
+        # reproduce them.
         rng = make_rng(16)
         p = random_gru_params(rng, c, units)
         for name in layers.GRU_FIELDS:
             setattr(p, name, getattr(p, name).astype(dtype))
-        x = rng.normal(size=(b, t, c)).astype(dtype)
-        upstream = rng.normal(size=(b, t, units)).astype(dtype)
+        x = rng.normal(size=(b, t + warm_start, c)).astype(dtype)
+        upstream = rng.normal(size=(b, t + warm_start, units)).astype(dtype)
 
         h_seq, cache = layers.gru_forward(x, p)
         grads = layers.gru_backward(cache, upstream)
@@ -267,6 +271,10 @@ class TestGRU:
         _, ref_grads, _ = gru_stepwise_backward(steps, p, upstream)
 
         pairs = [("h_seq", h_seq, ref_h)]
+        if warm_start:
+            assert np.abs(h_seq[:, 0]).min() > 0
+            window_h, _ = gru_stepwise_forward(x[:, 1:], p, h0=h_seq[:, 0])
+            pairs.append(("h_seq after the warm step", h_seq[:, 1:], window_h))
         pairs += [(name, grads[name], ref_grads[name]) for name in layers.GRU_FIELDS]
         for name, got, ref in pairs:
             assert got.shape == ref.shape and got.dtype == dtype, name
