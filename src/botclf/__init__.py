@@ -14,7 +14,7 @@ from .metrics import (BinaryCells, ClassStats, ConfusionMatrix, MetricsReport,
                       cohen_kappa, overall_stats, report, stats_from_cells)
 from .network import (Architecture, ModelSummary, NetworkParameters, build,
                       forward, backward, load_weights, param_count,
-                      predict_proba, save_weights, summary)
+                      save_weights, summary)
 from .training import (EpochStats, GradCheckReport, TrainConfig, cross_entropy,
                        evaluate, fit, gradient_check, init_rmsprop, rmsprop_step)
 
@@ -28,7 +28,7 @@ __all__ = [
     "TrainConfig", "accuracy_ci", "auci_band", "backward", "build",
     "class_stats", "cohen_kappa", "cross_entropy", "evaluate", "fit",
     "fit_normalizer", "forward", "gradient_check", "init_rmsprop",
-    "load_weights", "overall_stats", "param_count", "predict_proba", "report",
+    "load_weights", "overall_stats", "param_count", "report",
     "rmsprop_step", "save_weights", "stats_from_cells", "stream_csv", "summary",
     "to_dataset", "__version__",
 ]

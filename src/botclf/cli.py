@@ -120,7 +120,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     line = "%d,%s," + ",".join(["%.9f"] * params.arch.classes) + "\n"
     with atomic_write(cfg.report) if cfg.report else nullcontext(sys.stdout) as out:
         for features, _ in stream.chunks():
-            probs = network.predict_proba(params, spec.normalize(features)[:, :, None])
+            x = spec.normalize(features)[:, :, None]
+            probs, _ = network.forward(params, x, mode="infer")
             out.write("".join([line % (idx, names[idx], *row) for idx, row
                                in zip(probs.argmax(axis=1).tolist(), probs.tolist())]))
     return EXIT_OK

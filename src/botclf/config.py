@@ -115,6 +115,16 @@ def resolve(cli_values: dict, config_path: str | None = None,
     return cfg
 
 
+def _check_name(path, what: str, name: str) -> str:
+    """`name`, refused unless a weights manifest carries it back unchanged:
+    its meta joins the class map with ';' and ',' and reads each value back
+    with every whitespace run as one space."""
+    if ";" in name or " ".join(name.split()) != name:
+        raise ConfigError(f"{path}: {what} {name!r} cannot be stored in a weights manifest; "
+                          "use no ';' and single spaces only")
+    return name
+
+
 def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
     """Features config: column list, label columns, class map.
 
@@ -131,7 +141,8 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
     class_entries = {}
     for key, value in raw.items():
         if key == "features":
-            names = tuple(tok.strip() for tok in value.split(",") if tok.strip())
+            names = tuple(_check_name(path, "feature name", tok.strip())
+                          for tok in value.split(",") if tok.strip())
         elif key == "category_column":
             category_col = value
         elif key == "subcategory_column":
@@ -141,7 +152,7 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
                 idx = int(key.split(".", 1)[1])
             except ValueError:
                 raise ConfigError(f"{path}: bad class key {key!r}") from None
-            parts = [tok.strip() for tok in value.split(",")]
+            parts = [_check_name(path, "class cell", tok.strip()) for tok in value.split(",")]
             if len(parts) != 3:
                 raise ConfigError(f"{path}: class entries need "
                                   f"'category, subcategory, name', got {value!r}")

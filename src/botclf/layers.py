@@ -9,6 +9,10 @@ branch and the GRU read the network's input, which is data, so their
 backwards return the weight gradients only. Gradients are hand-derived;
 the test suite checks each of them against central finite differences and
 the conv branch against the layer-by-layer reference in `tests/oracles.py`.
+
+The conv branch is the training pass: it normalizes with the batch
+statistics. Inference folds the moving statistics into the conv instead
+(`network.forward` in infer mode) and does not call it.
 """
 
 from __future__ import annotations
@@ -93,24 +97,22 @@ class DenseParams:
 # the conv branch, fused: conv -> batchnorm -> ReLU -> global max pool
 
 
-def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams,
-                        training: bool):
+def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams):
     """Conv1D ("same" padding, stride 1) -> batchnorm -> ReLU -> global max
-    pool over time, fused: x: [B, T, C] -> (pooled [B, filters], cache).
+    pool over time, fused, in train mode: x: [B, T, C] -> (pooled [B, filters],
+    cache).
 
     The batchnorm normalizes each filter with the batch statistics over all
-    (batch, time) positions and updates the moving statistics (training), or
-    with the moving statistics. Each conv output is cols . W_f + b_f for its
-    k*C-value window cols, so the batch statistics need only the windows'
-    mean mu and centred covariance Sigma: mean_f = mu . W_f + b_f and
-    var_f = W_f' Sigma W_f, and xhat = (cols - mu) . W_f * inv_f with
-    inv_f = 1 / sqrt(var_f + epsilon); with the moving statistics,
-    xhat = (cols . W_f + b_f - mean_f) * inv_f. The max over time is taken on
-    cols . (W_f * gamma_f * inv_f), the batchnorm folded into the kernels as
-    `network._folded_conv` folds it, first occurrence on ties; normalization
-    and ReLU then run on the [B, filters] selected positions only.
-    Statistics and gradients are computed in at least double precision and
-    returned in the input's.
+    (batch, time) positions and updates the moving statistics. Each conv
+    output is cols . W_f + b_f for its k*C-value window cols, so the batch
+    statistics need only the windows' mean mu and centred covariance Sigma:
+    mean_f = mu . W_f + b_f and var_f = W_f' Sigma W_f, and
+    xhat = (cols - mu) . W_f * inv_f with inv_f = 1 / sqrt(var_f + epsilon).
+    The max over time is taken on cols . (W_f * gamma_f * inv_f), the
+    batchnorm folded into the kernels as `network._folded_conv` folds it,
+    first occurrence on ties; normalization and ReLU then run on the
+    [B, filters] selected positions only. Statistics and gradients are
+    computed in at least double precision and returned in the input's.
     """
     k, c_in, filters = conv.kernels.shape
     if x.ndim != 3 or x.shape[2] != c_in:
@@ -119,7 +121,7 @@ def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams,
         raise ShapeError(f"batchnorm expects {bn.gamma.size} channels, got {filters} filters")
     b, t, _ = x.shape
     m = b * t
-    if training and m < 2:
+    if m < 2:
         raise ShapeError("batchnorm train mode needs at least 2 positions per channel")
     kc = k * c_in
     pad_l = (k - 1) // 2
@@ -130,32 +132,23 @@ def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams,
     # [B, T, k*C]: window t is the k*C values from element t*C of its padded row
     cols = np.lib.stride_tricks.as_strided(xp, shape=(b, t, kc), strides=xp.strides,
                                            writeable=False)
-    windows = cols.reshape(m, kc)
     w = conv.kernels.reshape(kc, filters).astype(work, copy=False)
-    saved = {"training": training}
-    if training:
-        mu = windows.mean(axis=0)
-        windows = windows - mu                        # centred
-        sigma_w = (windows.T @ windows / m) @ w       # column f: Sigma W_f
-        mean = mu @ w + conv.bias
-        var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
-        bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
-        bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
-        saved["sigma_w"] = sigma_w
-    else:
-        mean = bn.moving_mean.astype(work, copy=False)
-        var = bn.moving_var.astype(work, copy=False)
+    windows = cols.reshape(m, kc)
+    mu = windows.mean(axis=0)
+    windows = windows - mu                            # centred
+    sigma_w = (windows.T @ windows / m) @ w           # column f: Sigma W_f
+    mean = mu @ w + conv.bias
+    var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
+    bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
+    bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
     inv = 1.0 / np.sqrt(var + bn.epsilon)
     key = np.matmul((w * (bn.gamma * inv)).T, cols.transpose(0, 2, 1))  # [B, filters, T]
     rows = np.arange(0, m, t)[:, None] + key.argmax(axis=2)  # [B, filters]: b*T + t_max
-    sel = windows.T.take(rows, axis=1)                # [k*C, B, filters], centred in training
-    xhat = np.einsum("jbf,jf->bf", sel, w)
-    if not training:
-        xhat += conv.bias - mean
-    xhat *= inv
+    sel = windows.T.take(rows, axis=1)                # [k*C, B, filters], centred
+    xhat = np.einsum("jbf,jf->bf", sel, w) * inv
     pre = bn.gamma * xhat + bn.beta
-    saved.update(sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv, gamma=bn.gamma,
-                 shape=conv.kernels.shape, dtype=dtype)
+    saved = dict(sigma_w=sigma_w, sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv,
+                 gamma=bn.gamma, shape=conv.kernels.shape, dtype=dtype)
     return relu(pre).astype(dtype, copy=False), Cache(saved)
 
 
@@ -164,27 +157,22 @@ def conv_branch_backward(cache: Cache, dpool: np.ndarray):
     "kernels", "bias", "gamma" and "beta".
 
     The gradient g reaches only the selected positions where the ReLU is
-    active, as u = g * gamma * inv on the conv output. With the moving
-    statistics that is all: the kernels get sum_b sel * u and the conv bias
-    sum_b u. With the batch statistics, dxhat = g * gamma, so the
-    batchnorm's sums over positions are A = gamma * dbeta and
-    S = gamma * dgamma. They reach the kernels as -inv^2 S Sigma W_f (the
-    -inv A mu term cancels, as the selected windows are taken centred), and
-    the conv-bias gradient is exactly zero: the batch mean absorbs the bias.
+    active, as u = g * gamma * inv on the conv output, and kernels get
+    sum_b sel * u from it. dxhat = g * gamma, so the batchnorm's sums over
+    positions are A = gamma * dbeta and S = gamma * dgamma. They reach the
+    kernels as -inv^2 S Sigma W_f (the -inv A mu term cancels, as the
+    selected windows are taken centred), and the conv-bias gradient is
+    exactly zero: the batch mean absorbs the bias.
     """
     d = cache.consume("conv_branch")
     sel, xhat, inv, gamma = d["sel"], d["xhat"], d["inv"], d["gamma"]
     g = dpool.astype(xhat.dtype, copy=False) * d["active"]
     dgamma = (g * xhat).sum(axis=0)
     dbeta = g.sum(axis=0)
-    u = g * (gamma * inv)                             # conv-output gradient where selected
-    dw = np.einsum("jbf,bf->jf", sel, u)
-    if d["training"]:
-        dw -= d["sigma_w"] * (inv * inv * gamma * dgamma)
-        dbias = np.zeros(u.shape[1])
-    else:
-        dbias = u.sum(axis=0)
-    grads = {"kernels": dw.reshape(d["shape"]), "bias": dbias, "gamma": dgamma, "beta": dbeta}
+    dw = np.einsum("jbf,bf->jf", sel, g * (gamma * inv))
+    dw -= d["sigma_w"] * (inv * inv * gamma * dgamma)
+    grads = {"kernels": dw.reshape(d["shape"]), "bias": np.zeros(dbeta.shape),
+             "gamma": dgamma, "beta": dbeta}
     return {name: v.astype(d["dtype"], copy=False) for name, v in grads.items()}
 
 
@@ -308,6 +296,8 @@ def gru_backward(cache: Cache, dh_seq: np.ndarray):
         np.multiply(dh, coef_z[i], out=g_z[i])
         np.multiply(g_h[i], coef_r[i], out=g_r[i])
         np.multiply(g_h[i], r[i], out=g_inner[i])
+        if i == 0:  # nothing reads the state gradient entering step 0
+            break
         dh_next = np.dot(u_rec, g[i, units:])
         dh *= keep[i]
         dh_next += dh

@@ -281,13 +281,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        raw = json.loads(text)
-        overall = OverallStats(**raw["overall"])
-        classes = tuple(ClassStats(**c) for c in raw["classes"])
-        return cls(overall=overall, classes=classes)
-
     def render_class_table(self) -> str:
         """Flat per-class table: one statistic per row, one column per class."""
         k = len(self.classes)

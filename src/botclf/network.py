@@ -208,30 +208,6 @@ def _check_input(a: Architecture, x: np.ndarray) -> None:
             f"expected input of shape (batch, {a.seq_len}, {a.in_channels}), got {x.shape}")
 
 
-def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
-    """x: [B, seq_len, in_channels] -> (probs [B, classes], caches).
-
-    Each output row is a probability vector summing to 1. `mode` is
-    "train" (batch-statistic batchnorm, moving stats updated) or "infer"
-    (moving-statistic batchnorm); either way the conv branch is one call of
-    `layers.conv_branch_forward`. `fit` trains in train mode, and
-    `gradient_check` differentiates it.
-    """
-    a = params.arch
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x = np.asarray(x)
-    _check_input(a, x)
-
-    pool_y, c_branch = layers.conv_branch_forward(x, params.conv, params.bn,
-                                                  training=mode == "train")
-    gru_y, c_gru = layers.gru_forward(x, params.gru)
-    concat_y = np.concatenate([pool_y, gru_y.reshape(x.shape[0], -1)], axis=1)
-    hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
-    probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
-    return probs, ForwardCaches(c_branch, c_gru, c_hidden, c_out)
-
-
 def _folded_conv(params: NetworkParameters) -> Conv1DParams:
     """Conv kernels and bias with the infer-mode batchnorm affine map folded in.
 
@@ -262,20 +238,34 @@ def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams) -> np.ndarray:
     return out + conv.bias
 
 
-def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
-    """x: [N, seq_len, in_channels] -> class probabilities [N, classes].
+def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
+    """x: [B, seq_len, in_channels] -> (probs [B, classes], caches).
 
-    The same function as `forward(params, x, mode="infer")`, computed in
-    chunks of INFER_CHUNK rows with no caches. The batchnorm is folded
-    into the conv, and the max over time runs before the ReLU, which is
-    exact because ReLU is monotone non-decreasing; the ReLU then sees
-    [B, filters] instead of [B, seq_len, filters]. Raises NumericError if
-    any probability is non-finite, so a broken model never yields a
-    prediction.
+    Each output row is a probability vector summing to 1. In "train" mode
+    the batchnorm uses the batch statistics and updates the moving ones,
+    and the caches feed `backward`; `fit` trains in it and `gradient_check`
+    differentiates it. "infer" mode scores with the moving statistics, in
+    the parameters' precision and in chunks of INFER_CHUNK rows, and
+    returns (probs, None). There the batchnorm is folded into the conv, and
+    the max over time runs before the ReLU, which is exact because ReLU is
+    monotone non-decreasing; the ReLU then sees [B, filters] instead of
+    [B, seq_len, filters]. Infer mode raises NumericError if any
+    probability is non-finite, so a broken model never yields a prediction.
     """
     a = params.arch
-    x = np.asarray(x, dtype=params.dtype)
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    x = np.asarray(x, dtype=params.dtype if mode == "infer" else None)
     _check_input(a, x)
+
+    if mode == "train":
+        pool_y, c_branch = layers.conv_branch_forward(x, params.conv, params.bn)
+        gru_y, c_gru = layers.gru_forward(x, params.gru)
+        concat_y = np.concatenate([pool_y, gru_y.reshape(x.shape[0], -1)], axis=1)
+        hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
+        probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
+        return probs, ForwardCaches(c_branch, c_gru, c_hidden, c_out)
+
     conv = _folded_conv(params)
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
     for start in range(0, x.shape[0], INFER_CHUNK):
@@ -290,7 +280,7 @@ def predict_proba(params: NetworkParameters, x: np.ndarray) -> np.ndarray:
             raise NumericError(f"non-finite class probabilities for "
                                f"{int((~finite).sum())} of {xb.shape[0]} rows in a batch")
         out[start:start + xb.shape[0]] = probs
-    return out
+    return out, None
 
 
 def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray):

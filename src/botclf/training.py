@@ -149,7 +149,7 @@ def _epoch_eval(params, features, labels):
     """Infer-mode loss and accuracy over a fixed set."""
     if labels.size == 0:
         return float("nan"), float("nan")
-    probs = network.predict_proba(params, features)
+    probs, _ = network.forward(params, features, mode="infer")
     loss, _ = cross_entropy(probs, labels)
     return loss, int((probs.argmax(axis=1) == labels).sum()) / labels.size
 
@@ -223,7 +223,7 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
 def evaluate(params: NetworkParameters, dataset):
     """Infer-mode pass over a labeled dataset -> (ConfusionMatrix, mean loss)."""
     features, labels = _labeled_arrays(params, dataset, "evaluation")
-    probs = network.predict_proba(params, features[:, :, None])
+    probs, _ = network.forward(params, features[:, :, None], mode="infer")
     loss, _ = cross_entropy(probs, labels)
     cm = ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), params.arch.classes)
     return cm, loss

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -127,12 +128,12 @@ class TestEval:
             assert label in out
         assert "Kappa" in out
 
-        rep = metrics.MetricsReport.from_json(report.read_text())
-        assert len(rep.classes) == 6
+        rep = json.loads(report.read_text())
+        assert len(rep["classes"]) == 6
         # a well-trained model on easy synthetic data
-        assert rep.overall.accuracy >= 0.95
-        # re-render from the parsed report and compare against the original
-        assert f"{rep.overall.accuracy:.5f}" in out
+        assert rep["overall"]["accuracy"] >= 0.95
+        # the parsed report's accuracy is the one printed
+        assert f"{rep['overall']['accuracy']:.5f}" in out
 
     def test_eval_without_weights_file(self, tmp_path, eval_csv):
         assert run(["eval", "--data", eval_csv,
@@ -529,16 +530,16 @@ class TestCsvFieldLimit:
 class TestAtomicOutputs:
     def test_failed_predict_keeps_previous_report(self, tmp_path, trained_weights,
                                                   monkeypatch):
-        real = network.predict_proba
+        real = network.forward
         calls = []
 
-        def fail_on_second_chunk(params, x):
+        def fail_on_second_chunk(params, x, mode):
             calls.append(len(x))
             if len(calls) == 2:
                 raise NumericError("injected failure after the first chunk")
-            return real(params, x)
+            return real(params, x, mode)
 
-        monkeypatch.setattr(network, "predict_proba", fail_on_second_chunk)
+        monkeypatch.setattr(network, "forward", fail_on_second_chunk)
         data = tmp_path / "data.csv"
         synth.write_csv(data, 3 * network.INFER_CHUNK, seed=4, noise=0.03)
         report = tmp_path / "out.txt"
@@ -715,8 +716,27 @@ class TestClassMap:
         report = tmp_path / "metrics.json"
         assert run(["eval", "--data", data, "--features", feats, "--weights", weights,
                     "--report", report]) == EXIT_OK
-        assert len(metrics.MetricsReport.from_json(report.read_text()).classes) == classes
+        assert len(json.loads(report.read_text())["classes"]) == classes
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what,old,new", [("class cell", "cat1", "cat1;v2"),
+                                              ("class cell", "cat1", "cat1  v2"),
+                                              ("feature name", "c3", "c3  v2")],
+                             ids=["class-semicolon", "class-two-spaces", "feature-two-spaces"])
+    def test_name_the_manifest_cannot_carry_is_refused(self, tmp_path, capsys, what, old, new):
+        # The bundle's meta joins the class map with ';' and ',' and reads each
+        # value back with every whitespace run as one space, so `eval` would
+        # refuse the class map (exit 3) or skip the rows of the renamed class.
+        feats, data = _class_map_files(tmp_path, 3)
+        for path in (feats, data):
+            path.write_text(re.sub(rf"\b{old},", f"{new},", path.read_text()))
+        weights = tmp_path / "w.weights"
+        assert run(["train", "--data", data, "--features", feats, "--weights", weights,
+                    "--epochs", "1"]) == EXIT_CONFIG
+        assert not weights.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: config error: {feats}: {what} {new!r} cannot be stored in a weights "
+            "manifest; use no ';' and single spaces only"]
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("edit,count", [

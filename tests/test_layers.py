@@ -369,7 +369,7 @@ class TestDense:
 def test_cache_reuse_rejected():
     p = layers.Conv1DParams(kernels=RNG.normal(size=(3, 1, 2)), bias=np.zeros(2))
     x = RNG.normal(size=(1, 4, 1))
-    _, cache = layers.conv_branch_forward(x, p, make_bn(2), training=False)
+    _, cache = layers.conv_branch_forward(x, p, make_bn(2))
     layers.conv_branch_backward(cache, np.zeros((1, 2)))
     with pytest.raises(CacheReusedError):
         layers.conv_branch_backward(cache, np.zeros((1, 2)))

@@ -73,21 +73,14 @@ class TestForward:
         with pytest.raises(ShapeError, match="16"):
             network.forward(p, np.zeros((2, 12, 1)), mode="infer")
         with pytest.raises(ShapeError, match="16"):
-            network.predict_proba(p, np.zeros((2, 12, 1)))
+            network.forward(p, np.zeros((2, 12, 1)), mode="train")
 
     def test_composition_oracle(self):
         # forward must equal applying the individual layer ops by hand
         p = network.build(21)
         x = make_rng(22).uniform(0, 1, size=(3, 16, 1))
         probs, _ = network.forward(p, x, mode="infer")
-
-        conv_y, _ = conv1d_forward(x, p.conv)
-        bn_y, _ = batchnorm_forward(conv_y, p.bn, training=False)
-        pool_y, _ = global_max_pool(np.maximum(bn_y, 0.0))
-        gru_y, _ = layers.gru_forward(x, p.gru)
-        concat_y = np.concatenate([pool_y, gru_y.reshape(3, 16 * 10)], axis=1)
-        hidden_y, _ = layers.dense_forward(concat_y, p.dense_hidden, "relu")
-        expect, _ = layers.dense_forward(hidden_y, p.dense_out, "softmax")
+        expect, _ = _layerwise_forward(p, x, "infer")
         npt.assert_allclose(probs, expect, atol=1e-12)
 
     def test_single_precision_run(self):
@@ -108,19 +101,21 @@ def _briefly_trained(dtype):
     return p
 
 
-class TestPredictProba:
+class TestInferMode:
     @pytest.fixture(scope="class")
     def trained(self):
         return {dtype: _briefly_trained(dtype) for dtype in (np.float64, np.float32)}
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
     def test_matches_reference_forward(self, trained, n):
+        # n crosses the INFER_CHUNK boundaries of the chunked engine
         x = make_rng(n).uniform(0, 1, size=(n, 16, 1))
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             p = trained[dtype]
             assert not np.allclose(p.bn.moving_var, 1.0)
-            expect, _ = network.forward(p, x.astype(dtype), mode="infer")
-            got = network.predict_proba(p, x.astype(dtype))
+            expect, _ = _layerwise_forward(p, x.astype(dtype), "infer")
+            got, caches = network.forward(p, x.astype(dtype), mode="infer")
+            assert caches is None
             assert got.shape == (n, 6) and got.dtype == dtype
             assert np.abs(got - expect).max() <= tol
             if dtype == np.float64:
@@ -134,7 +129,7 @@ class TestPredictProba:
         p.dense_out.weights[:] = 1e308
         x = make_rng(36).uniform(0, 1, size=(600, 16, 1))
         with pytest.raises(NumericError, match="non-finite"):
-            network.predict_proba(p, x)
+            network.forward(p, x, mode="infer")
 
 
 class TestSummary:
@@ -342,7 +337,8 @@ class TestWeightsIO:
 
 
 # --------------------------------------------------------------------------
-# the fused conv branch against the layer-by-layer composition, in both modes
+# the fused forward of both modes, and the train-mode backward, against the
+# layer-by-layer composition
 
 
 def _randomized(seed, arch=Architecture(), dtype=np.float64):
@@ -360,10 +356,10 @@ def _randomized(seed, arch=Architecture(), dtype=np.float64):
     return p
 
 
-def _layerwise(p, x, labels, mode):
-    """`network.forward(mode=mode)` then `network.backward`, composed one
-    layer at a time from `tests/oracles.py`, the conv branch by conv1d ->
-    batchnorm -> ReLU -> global max pool. Returns (probs, dlogits, grads)."""
+def _layerwise_forward(p, x, mode):
+    """`network.forward(p, x, mode=mode)` composed one layer at a time from
+    `tests/oracles.py`: conv1d -> batchnorm -> ReLU -> global max pool, then
+    the GRU and the dense layers. Returns (probs, caches)."""
     conv_y, c_conv = conv1d_forward(x, p.conv)
     bn_y, c_bn = batchnorm_forward(conv_y, p.bn, training=mode == "train")
     pool_y, c_pool = global_max_pool(np.maximum(bn_y, 0.0))
@@ -371,15 +367,24 @@ def _layerwise(p, x, labels, mode):
     concat_y = np.concatenate([pool_y, gru_y.reshape(len(x), -1)], axis=1)
     hidden_y, c_hidden = layers.dense_forward(concat_y, p.dense_hidden, "relu")
     probs, c_out = layers.dense_forward(hidden_y, p.dense_out, "softmax")
+    return probs, (c_conv, c_bn, bn_y > 0, c_pool, c_gru, c_hidden, c_out)
+
+
+def _layerwise(p, x, labels):
+    """`network.forward(mode="train")` then `network.backward`, composed one
+    layer at a time by `_layerwise_forward` and the backwards of
+    `tests/oracles.py`. Returns (probs, dlogits, grads)."""
+    probs, (c_conv, c_bn, active, c_pool, c_gru, c_hidden, c_out) = \
+        _layerwise_forward(p, x, "train")
     _, dlogits = training.cross_entropy(probs, labels)
 
     d_hidden, g_out = layers.dense_backward(c_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(c_hidden, d_hidden)
     filters = p.arch.filters
     d_act, _ = global_max_pool_backward(c_pool, d_concat[:, :filters])
-    d_conv, g_bn = batchnorm_backward(c_bn, d_act * (bn_y > 0))
+    d_conv, g_bn = batchnorm_backward(c_bn, d_act * active)
     _, g_conv = conv1d_backward(c_conv, d_conv)
-    g_gru = layers.gru_backward(c_gru, d_concat[:, filters:].reshape(gru_y.shape))
+    g_gru = layers.gru_backward(c_gru, d_concat[:, filters:].reshape(len(x), -1, p.gru.units))
     grads = {}
     for prefix, group in (("conv", g_conv), ("bn", g_bn), ("gru", g_gru),
                           ("dense_hidden", g_hidden), ("dense_out", g_out)):
@@ -388,24 +393,29 @@ def _layerwise(p, x, labels, mode):
 
 
 def _compare_step(p, x, labels, tol, mode):
-    """Check the fused forward and backward of `p` on x in `mode` against
-    `_layerwise` run on the same weights widened to extended precision, so
-    that the bound measures the fused path's rounding, not the reference's.
-    Every compared value must lie within tol * max(1, |ref|)."""
+    """Check the fused forward of `p` on x in `mode`, and in train mode its
+    backward, against the layer-by-layer reference run on the same weights
+    widened to extended precision, so that the bound measures the fused
+    path's rounding, not the reference's. Every compared value must lie
+    within tol * max(1, |ref|)."""
     assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps, \
         "the reference needs a long double wider than double (x86-64 or aarch64 Linux)"
     wide = network._assemble({n: a.astype(np.longdouble) for n, a in p.named_arrays()},
                              p.arch)
-    ref_probs, ref_dlogits, ref_grads = _layerwise(wide, x.astype(np.longdouble), labels, mode)
     moving = p.bn.moving_mean.copy(), p.bn.moving_var.copy()
     probs, caches = network.forward(p, x, mode=mode)
-    grads = network.backward(p, caches, ref_dlogits.astype(p.dtype))
+    if mode == "train":
+        ref_probs, ref_dlogits, ref_grads = _layerwise(wide, x.astype(np.longdouble), labels)
+        grads = network.backward(p, caches, ref_dlogits.astype(p.dtype))
+    else:
+        ref_probs, _ = _layerwise_forward(wide, x.astype(np.longdouble), mode)
+        grads = {}
 
     pairs = [("probs", probs, ref_probs),
              ("bn.moving_mean", p.bn.moving_mean, wide.bn.moving_mean),
              ("bn.moving_var", p.bn.moving_var, wide.bn.moving_var)]
-    pairs += [(name, grads[name], ref_grads[name]) for name, _ in p.trainable_arrays()]
-    assert len(pairs) == 23
+    pairs += [(name, grads[name], ref_grads[name]) for name in grads]
+    assert len(pairs) == (23 if mode == "train" else 3)
     for name, got, ref in pairs:
         assert got.shape == ref.shape and got.dtype == p.dtype, name
         excess = np.abs(got - ref) - tol * np.maximum(1.0, np.abs(ref))
@@ -414,7 +424,6 @@ def _compare_step(p, x, labels, tol, mode):
         # batchnorm subtracts the batch mean, which absorbs the conv bias
         assert not grads["conv.bias"].any()
     else:
-        assert grads["conv.bias"].any()
         for before, after in zip(moving, (p.bn.moving_mean, p.bn.moving_var)):
             npt.assert_array_equal(after, before)
 

@@ -356,9 +356,8 @@ class TestGradientCheck:
         def flipped(cache, dpool):
             d = cache.data
             grads = real(cache, dpool)
-            if d["training"]:
-                term = d["sigma_w"] * (d["inv"] * d["inv"] * d["gamma"] * grads["gamma"])
-                grads["kernels"] = grads["kernels"] + 2.0 * term.reshape(grads["kernels"].shape)
+            term = d["sigma_w"] * (d["inv"] * d["inv"] * d["gamma"] * grads["gamma"])
+            grads["kernels"] = grads["kernels"] + 2.0 * term.reshape(grads["kernels"].shape)
             return grads
 
         monkeypatch.setattr(layers, "conv_branch_backward", flipped)
@@ -399,7 +398,7 @@ class TestGradientCheck:
         # degenerate all-zero batch must not produce NaNs
         p = network.build(35)
         x = np.zeros((2, 16, 1))
-        probs, caches = network.forward(p, x, mode="infer")
+        probs, caches = network.forward(p, x, mode="train")
         loss, dlogits = training.cross_entropy(probs, np.array([0, 1]))
         grads = network.backward(p, caches, dlogits)
         assert math.isfinite(loss)
