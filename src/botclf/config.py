@@ -62,7 +62,7 @@ def read_kv_file(path) -> dict:
     """Parse `key = value` lines; # starts a comment, blank lines ignored."""
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:

@@ -164,7 +164,7 @@ class CsvStream:
     def _chunks(self):
         names = self.feature_spec.names
         labeled = self.label_map is not None
-        with open(self.path, "r", encoding="utf-8", newline="") as fh:
+        with open(self.path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             column = {name: i for i, name in enumerate(header)}  # last duplicate wins

@@ -127,24 +127,25 @@ def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams):
     pad_l = (k - 1) // 2
     dtype = np.result_type(x, conv.kernels)
     work = np.result_type(dtype, np.float64)
-    xp = np.zeros((b, t + k - 1, c_in), dtype=work)
-    xp[:, pad_l:pad_l + t] = x
-    # [B, T, k*C]: window t is the k*C values from element t*C of its padded row
-    cols = np.lib.stride_tricks.as_strided(xp, shape=(b, t, kc), strides=xp.strides,
-                                           writeable=False)
+    # [B, T, k, C]: tap j of window t is x[t + j - pad_l], zero outside x
+    cols = np.zeros((b, t, k, c_in), dtype=work)
+    for j in range(k):
+        lo, hi = max(0, pad_l - j), min(t, t + pad_l - j)
+        cols[:, lo:hi, j] = x[:, lo + j - pad_l:hi + j - pad_l]
     w = conv.kernels.reshape(kc, filters).astype(work, copy=False)
     windows = cols.reshape(m, kc)
-    mu = windows.mean(axis=0)
-    windows = windows - mu                            # centred
-    sigma_w = (windows.T @ windows / m) @ w           # column f: Sigma W_f
+    mu = np.add.reduce(windows) / m                   # .sum(axis=0), minus its wrapper
+    centred = windows - mu
+    sigma_w = (centred.T @ centred / m) @ w           # column f: Sigma W_f
     mean = mu @ w + conv.bias
-    var = np.maximum((w * sigma_w).sum(axis=0), 0.0)
-    bn.moving_mean[:] = bn.momentum * bn.moving_mean + (1.0 - bn.momentum) * mean
-    bn.moving_var[:] = bn.momentum * bn.moving_var + (1.0 - bn.momentum) * var
+    var = np.maximum(np.add.reduce(w * sigma_w), 0.0)
+    for moving, batch in ((bn.moving_mean, mean), (bn.moving_var, var)):
+        moving *= bn.momentum
+        moving += (1.0 - bn.momentum) * batch
     inv = 1.0 / np.sqrt(var + bn.epsilon)
-    key = np.matmul((w * (bn.gamma * inv)).T, cols.transpose(0, 2, 1))  # [B, filters, T]
-    rows = np.arange(0, m, t)[:, None] + key.argmax(axis=2)  # [B, filters]: b*T + t_max
-    sel = windows.T.take(rows, axis=1)                # [k*C, B, filters], centred
+    key = ((w * (bn.gamma * inv)).T @ windows.T).reshape(filters, b, t)
+    rows = np.arange(0, m, t)[:, None] + key.argmax(axis=2).T  # [B, filters]: b*T + t_max
+    sel = centred.T.take(rows, axis=1)                # [k*C, B, filters], centred
     xhat = np.einsum("jbf,jf->bf", sel, w) * inv
     pre = bn.gamma * xhat + bn.beta
     saved = dict(sigma_w=sigma_w, sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv,
@@ -167,8 +168,8 @@ def conv_branch_backward(cache: Cache, dpool: np.ndarray):
     d = cache.consume("conv_branch")
     sel, xhat, inv, gamma = d["sel"], d["xhat"], d["inv"], d["gamma"]
     g = dpool.astype(xhat.dtype, copy=False) * d["active"]
-    dgamma = (g * xhat).sum(axis=0)
-    dbeta = g.sum(axis=0)
+    dgamma = np.add.reduce(g * xhat)
+    dbeta = np.add.reduce(g)
     dw = np.einsum("jbf,bf->jf", sel, g * (gamma * inv))
     dw -= d["sigma_w"] * (inv * inv * gamma * dgamma)
     grads = {"kernels": dw.reshape(d["shape"]), "bias": np.zeros(dbeta.shape),
@@ -180,28 +181,6 @@ def conv_branch_backward(cache: Cache, dpool: np.ndarray):
 # GRU (returns the full hidden-state sequence)
 
 
-def _gru_input_projection(x: np.ndarray, p: GRUParams) -> np.ndarray:
-    """Input-side pre-activations of the three gates for every step at once.
-
-    x: [B, T, input_dim] -> unit-major [T, 3 * units, B], rows z | r | h, so
-    each step reads one contiguous block. Holds W_*' x plus the biases
-    b_z + rb_z, b_r + rb_r and b_h; rb_h stays out, as it sits inside the
-    reset product. The z and r rows are halved, sigmoid(a) being
-    0.5 * (1 + tanh(a / 2)); scaling by 0.5 is exact barring subnormals.
-    One broadcast product over the input channels: at input_dim 1 it is an
-    outer product, with no sum.
-    """
-    units = p.units
-    w = np.concatenate([p.w_z, p.w_r, p.w_h], axis=1).T  # [3 * units, input_dim]
-    bias = np.concatenate([p.b_z + p.rb_z, p.b_r + p.rb_r, p.b_h])
-    w[:2 * units] *= 0.5
-    bias[:2 * units] *= 0.5
-    # from a C-ordered [T, C, B] operand einsum returns a C-ordered [T, 3U, B]
-    proj = np.einsum("gc,tcb->tgb", w, np.ascontiguousarray(x.transpose(1, 2, 0)))
-    proj += bias[:, None]
-    return proj
-
-
 def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
     """x: [B, T, input_dim] -> (h_seq: [B, T, units], cache), from the zero
     state.
@@ -211,107 +190,119 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
               hcand = tanh(x W_h + b_h + r * (h U_h + rb_h))
               h <- (1 - z) * h + z * hcand, computed as h + z * (hcand - h)
 
-    The loop runs unit-major: each state is [units, B], so every gate is a
-    contiguous row block. The input projection runs before the loop
-    (`_gru_input_projection`); each step does one [U_z | U_r]' h and one
-    U_h' h product, with sigmoid's 1/2 folded into the z and r rows, and
-    finishes the sigmoid as 0.5 * (1 + tanh), which cannot overflow. The
-    states entering each step, z | r, the reset product's inner term and
-    hcand are kept as [T, ., B] arrays for `gru_backward`. With
-    keep_cache=False (inference) the per-step gate buffers are reused from
-    step to step and the cache returned is None; the hidden states are the
-    same.
+    The loop runs unit-major on the augmented state s = [h; x_t; 1], kept
+    as [T + 1, units + input_dim + 1, B] with the inputs and the row of ones
+    written before the loop. One product per step, M . s, yields four row
+    blocks of [4 * units, B]: the z and r pre-activations with their biases
+    and the inner term h U_h + rb_h, all three halved, and x W_h + b_h.
+    Sigmoid is 0.5 * (1 + tanh(a / 2)), which cannot overflow, so tanh and
+    one add turn the halved pre-activations into 2z | 2r; 2r times the
+    halved inner term is the reset product, and the update halves
+    2z * (hcand - h). Halving is exact barring subnormals. Ten numpy calls
+    per step, all on buffers made before the loop. The step's
+    2z | 2r | inner / 2 | hcand blocks are copied into a [4, T, units, B]
+    stack for `gru_backward`. With keep_cache=False (inference) nothing is
+    copied and the cache returned is None; the hidden states are the same.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
         raise ShapeError(f"gru expects input dim {input_dim}, got input shape {x.shape}")
     b, t, _ = x.shape
     units = p.units
-    proj = _gru_input_projection(x, p)
-    dtype = proj.dtype
-    hs = np.empty((t + 1, units, b), dtype=dtype)  # hs[i]: the state entering step i
-    hs[0] = 0.0
-    slots = t if keep_cache else 1
-    zr = np.empty((slots, 2 * units, b), dtype=dtype)
-    inner = np.empty((slots, units, b), dtype=dtype)
-    hcand = np.empty((slots, units, b), dtype=dtype)
-    u_zr = np.concatenate([p.u_z, p.u_r], axis=1).T * 0.5  # halved, as in the projection
-    u_h = p.u_h.T
-    rb_h = p.rb_h[:, None]
+    dtype = np.result_type(x, p.u_z)
+    # M': rows h | x | 1, column blocks z | r | inner | x W_h + b_h
+    m = np.zeros((units + input_dim + 1, 4 * units), dtype=dtype)
+    cz, cr, ci, cx = (slice(k * units, (k + 1) * units) for k in range(4))
+    m[:units, cz], m[units:-1, cz], m[-1, cz] = p.u_z, p.w_z, p.b_z + p.rb_z
+    m[:units, cr], m[units:-1, cr], m[-1, cr] = p.u_r, p.w_r, p.b_r + p.rb_r
+    m[:units, ci], m[-1, ci] = p.u_h, p.rb_h
+    m[units:-1, cx], m[-1, cx] = p.w_h, p.b_h
+    m[:, :3 * units] *= 0.5
+    m = m.T
+    hs = np.empty((t + 1, units + input_dim + 1, b), dtype=dtype)
+    hs[0, :units] = 0.0
+    hs[:t, units:-1] = x.transpose(1, 2, 0)  # the last state is read for its h only
+    hs[:, -1] = 1.0
+    gates = np.empty((4, t if keep_cache else 0, units, b), dtype=dtype)
+    a = np.empty((4 * units, b), dtype=dtype)
+    blocks = a.reshape(4, units, b)
+    zr, (z2, r2, inner, hcand) = a[:2 * units], blocks
+    diff = np.empty((units, b), dtype=dtype)
+    one, half = np.ones((), dtype), np.full((), 0.5, dtype)
+    dot, tanh, add, subtract, multiply = np.dot, np.tanh, np.add, np.subtract, np.multiply
+    states, hidden = list(hs), list(hs[:, :units])
     for i in range(t):
-        k = i % slots
-        h, zr_i, inner_i, hcand_i, h_new = hs[i], zr[k], inner[k], hcand[k], hs[i + 1]
-        np.dot(u_zr, h, out=zr_i)
-        zr_i += proj[i, :2 * units]
-        np.tanh(zr_i, out=zr_i)
-        zr_i += 1.0
-        zr_i *= 0.5
-        np.dot(u_h, h, out=inner_i)
-        inner_i += rb_h
-        np.multiply(zr_i[units:], inner_i, out=hcand_i)
-        hcand_i += proj[i, 2 * units:]
-        np.tanh(hcand_i, out=hcand_i)
-        np.subtract(hcand_i, h, out=h_new)
-        h_new *= zr_i[:units]
-        h_new += h
-    h_seq = np.ascontiguousarray(hs[1:].transpose(2, 0, 1))
+        h = hidden[i]
+        dot(m, states[i], out=a)
+        tanh(zr, out=zr)
+        add(zr, one, out=zr)                 # 2z | 2r
+        multiply(r2, inner, out=diff)        # r * (h U_h + rb_h)
+        add(hcand, diff, out=hcand)
+        tanh(hcand, out=hcand)
+        subtract(hcand, h, out=diff)
+        multiply(diff, z2, out=diff)
+        multiply(diff, half, out=diff)
+        add(h, diff, out=hidden[i + 1])
+        if keep_cache:
+            gates[:, i] = blocks
+    h_seq = np.ascontiguousarray(hs[1:, :units].transpose(2, 0, 1))
     if not keep_cache:
         return h_seq, None
-    cache = Cache({"x": x, "params": p, "hs": hs, "zr": zr, "inner": inner,
-                   "hcand": hcand})
-    return h_seq, cache
+    return h_seq, Cache({"params": p, "hs": hs, "gates": gates})
 
 
 def gru_backward(cache: Cache, dh_seq: np.ndarray):
     """Backprop through time; returns the weight gradients keyed like GRU_FIELDS.
 
-    Only the recurrence runs inside the reversed time loop, unit-major like
-    the forward: it writes each step's pre-activation gradients into one
-    [T, 4 * units, B] stack, rows da_h | da_z | da_r | d_inner (d_inner
-    being the gradient of h U_h + rb_h), and takes the state gradient from
-    the last three as [U_z | U_r | U_h] . g. After the loop, one product over
-    all B*T columns gives the W_* gradients, one the U_* gradients and one
-    row sum every bias gradient.
+    Before the loop, the factors that turn a step's state gradient dh into
+    its gradients da_z, da_r, d_inner (d_inner being the gradient of
+    h U_h + rb_h) and the keep term (1 - z) * dh are formed for all steps as
+    one [T, 4, units, B] stack. The reversed loop then keeps only the
+    recurrence, in three calls per step: one broadcast multiply of dh by
+    the step's factors, one [U_z | U_r | U_h | I] product, the state
+    gradient the step hands back, and one add into the upstream gradient of
+    the step before. After the loop, da_h = dh * z * (1 - hcand^2) takes the
+    keep term's rows, and one product of the augmented states [h; x; 1]
+    with those four blocks over all B*T columns gives every U_*, W_* and
+    bias gradient; its columns are those of the forward's M'.
     """
     d = cache.consume("gru")
-    x, p, hs = d["x"], d["params"], d["hs"]
-    zr, inner, hcand = d["zr"], d["inner"], d["hcand"]
-    b, t, input_dim = x.shape
-    units = p.units
-    z, r, h_prev = zr[:, :units], zr[:, units:], hs[:-1]
-    # factors of the per-step gate gradients, computed for all steps at once
+    p, hs, gates = d["params"], d["hs"], d["gates"]
+    _, t, units, b = gates.shape  # per step 2z | 2r | inner / 2 | hcand
+    dtype = hs.dtype
+    zr = gates[:2] * 0.5
+    z, r = zr
+    hcand = gates[3]
     dzr = zr * (1.0 - zr)
     coef_h = z * (1.0 - hcand * hcand)
-    coef_z = (hcand - h_prev) * dzr[:, :units]
-    coef_r = inner * dzr[:, units:]
-    keep = 1.0 - z
-    g = np.empty((t, 4 * units, b), dtype=hs.dtype)
-    g_h, g_z, g_r, g_inner = (g[:, k * units:(k + 1) * units] for k in range(4))
-    u_rec = np.concatenate([p.u_z, p.u_r, p.u_h], axis=1)  # takes da_z | da_r | d_inner
-    dh_um = np.ascontiguousarray(dh_seq.transpose(1, 2, 0))
-    dh_next = np.zeros((units, b), dtype=dh_seq.dtype)
-    for i in range(t - 1, -1, -1):
-        dh = dh_um[i] + dh_next
-        np.multiply(dh, coef_h[i], out=g_h[i])
-        np.multiply(dh, coef_z[i], out=g_z[i])
-        np.multiply(g_h[i], coef_r[i], out=g_r[i])
-        np.multiply(g_h[i], r[i], out=g_inner[i])
-        if i == 0:  # nothing reads the state gradient entering step 0
-            break
-        dh_next = np.dot(u_rec, g[i, units:])
-        dh *= keep[i]
-        dh_next += dh
-
-    cols = g.transpose(1, 0, 2).reshape(4 * units, t * b)
-    # rows da_h | da_z | da_r take x, rows da_z | da_r | d_inner the states
-    dw = x.transpose(2, 1, 0).reshape(input_dim, t * b) @ cols[:3 * units].T
-    du = h_prev.transpose(1, 0, 2).reshape(units, t * b) @ cols[units:].T
-    db = cols.sum(axis=1)
-    return {"w_h": dw[:, :units], "w_z": dw[:, units:2 * units], "w_r": dw[:, 2 * units:],
-            "u_z": du[:, :units], "u_r": du[:, units:2 * units], "u_h": du[:, 2 * units:],
-            "b_h": db[:units], "b_z": db[units:2 * units], "b_r": db[2 * units:3 * units],
-            "rb_z": db[units:2 * units].copy(), "rb_r": db[2 * units:3 * units].copy(),
-            "rb_h": db[3 * units:]}
+    # rows da_z | da_r | d_inner | keep per unit of dh, in the forward's column order
+    factors = np.empty((t, 4, units, b), dtype=dtype)
+    np.multiply(hcand - hs[:-1, :units], dzr[0], out=factors[:, 0])
+    np.multiply(coef_h, (gates[2] * 2.0) * dzr[1], out=factors[:, 1])
+    np.multiply(coef_h, r, out=factors[:, 2])
+    np.subtract(1.0, z, out=factors[:, 3])
+    rec = np.concatenate([p.u_z, p.u_r, p.u_h, np.eye(units, dtype=dtype)], axis=1)
+    dh = np.array(dh_seq.transpose(1, 2, 0), dtype=dtype, order="C")  # [T, U, B]
+    dh4 = dh.reshape(t, 1, units, b)
+    g = np.empty((t, 4 * units, b), dtype=dtype)
+    g4 = g.reshape(t, 4, units, b)
+    back = np.empty((units, b), dtype=dtype)
+    multiply, dot = np.multiply, np.dot
+    for i in range(t - 1, 0, -1):
+        multiply(dh4[i], factors[i], out=g4[i])
+        dot(rec, g[i], out=back)
+        dh[i - 1] += back
+    multiply(dh4[0], factors[0], out=g4[0])
+    np.multiply(dh, coef_h, out=g4[:, 3])  # da_h takes the keep term's rows
+    n_in = hs.shape[1]
+    states = hs[:-1].transpose(1, 0, 2).reshape(n_in, t * b)
+    grad = states @ g.transpose(1, 0, 2).reshape(4 * units, t * b).T  # [n_in, 4U]
+    zc, rc, ic, hc = (slice(k * units, (k + 1) * units) for k in range(4))
+    w, bias = grad[units:-1], grad[-1]
+    return {"w_z": w[:, zc], "w_r": w[:, rc], "w_h": w[:, hc],
+            "u_z": grad[:units, zc], "u_r": grad[:units, rc], "u_h": grad[:units, ic],
+            "b_z": bias[zc], "b_r": bias[rc], "b_h": bias[hc],
+            "rb_z": bias[zc].copy(), "rb_r": bias[rc].copy(), "rb_h": bias[ic]}
 
 
 # --------------------------------------------------------------------------
@@ -341,6 +332,6 @@ def dense_backward(cache: Cache, dy: np.ndarray):
     x, pre, w = d["x"], d["pre"], d["weights"]
     dpre = dy * d_relu(pre) if d["activation"] == "relu" else dy
     dw = x.T @ dpre
-    db = dpre.sum(axis=0)
+    db = np.add.reduce(dpre)
     dx = dpre @ w.T
     return dx, {"weights": dw, "bias": db}

@@ -104,8 +104,9 @@ def _shapes(a) -> dict:
 
 
 _ARRAY_GETTERS = [(name, attrgetter(name)) for name in _shapes(Architecture())]
-_TRAINABLE_GETTERS = [(n, get) for n, get in _ARRAY_GETTERS
-                      if n not in ("bn.moving_mean", "bn.moving_var")]
+_TRAINABLE_NAMES = tuple(n for n, _ in _ARRAY_GETTERS
+                         if n not in ("bn.moving_mean", "bn.moving_var"))
+_get_trainable = attrgetter(*_TRAINABLE_NAMES)
 
 
 def _views(buffer: np.ndarray, shapes) -> dict:
@@ -139,7 +140,13 @@ class NetworkParameters:
 
     def trainable_arrays(self):
         """(name, array) for every optimizer-owned weight; moving stats excluded."""
-        return [(name, get(self)) for name, get in _TRAINABLE_GETTERS]
+        return list(zip(_TRAINABLE_NAMES, _get_trainable(self)))
+
+    def detached(self) -> list:
+        """Names of the trainable arrays that are no longer views into `flat`
+        (they were rebound), so an update of `flat` would miss them."""
+        return [name for name, a in zip(_TRAINABLE_NAMES, _get_trainable(self))
+                if a.base is not self.flat]
 
     def trainable_views(self, buffer: np.ndarray) -> dict:
         """{name: view of `buffer`}, laid out as the trainable arrays are in `flat`."""
@@ -176,7 +183,7 @@ def build(seed: int, arch: Architecture = Architecture(), dtype=DOUBLE) -> Netwo
 def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
     """NetworkParameters holding the values of a {name: array} dict keyed like
     `named_arrays`; the trainable ones are copied into one buffer."""
-    trainable = [(name, arrays[name].shape) for name, _ in _TRAINABLE_GETTERS]
+    trainable = [(name, arrays[name].shape) for name in _TRAINABLE_NAMES]
     flat = np.empty(sum(math.prod(shape) for _, shape in trainable),
                     dtype=arrays["conv.kernels"].dtype)
     arrays = dict(arrays)
@@ -283,14 +290,32 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     return out, None
 
 
-def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray):
-    """Gradient of the loss w.r.t. every trainable weight, keyed like
-    `trainable_arrays()`.
+# (key of a layer backward's gradient, trainable name) for the conv branch,
+# the GRU and the two dense layers, in `backward`'s order
+_GRADIENT_NAMES = (
+    (("kernels", "conv.kernels"), ("bias", "conv.bias"), ("gamma", "bn.gamma"),
+     ("beta", "bn.beta")),
+    tuple((name, f"gru.{name}") for name in GRU_FIELDS),
+    (("weights", "dense_hidden.weights"), ("bias", "dense_hidden.bias")),
+    (("weights", "dense_out.weights"), ("bias", "dense_out.bias")),
+)
 
+
+def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray,
+             out: dict | None = None):
+    """Gradient of the loss w.r.t. every trainable weight, written into `out`
+    and returned.
+
+    `out` is a {name: view} dict keyed like `trainable_arrays()`, every view
+    into one buffer laid out like `params.flat`, as `params.trainable_views`
+    makes it; `rmsprop_step` updates from that buffer. Without `out` a fresh
+    one is made; `fit` makes it once and passes it to every step.
     `dlogits` is the loss gradient w.r.t. the final dense layer's
     pre-softmax logits, as produced by the cross-entropy loss. The input is
     data, so no gradient w.r.t. it is formed.
     """
+    if out is None:
+        out = params.trainable_views(np.empty_like(params.flat))
     d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
     a = params.arch
@@ -298,13 +323,10 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
 
     g_branch = layers.conv_branch_backward(caches.conv_branch, d_pool)
     g_gru = layers.gru_backward(caches.gru, d_flat.reshape(-1, a.seq_len, a.gru_units))
-
-    grads = {f"conv.{k}": g_branch[k] for k in ("kernels", "bias")}
-    grads.update({f"bn.{k}": g_branch[k] for k in ("gamma", "beta")})
-    grads.update({f"gru.{k}": v for k, v in g_gru.items()})
-    grads.update({f"dense_hidden.{k}": v for k, v in g_hidden.items()})
-    grads.update({f"dense_out.{k}": v for k, v in g_out.items()})
-    return grads
+    for grads, names in zip((g_branch, g_gru, g_hidden, g_out), _GRADIENT_NAMES):
+        for key, name in names:
+            out[name][...] = grads[key]
+    return out
 
 
 def param_count(params: NetworkParameters):

@@ -58,8 +58,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def d_relu(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return (x > 0).astype(x.dtype)
+    """The derivative of relu as a boolean mask (x > 0); a product with it
+    casts it to 0 and 1."""
+    return np.asarray(x) > 0
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -71,9 +72,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-1] < 1:
         raise ShapeError(f"softmax needs at least one element, got shape {x.shape}")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the reduce methods are .max and .sum without their Python-level wrappers
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def init_truncated_normal(shape, stddev: float, rng: np.random.Generator,

@@ -86,8 +86,10 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
 
 
 def _mean_nll(probs: np.ndarray, labels: np.ndarray):
-    """Mean negative log-likelihood of the labels, in the precision of `probs`."""
-    return -np.log(np.maximum(probs[np.arange(labels.size), labels], _PROB_FLOOR)).mean()
+    """Mean negative log-likelihood of the labels, in the precision of `probs`,
+    as the sum divided by the count, which is what `mean` computes."""
+    nll = np.log(np.maximum(probs[np.arange(labels.size), labels], _PROB_FLOOR))
+    return -np.add.reduce(nll) / labels.size
 
 
 def init_rmsprop(params: NetworkParameters) -> dict:
@@ -99,32 +101,49 @@ def init_rmsprop(params: NetworkParameters) -> dict:
 def rmsprop_step(params: NetworkParameters, grads: dict, state: dict,
                  config: TrainConfig):
     """In-place RMSProp update of every trainable array, as one update of
-    `params.flat` and the state's buffer.
+    `params.flat` from the gradients' and the state's buffers.
 
     s <- rho*s + (1-rho)*g^2 ; theta <- theta - lr * g / (sqrt(s) + eps)
-    Each element sees the same operations as in a per-array update, so the
-    result is byte-identical to one. Moving batchnorm statistics are never
-    touched. Raises ValueError if a gradient's shape differs from its
-    parameter's, or if a parameter or state array is no longer a view into
-    its buffer (it was rebound), since the update would then miss it.
+    `grads` and `state` are {name: view} dicts over one buffer each, laid
+    out as `params.flat`: `network.backward` fills such a gradient dict, and
+    `init_rmsprop` makes the state. Each element sees the same operations
+    as in a per-array update, so the result is byte-identical to one.
+    Moving batchnorm statistics are never touched. Raises ValueError,
+    before anything is updated, if either dict is not one such buffer, or
+    if a parameter, gradient or state array is no longer a view into its
+    buffer (it was rebound), since the update would then miss it.
     """
-    trainable = params.trainable_arrays()
-    s = state[trainable[0][0]].base
-    if s is None or s.shape != params.flat.shape:
-        raise ValueError("RMSProp state is not one buffer laid out like the parameters; "
-                         "make it with init_rmsprop")
-    for name, theta in trainable:
-        if grads[name].shape != theta.shape:
-            raise ValueError(f"gradient for {name} has shape {grads[name].shape}, "
-                             f"parameter has {theta.shape}")
-        if theta.base is not params.flat or state[name].base is not s:
-            raise ValueError(f"{name} is no longer a view into its buffer; "
-                             "rebinding a parameter or state array detaches it")
-    g = np.concatenate([grads[name] for name, _ in trainable], axis=None)
+    flat = params.flat
+    s = _buffer(state, flat, "RMSProp state", "make it with init_rmsprop")
+    g = _buffer(grads, flat, "the gradients", "make them with params.trainable_views")
+    detached = params.detached()
+    if detached:
+        raise ValueError(f"{detached[0]} is no longer a view into its buffer; {_REBOUND}")
     s *= RMS_DECAY
-    s += (1.0 - RMS_DECAY) * (g * g)
-    params.flat -= config.learning_rate * g / (np.sqrt(s) + RMS_EPSILON)
+    step = g * g
+    step *= 1.0 - RMS_DECAY
+    s += step
+    denom = np.sqrt(s)
+    denom += RMS_EPSILON
+    np.multiply(config.learning_rate, g, out=step)
+    step /= denom
+    flat -= step
     return params, state
+
+
+_REBOUND = "rebinding a parameter, gradient or state array detaches it"
+
+
+def _buffer(views: dict, flat: np.ndarray, what: str, remedy: str) -> np.ndarray:
+    """The one buffer laid out like `flat` that every array of `views` is a
+    view into; ValueError if there is none."""
+    buffer = next(iter(views.values())).base
+    if buffer is None or buffer.shape != flat.shape:
+        raise ValueError(f"{what} is not one buffer laid out like the parameters; {remedy}")
+    for name, view in views.items():
+        if view.base is not buffer:
+            raise ValueError(f"{name} is no longer a view into its buffer; {_REBOUND}")
+    return buffer
 
 
 def _split_indices(n: int, fraction: float, seed: int,
@@ -190,24 +209,26 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
         raise DataError(f"validation_fraction {config.validation_fraction} leaves no "
                         f"training rows out of {labels.size}")
     state = init_rmsprop(params)
+    grads = params.trainable_views(np.zeros_like(params.flat))
     history = []
     for epoch in range(config.epochs):
         start_time = time.perf_counter()
         order = substream(config.seed, f"epoch-{epoch}").permutation(train_idx.size)
         shuffled = train_idx[order]
+        x_epoch, y_epoch = x_all[shuffled], labels[shuffled]  # batches are slices
         epoch_loss = 0.0
         epoch_correct = 0
         for start in range(0, shuffled.size, config.batch_size):
-            batch = shuffled[start:start + config.batch_size]
-            yb = labels[batch]
-            probs, caches = network.forward(params, x_all[batch], mode="train")
+            batch = slice(start, start + config.batch_size)
+            yb = y_epoch[batch]
+            probs, caches = network.forward(params, x_epoch[batch], mode="train")
             loss, dlogits = cross_entropy(probs, yb)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads = network.backward(params, caches, dlogits)
-            rmsprop_step(params, grads, state, config)
-            epoch_loss += loss * batch.size
-            epoch_correct += int((probs.argmax(axis=1) == yb).sum())
+            rmsprop_step(params, network.backward(params, caches, dlogits, grads), state,
+                         config)
+            epoch_loss += loss * yb.size
+            epoch_correct += np.count_nonzero(probs.argmax(axis=1) == yb)
         train_loss = epoch_loss / shuffled.size
         train_acc = epoch_correct / shuffled.size
         val_loss, val_acc = _epoch_eval(params, x_all[val_idx], labels[val_idx])

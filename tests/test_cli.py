@@ -365,6 +365,23 @@ class TestSettingsFailClosed:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfepochs = 1\n")
+        assert run(["summary", "--config", cfg]) == EXIT_OK
+        assert "Total params: 4370" in capsys.readouterr().out
+
+    def test_csv_with_byte_order_mark_trains_as_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        synth.write_csv(plain, 60, seed=6, noise=0.05)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        weights = {}
+        for path in (plain, marked):
+            weights[path] = tmp_path / f"{path.stem}.weights"
+            assert run(["train", "--data", path, "--weights", weights[path],
+                        "--epochs", "1"]) == EXIT_OK
+        assert weights[plain].read_bytes() == weights[marked].read_bytes()
+
     def test_setting_a_command_does_not_use_is_not_checked(self, tmp_path, trained_weights,
                                                            eval_csv, monkeypatch):
         monkeypatch.setenv("BOTCLF_EPOCHS", "0")

@@ -218,7 +218,7 @@ class TestGRU:
             check_grads(grads[name], loss, getattr(p, name), rng)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("b", [37, 512])
+    @pytest.mark.parametrize("b", [1, 10, 37, 512])
     def test_forward_without_cache_gives_same_states(self, b, dtype):
         rng = make_rng(17)
         p = random_gru_params(rng, 1, 10)

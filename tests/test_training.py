@@ -113,8 +113,8 @@ class TestCrossEntropy:
 class TestRmsProp:
     def test_first_step_hand_value(self):
         p = network.build(0)
-        grads = {name: np.zeros_like(arr) for name, arr in p.trainable_arrays()}
-        grads["dense_out.bias"] = np.ones_like(p.dense_out.bias)
+        grads = p.trainable_views(np.zeros_like(p.flat))
+        grads["dense_out.bias"][:] = 1.0
         before = p.dense_out.bias.copy()
         state = training.init_rmsprop(p)
         training.rmsprop_step(p, grads, state, TrainConfig())
@@ -127,7 +127,7 @@ class TestRmsProp:
         state = training.init_rmsprop(p)
         state["conv.kernels"][:] = 0.5
         before = p.conv.kernels.copy()
-        grads = {name: np.zeros_like(arr) for name, arr in p.trainable_arrays()}
+        grads = p.trainable_views(np.zeros_like(p.flat))
         training.rmsprop_step(p, grads, state, TrainConfig())
         npt.assert_array_equal(p.conv.kernels, before)
         npt.assert_allclose(state["conv.kernels"], 0.45, atol=1e-15)
@@ -136,15 +136,15 @@ class TestRmsProp:
         p = network.build(2)
         state = training.init_rmsprop(p)
         g = make_rng(3).normal(size=p.conv.bias.shape)
-        grads = {name: np.zeros_like(arr) for name, arr in p.trainable_arrays()}
-        grads["conv.bias"] = g.copy()
+        grads = p.trainable_views(np.zeros_like(p.flat))
+        grads["conv.bias"][:] = g
         before = p.conv.bias.copy()
         training.rmsprop_step(p, grads, state, TrainConfig())
         delta_pos = p.conv.bias - before
 
         q = network.build(2)
         state2 = training.init_rmsprop(q)
-        grads["conv.bias"] = -g
+        grads["conv.bias"][:] = -g
         training.rmsprop_step(q, grads, state2, TrainConfig())
         delta_neg = q.conv.bias - before
         npt.assert_allclose(delta_pos, -delta_neg, atol=1e-15)
@@ -155,8 +155,7 @@ class TestRmsProp:
         rng = make_rng(5)
         cfg = TrainConfig()
         for _ in range(5):
-            grads = {name: rng.normal(size=arr.shape)
-                     for name, arr in p.trainable_arrays()}
+            grads = p.trainable_views(rng.normal(size=p.flat.shape))
             training.rmsprop_step(p, grads, state, cfg)
         assert all((s >= 0).all() for s in state.values())
 
@@ -165,7 +164,7 @@ class TestRmsProp:
         mm = p.bn.moving_mean.copy()
         mv = p.bn.moving_var.copy()
         state = training.init_rmsprop(p)
-        grads = {name: np.ones_like(arr) for name, arr in p.trainable_arrays()}
+        grads = p.trainable_views(np.ones_like(p.flat))
         training.rmsprop_step(p, grads, state, TrainConfig())
         npt.assert_array_equal(p.bn.moving_mean, mm)
         npt.assert_array_equal(p.bn.moving_var, mv)
@@ -181,9 +180,10 @@ class TestRmsProp:
         rng = make_rng(15)
         for _ in range(200):
             scale = 10.0 ** rng.uniform(-8, 2)
-            grads = {name: (rng.normal(scale=scale, size=arr.shape)
+            grads = p.trainable_views(np.empty_like(p.flat))
+            for arr in grads.values():
+                arr[...] = (rng.normal(scale=scale, size=arr.shape)
                             * (rng.uniform(size=arr.shape) > 0.2)).astype(dtype)
-                     for name, arr in p.trainable_arrays()}
             training.rmsprop_step(p, grads, state, cfg)
             rmsprop_step_per_array(q, grads, ref_state, cfg)
         for (name, got), (_, want) in zip(p.named_arrays(), q.named_arrays()):
@@ -194,7 +194,7 @@ class TestRmsProp:
     def test_rebound_parameter_is_refused(self):
         p = network.build(16)
         state = training.init_rmsprop(p)
-        grads = {name: np.ones_like(arr) for name, arr in p.trainable_arrays()}
+        grads = p.trainable_views(np.ones_like(p.flat))
         p.gru.u_h = p.gru.u_h.copy()
         before = p.flat.copy()
         with pytest.raises(ValueError, match="gru.u_h is no longer a view into its buffer"):
@@ -204,7 +204,7 @@ class TestRmsProp:
 
     def test_rebound_state_is_refused(self):
         p = network.build(17)
-        grads = {name: np.ones_like(arr) for name, arr in p.trainable_arrays()}
+        grads = p.trainable_views(np.ones_like(p.flat))
         state = training.init_rmsprop(p)
         state["dense_out.bias"] = np.zeros_like(p.dense_out.bias)
         with pytest.raises(ValueError, match="dense_out.bias is no longer a view"):
@@ -212,6 +212,23 @@ class TestRmsProp:
         separate = {name: np.zeros_like(arr) for name, arr in p.trainable_arrays()}
         with pytest.raises(ValueError, match="make it with init_rmsprop"):
             training.rmsprop_step(p, grads, separate, TrainConfig())
+
+    def test_gradients_outside_one_buffer_are_refused(self):
+        p = network.build(18)
+        state = training.init_rmsprop(p)
+        before = p.flat.copy()
+        separate = {name: np.ones_like(arr) for name, arr in p.trainable_arrays()}
+        with pytest.raises(ValueError, match="make them with params.trainable_views"):
+            training.rmsprop_step(p, separate, state, TrainConfig())
+        short = p.trainable_views(np.ones(p.flat.size + 1))
+        with pytest.raises(ValueError, match="make them with params.trainable_views"):
+            training.rmsprop_step(p, short, state, TrainConfig())
+        grads = p.trainable_views(np.ones_like(p.flat))
+        grads["gru.u_z"] = np.ones_like(p.gru.u_z)
+        with pytest.raises(ValueError, match="gru.u_z is no longer a view"):
+            training.rmsprop_step(p, grads, state, TrainConfig())
+        npt.assert_array_equal(p.flat, before)
+        assert not state["conv.kernels"].base.any()
 
 
 class TestFit:
