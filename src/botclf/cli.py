@@ -13,7 +13,7 @@ from contextlib import nullcontext
 
 from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
-from .dataio import CsvSchema, FeatureSpec, DEFAULT_LABEL_MAP
+from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write, require_parent_dir
 from .network import Architecture
@@ -33,10 +33,9 @@ def _io_setup(cfg: RunConfig):
     return FeatureSpec(), CsvSchema(), DEFAULT_LABEL_MAP
 
 
-def _architecture(cfg: RunConfig) -> Architecture:
+def _architecture(cfg: RunConfig, spec: FeatureSpec, label_map: LabelMap) -> Architecture:
     """The model for the features config: one input step per feature column
     and one output per class."""
-    spec, _, label_map = _io_setup(cfg)
     return Architecture(seq_len=len(spec.names), classes=label_map.num_classes,
                         gru_units=cfg.gru_units, filters=cfg.filters)
 
@@ -48,14 +47,16 @@ def _require_data(cfg: RunConfig) -> str:
 
 
 def cmd_summary(cfg: RunConfig) -> int:
-    params = network.build(cfg.seed, _architecture(cfg), dtype=resolve_dtype(cfg.precision))
+    spec, _, label_map = _io_setup(cfg)
+    params = network.build(cfg.seed, _architecture(cfg, spec, label_map),
+                           dtype=resolve_dtype(cfg.precision))
     print(network.summary(params).render())
     return EXIT_OK
 
 
 def cmd_train(cfg: RunConfig) -> int:
     spec, schema, label_map = _io_setup(cfg)
-    arch = _architecture(cfg)
+    arch = _architecture(cfg, spec, label_map)
     train_cfg = training.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
         validation_fraction=cfg.validation_fraction, seed=cfg.seed,
@@ -128,7 +129,9 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
-    params = network.build(cfg.seed, _architecture(cfg))  # double precision required
+    spec, _, label_map = _io_setup(cfg)
+    # double precision, which the check requires
+    params = network.build(cfg.seed, _architecture(cfg, spec, label_map))
     report = training.gradient_check(params, probes=cfg.probes,
                                      tolerance=cfg.tolerance, seed=cfg.seed)
     print(report.render())

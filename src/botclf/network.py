@@ -4,10 +4,11 @@ Branch A: input [B, 16, 1] -> Conv1D -> BatchNorm -> ReLU -> global max pool
 Branch B: input [B, 16, 1] -> GRU -> Flatten
 Head:     Concatenate(A, B) -> Dense(hidden, relu) -> Dense(classes, softmax)
 
-The topology is fixed; only the sizes (filters, GRU units, dense width,
-class count ...) vary. The weights bundle, one text manifest holding the
-weights, the fitted normalizer and the class map, is written by
-`save_bundle` and read by `load_bundle`; no other module knows its keys.
+The topology is fixed; only four sizes vary: the input length, the conv
+filters, the GRU units and the class count. The weights bundle, one text
+manifest holding the weights, the fitted normalizer and the class map, is
+written by `save_bundle` and read by `load_bundle`; no other module knows
+its keys.
 """
 
 from __future__ import annotations
@@ -41,31 +42,27 @@ MANIFEST_VERSION = 1
 _VALUES_PER_LINE = 8
 
 
+# standard deviation of the GRU weights' truncated-normal init
+TRUNCATED_NORMAL_STDDEV = 0.05
+
+
 @dataclass(frozen=True)
 class Architecture:
-    """Sizes and constants of the fixed topology (ReLU and a global max pool
-    on the conv branch, a ReLU hidden layer); defaults give the
-    4370-parameter model."""
+    """The four sizes a caller sets of the fixed topology (ReLU and a global
+    max pool on the conv branch, a ReLU hidden layer); defaults give the
+    4370-parameter model. The input channels, the conv kernel width and the
+    hidden dense width are constants of the topology, not fields."""
 
     seq_len: int = 16
-    in_channels: int = 1
     filters: int = 128
-    kernel_size: int = 3
     gru_units: int = 10
-    dense_units: int = 10
     classes: int = 6
-    bn_epsilon: float = 1e-3
-    bn_momentum: float = 0.99
-    truncated_normal_stddev: float = 0.05
+    in_channels = 1
+    kernel_size = 3
+    dense_units = 10
 
     def __post_init__(self):
         _check_sizes(vars(self))
-        for name in ("bn_epsilon", "truncated_normal_stddev"):
-            value = getattr(self, name)
-            if not (0.0 < value and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ConfigError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
         total = sum(map(math.prod, _shapes(self).values()))
         if total > MAX_PARAMETERS:
             name = max(_SIZE_FIELDS, key=lambda n: getattr(self, n))
@@ -77,7 +74,7 @@ class Architecture:
         return self.filters + self.seq_len * self.gru_units
 
 
-_SIZE_FIELDS = [f.name for f in fields(Architecture) if f.type == "int"]
+_SIZE_FIELDS = [f.name for f in fields(Architecture)]
 
 
 def _check_sizes(values: dict) -> None:
@@ -88,17 +85,16 @@ def _check_sizes(values: dict) -> None:
 
 def _shapes(a) -> dict:
     """{name: shape} of every weight array, in the fixed manifest order, for
-    an Architecture or any object with its size fields."""
-    shapes = {"conv.kernels": (a.kernel_size, a.in_channels, a.filters),
-              "conv.bias": (a.filters,)}
+    an Architecture or any object with its four size fields."""
+    c, k, d = Architecture.in_channels, Architecture.kernel_size, Architecture.dense_units
+    shapes = {"conv.kernels": (k, c, a.filters), "conv.bias": (a.filters,)}
     shapes.update({f"bn.{n}": (a.filters,)
                    for n in ("gamma", "beta", "moving_mean", "moving_var")})
-    gru = {"w": (a.in_channels, a.gru_units), "u": (a.gru_units, a.gru_units)}
+    gru = {"w": (c, a.gru_units), "u": (a.gru_units, a.gru_units)}
     shapes.update({f"gru.{n}": gru.get(n[0], (a.gru_units,)) for n in GRU_FIELDS})
-    shapes.update({"dense_hidden.weights": (a.filters + a.seq_len * a.gru_units,
-                                            a.dense_units),
-                   "dense_hidden.bias": (a.dense_units,),
-                   "dense_out.weights": (a.dense_units, a.classes),
+    shapes.update({"dense_hidden.weights": (a.filters + a.seq_len * a.gru_units, d),
+                   "dense_hidden.bias": (d,),
+                   "dense_out.weights": (d, a.classes),
                    "dense_out.bias": (a.classes,)})
     return shapes
 
@@ -176,7 +172,7 @@ def build(seed: int, arch: Architecture = Architecture(), dtype=DOUBLE) -> Netwo
     rng = substream(seed, "gru")
     for name in GRU_FIELDS[:6]:  # w_z, w_r, w_h, u_z, u_r, u_h, drawn in this order
         arrays[f"gru.{name}"] = init_truncated_normal(
-            shapes[f"gru.{name}"], arch.truncated_normal_stddev, rng, dtype)
+            shapes[f"gru.{name}"], TRUNCATED_NORMAL_STDDEV, rng, dtype)
     return _assemble(arrays, arch)
 
 
@@ -193,8 +189,7 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
     return NetworkParameters(
         conv=Conv1DParams(arrays["conv.kernels"], arrays["conv.bias"]),
         bn=BatchNormParams(arrays["bn.gamma"], arrays["bn.beta"], arrays["bn.moving_mean"],
-                           arrays["bn.moving_var"], epsilon=arch.bn_epsilon,
-                           momentum=arch.bn_momentum),
+                           arrays["bn.moving_var"]),
         gru=GRUParams(**{name: arrays[f"gru.{name}"] for name in GRU_FIELDS}),
         dense_hidden=DenseParams(arrays["dense_hidden.weights"], arrays["dense_hidden.bias"]),
         dense_out=DenseParams(arrays["dense_out.weights"], arrays["dense_out.bias"]),
@@ -389,32 +384,34 @@ def summary(params: NetworkParameters) -> ModelSummary:
 # weight manifest: versioned, name-keyed, human-readable text
 
 
-def _arch_meta(arch: Architecture) -> dict:
-    return {f.name: str(getattr(arch, f.name)) for f in fields(Architecture)}
-
-
-# Manifests written before the topology was fixed carry these keys; each
-# loads only at the one value the fixed topology has.
-_LEGACY_META = {"pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
+# The constants of the fixed topology, as the meta text every manifest
+# carries them in.
+_CONSTANT_META = {"in_channels": str(Architecture.in_channels),
+                  "kernel_size": str(Architecture.kernel_size),
+                  "dense_units": str(Architecture.dense_units),
+                  "bn_epsilon": str(BatchNormParams.epsilon),
+                  "bn_momentum": str(BatchNormParams.momentum),
+                  "truncated_normal_stddev": str(TRUNCATED_NORMAL_STDDEV)}
+# Each of these meta keys loads only at this one text: the constants, and the
+# keys that manifests written before the topology was fixed carry.
+_FIXED_META = {**_CONSTANT_META,
+               "pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
 
 
 def _meta_sizes(meta: dict) -> dict:
-    """Every Architecture field's value: the manifest meta's, else the default."""
-    for key, value in _LEGACY_META.items():
+    """The four Architecture sizes: the manifest meta's, else the default."""
+    for key, value in _FIXED_META.items():
         if meta.get(key, value) != value:
             raise WeightFormatError(
                 f"manifest meta {key}: only {value!r} is supported, got {meta[key]!r}")
     sizes = {}
     for f in fields(Architecture):
-        if f.name not in meta:
-            sizes[f.name] = f.default
-            continue
-        raw = meta[f.name]
+        raw = meta.get(f.name, f.default)
         try:
-            sizes[f.name] = int(raw) if f.type == "int" else float(raw)
+            sizes[f.name] = int(raw)
         except ValueError:
             raise WeightFormatError(
-                f"manifest meta {f.name}: expected {f.type}, got {raw!r}") from None
+                f"manifest meta {f.name}: expected int, got {raw!r}") from None
     try:
         _check_sizes(sizes)
     except ConfigError as exc:
@@ -437,7 +434,8 @@ def save_weights(params: NetworkParameters, path,
     if extras:
         tensors += list(extras.items())
     all_meta = {"precision": "double" if params.dtype == np.float64 else "single"}
-    all_meta.update(_arch_meta(params.arch))
+    all_meta.update({name: str(getattr(params.arch, name)) for name in _SIZE_FIELDS})
+    all_meta.update(_CONSTANT_META)
     if meta:
         all_meta.update(meta)
     with atomic_write(path) as fh:

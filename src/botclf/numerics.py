@@ -45,14 +45,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return make_rng(int.from_bytes(digest[:8], "little"))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)), output in [0, 1].
-
-    Evaluated as 0.5 * (1 + tanh(x / 2)), which cannot overflow.
-    """
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 

@@ -169,8 +169,7 @@ def _epoch_eval(params, features, labels):
     if labels.size == 0:
         return float("nan"), float("nan")
     probs, _ = network.forward(params, features, mode="infer")
-    loss, _ = cross_entropy(probs, labels)
-    return loss, int((probs.argmax(axis=1) == labels).sum()) / labels.size
+    return float(_mean_nll(probs, labels)), int((probs.argmax(axis=1) == labels).sum()) / labels.size
 
 
 def _labeled_arrays(params: NetworkParameters, dataset, purpose: str):
@@ -245,9 +244,8 @@ def evaluate(params: NetworkParameters, dataset):
     """Infer-mode pass over a labeled dataset -> (ConfusionMatrix, mean loss)."""
     features, labels = _labeled_arrays(params, dataset, "evaluation")
     probs, _ = network.forward(params, features[:, :, None], mode="infer")
-    loss, _ = cross_entropy(probs, labels)
     cm = ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), params.arch.classes)
-    return cm, loss
+    return cm, float(_mean_nll(probs, labels))
 
 
 # --------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def gru_oracle(x, p, h0=None):
     return out
 
 
+def sigmoid(x):
+    """Elementwise 1 / (1 + exp(-x)), output in [0, 1], evaluated as
+    0.5 * (1 + tanh(x / 2)), which cannot overflow. The GRU computes its gates
+    in this form, with the 1/2 folded into its weights."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
+
+
 def sigmoid_two_branch(x):
     """1 / (1 + exp(-x)) from exp(-|x|), which never overflows."""
     t = np.exp(-np.abs(x))

@@ -13,7 +13,7 @@ from botclf.network import Architecture
 
 def _save_small_bundle(path):
     """A bundle of a small model (the 16 default features, 6 classes)."""
-    params = network.build(40, Architecture(filters=4, gru_units=2, dense_units=3))
+    params = network.build(40, Architecture(filters=4, gru_units=2))
     spec = FeatureSpec(mins=-np.arange(16.0), maxs=np.arange(16.0) + 1.5)
     network.save_bundle(params, path, spec, DEFAULT_LABEL_MAP)
     return params, spec
@@ -57,7 +57,7 @@ class TestBundle:
 
     def test_feature_names_must_number_meta_seq_len(self, tmp_path):
         path = tmp_path / "b.weights"
-        params = network.build(40, Architecture(filters=4, gru_units=2, dense_units=3))
+        params = network.build(40, Architecture(filters=4, gru_units=2))
         spec = FeatureSpec(names=DEFAULT_FEATURES[:15], mins=np.zeros(15), maxs=np.ones(15))
         network.save_bundle(params, path, spec, DEFAULT_LABEL_MAP)
         with pytest.raises(WeightFormatError, match="manifest meta seq_len 16 does not "

@@ -399,18 +399,16 @@ class TestSettingsFailClosed:
         assert err.splitlines() == ["botclf: data error: manifest meta gru_units must be "
                                     "at least 1, got 0"]
 
+    # the constants of the fixed topology load only at the one value it has
     @pytest.mark.parametrize("command", ["predict", "eval"])
-    @pytest.mark.parametrize("key,default,value,message", [
-        ("bn_epsilon", "0.001", "-5", "must be finite and positive, got -5.0"),
-        ("bn_epsilon", "0.001", "nan", "must be finite and positive, got nan"),
-        ("bn_momentum", "0.99", "1.5", "must lie in [0, 1], got 1.5"),
-        ("bn_momentum", "0.99", "nan", "must lie in [0, 1], got nan"),
-        ("truncated_normal_stddev", "0.05", "0", "must be finite and positive, got 0.0"),
-        ("truncated_normal_stddev", "0.05", "inf", "must be finite and positive, got inf"),
+    @pytest.mark.parametrize("key,default,value", [
+        ("bn_epsilon", "0.001", "-5"), ("bn_epsilon", "0.001", "nan"),
+        ("bn_momentum", "0.99", "1.5"), ("bn_momentum", "0.99", "nan"),
+        ("truncated_normal_stddev", "0.05", "0"), ("truncated_normal_stddev", "0.05", "inf"),
+        ("in_channels", "1", "2"), ("kernel_size", "3", "5"), ("dense_units", "10", "3"),
     ])
     def test_out_of_range_meta_constant_is_weight_format_error(
-            self, tmp_path, trained_weights, eval_csv, capsys, command, key, default, value,
-            message):
+            self, tmp_path, trained_weights, eval_csv, capsys, command, key, default, value):
         bad = tmp_path / "meta.weights"
         bad.write_text(trained_weights.read_text().replace(f"meta {key} {default}\n",
                                                            f"meta {key} {value}\n"))
@@ -418,8 +416,26 @@ class TestSettingsFailClosed:
         assert run([command, "--data", eval_csv, "--weights", bad,
                     "--report", out_path]) == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [
-            f"botclf: data error: manifest meta {key} {message}"]
+            f"botclf: data error: manifest meta {key}: only {default!r} is supported, "
+            f"got {value!r}"]
         assert not out_path.exists()
+
+    def test_manifest_without_constant_meta_loads(self, tmp_path, trained_weights,
+                                                  eval_csv):
+        constants = ("in_channels", "kernel_size", "dense_units", "bn_epsilon",
+                     "bn_momentum", "truncated_normal_stddev")
+        lines = trained_weights.read_text().splitlines(keepends=True)
+        kept = [line for line in lines
+                if not line.startswith(tuple(f"meta {key} " for key in constants))]
+        assert len(lines) - len(kept) == len(constants)
+        stripped = tmp_path / "stripped.weights"
+        stripped.write_text("".join(kept))
+        outputs = {}
+        for weights in (trained_weights, stripped):
+            outputs[weights] = tmp_path / f"{weights.stem}.txt"
+            assert run(["predict", "--data", eval_csv, "--weights", weights,
+                        "--report", outputs[weights]]) == EXIT_OK
+        assert outputs[stripped].read_bytes() == outputs[trained_weights].read_bytes()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("key,value,tensor,shape", [
@@ -800,6 +816,20 @@ class TestFeaturesConfigSizesTheModel:
         assert run(["gradcheck", "--features", feats, "--probes", "20"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
         assert [(a.seq_len, a.classes) for a in checked] == [(12, 3)]
+
+    def test_train_reads_the_features_config_once(self, tmp_path, monkeypatch):
+        feats, data = _class_map_files(tmp_path, 3)
+        reads = []
+        load = cli.load_features_config
+
+        def spy(path):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_features_config", spy)
+        assert run(["train", "--data", data, "--features", feats,
+                    "--weights", tmp_path / "w.weights", "--epochs", "1"]) == EXIT_OK
+        assert reads == [str(feats)]
 
     def test_train_and_predict_with_twelve_features(self, tmp_path, capsys):
         feats, data = _class_map_files(tmp_path, 6, features=12)

@@ -6,11 +6,11 @@ import pytest
 
 from botclf import layers
 from botclf.errors import CacheReusedError, ShapeError
-from botclf.numerics import make_rng, sigmoid
+from botclf.numerics import make_rng
 from oracles import (batchnorm_backward, batchnorm_forward, check_grads, conv1d_backward,
                      conv1d_forward, conv_oracle, global_max_pool, global_max_pool_backward,
                      gru_oracle, gru_stepwise_backward, gru_stepwise_forward,
-                     random_gru_params)
+                     random_gru_params, sigmoid)
 
 RNG = make_rng(20240517)
 

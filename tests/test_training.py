@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -261,6 +262,21 @@ class TestFit:
         training.fit(p, ds, TrainConfig(epochs=1, learning_rate=0.0, seed=6))
         for name, arr in p.trainable_arrays():
             npt.assert_array_equal(arr, before[name], err_msg=name)
+
+    def test_train_loss_is_the_mean_over_the_training_rows(self):
+        # one batch holds every training row and nothing is updated, so the
+        # reported train loss is the loss of one train-mode pass over them
+        ds = synth.make_dataset(120, seed=14)
+        cfg = TrainConfig(epochs=1, batch_size=120, learning_rate=0.0, seed=14)
+        p = network.build(14)
+        fresh = copy.deepcopy(p)
+        _, history = training.fit(p, ds, cfg)
+        features, labels = np.asarray(ds.features), np.asarray(ds.labels)
+        train_idx, _ = training._split_indices(labels.size, cfg.validation_fraction,
+                                               cfg.seed, labels, cfg.stratified)
+        probs, _ = network.forward(fresh, features[train_idx][:, :, None], mode="train")
+        loss, _ = training.cross_entropy(probs, labels[train_idx])
+        assert history[0].train_loss == pytest.approx(loss, rel=1e-12, abs=0)
 
     def test_epoch_stats_contract(self):
         ds = synth.make_dataset(200, seed=7)
