@@ -1,17 +1,22 @@
 """Golden outputs of the fixed model: the seeded initial weights, the
-`summary` text and the weights bundle a fresh model writes.
+`summary` text, the weights bundle a fresh model writes, the `gradcheck`
+text and the `.stats` lines of a short `train` run.
 
-Each is built from PCG64 draws, integer arithmetic and `repr` of floats, with
-no BLAS call, so the bytes are the same on every platform. A change that
-alters any of them changes the product and must say so.
+The first three are built from PCG64 draws, integer arithmetic and `repr` of
+floats, with no BLAS call, so the bytes are the same on every platform. The
+`gradcheck` and `.stats` texts print few enough digits that BLAS summation
+order does not reach them; the trained manifest does depend on it, so it is
+checked against a same-process rerun instead of a checked-in digest. A change
+that alters any of them changes the product and must say so.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from botclf import network
+from botclf import cli, network, synth
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 
 
@@ -56,3 +61,48 @@ def test_fresh_bundle_bytes(tmp_path):
                         FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), DEFAULT_LABEL_MAP)
     assert _sha256(path.read_bytes()) == (
         "f1aee6b2fdbe31701753fa3341c7909bb6e1cc3cd654fc8470e3047e2321bfa4")
+
+
+# The `gradcheck` text pins the probe draws, the verdicts and the printed
+# digits of the worst probe, whose differences are taken in long double.
+GRADCHECK = {
+    0: "gradient check: 100 probes, tolerance 1e-05\n"
+       "worst probe: gru.u_r[4, 2] rel_error=2.423e-07 "
+       "(analytic -1.202980e-06, numeric -1.202980e-06)\n"
+       "result: PASS\n",
+    2: "gradient check: 100 probes, tolerance 1e-05\n"
+       "worst probe: gru.u_r[4, 6] rel_error=5.197e-07 "
+       "(analytic -1.130749e-06, numeric -1.130750e-06)\n"
+       "result: PASS\n",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRADCHECK))
+def test_gradcheck_text(seed, capsys):
+    assert cli.main(["gradcheck", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == GRADCHECK[seed]
+
+
+# `.stats` of one epoch on 300 synthetic rows, minus the wall-clock `seconds`
+STATS = {
+    "double": "epoch=0 train_loss=1.655411 train_acc=0.237037 "
+              "val_loss=1.860815 val_acc=0.100000\n",
+    "single": "epoch=0 train_loss=1.655411 train_acc=0.237037 "
+              "val_loss=1.860816 val_acc=0.100000\n",
+}
+
+
+@pytest.mark.parametrize("precision", sorted(STATS))
+def test_train_stats_and_rerun_manifest(precision, tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    synth.write_csv(data, 300, seed=1)
+    manifests = []
+    for run in ("a", "b"):
+        weights = tmp_path / f"{run}.weights"
+        assert cli.main(["train", "--data", str(data), "--weights", str(weights),
+                         "--epochs", "1", "--precision", precision]) == 0
+        stats = (tmp_path / f"{run}.weights.stats").read_text()
+        assert re.sub(r" seconds=\S+", "", stats) == STATS[precision]
+        manifests.append(weights.read_bytes())
+    assert manifests[0] == manifests[1]
+    capsys.readouterr()
