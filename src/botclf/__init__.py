@@ -16,7 +16,7 @@ from .network import (Architecture, ModelSummary, NetworkParameters, build,
                       forward, backward, load_weights, param_count,
                       save_weights, summary)
 from .training import (EpochStats, GradCheckReport, TrainConfig, cross_entropy,
-                       evaluate, fit, gradient_check, init_rmsprop, rmsprop_step)
+                       evaluate, fit, gradient_check, rmsprop_step)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,7 @@ __all__ = [
     "MetricsReport", "ModelSummary", "NetworkParameters", "OverallStats",
     "TrainConfig", "accuracy_ci", "auci_band", "backward", "build",
     "class_stats", "cohen_kappa", "cross_entropy", "evaluate", "fit",
-    "fit_normalizer", "forward", "gradient_check", "init_rmsprop",
-    "load_weights", "overall_stats", "param_count", "report",
-    "rmsprop_step", "save_weights", "stats_from_cells", "stream_csv", "summary",
-    "to_dataset", "__version__",
+    "fit_normalizer", "forward", "gradient_check", "load_weights",
+    "overall_stats", "param_count", "report", "rmsprop_step", "save_weights",
+    "stats_from_cells", "stream_csv", "summary", "to_dataset", "__version__",
 ]

@@ -1,13 +1,15 @@
 """Command-line front end: summary | train | eval | predict | gradcheck.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure (including a failed gradient check).
+Exit codes: 0 success (also when the reader of the output closes it
+early, as `botclf predict ... | head` does), 2 configuration error, 3 data
+error, 4 numeric failure (including a failed gradient check).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from contextlib import nullcontext
 
@@ -197,7 +199,14 @@ def main(argv=None) -> int:
         cfg = resolve(cli_values, config_path=args.config)
         logging.basicConfig(level=logging.DEBUG if cfg.verbose else logging.INFO,
                             format="%(levelname)s %(name)s: %(message)s")
-        return _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](cfg)
+        sys.stdout.flush()  # so a closed stdout pipe is caught here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the output early, which ends the run without
+        # error; stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"botclf: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

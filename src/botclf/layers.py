@@ -40,16 +40,17 @@ class Cache:
 
 
 # --------------------------------------------------------------------------
-# parameter containers
+# parameter containers: frozen, so an array can be updated in place but not
+# rebound
 
 
-@dataclass
+@dataclass(frozen=True)
 class Conv1DParams:
     kernels: np.ndarray  # [kernel_size, in_channels, filters]
     bias: np.ndarray     # [filters]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchNormParams:
     gamma: np.ndarray        # [channels], trainable
     beta: np.ndarray         # [channels], trainable
@@ -59,7 +60,7 @@ class BatchNormParams:
     momentum: float = 0.99
 
 
-@dataclass
+@dataclass(frozen=True)
 class GRUParams:
     """Dual-bias GRU: separate input-side (b_*) and recurrent-side (rb_*)
     biases, with the recurrent candidate bias applied inside the reset
@@ -87,7 +88,7 @@ GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
               "b_z", "b_r", "b_h", "rb_z", "rb_r", "rb_h")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseParams:
     weights: np.ndarray  # [in, out]
     bias: np.ndarray     # [out]

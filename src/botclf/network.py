@@ -115,12 +115,14 @@ def _views(buffer: np.ndarray, shapes) -> dict:
     return views
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkParameters:
     """The weights of one model. Every trainable array is a view into `flat`,
     one contiguous buffer laid out in `trainable_arrays()` order, so the
     optimizer updates all of them at once; the moving statistics are
-    separate arrays."""
+    separate arrays. This container and the layer containers are frozen:
+    arrays are updated in place, and rebinding one (which would detach it
+    from `flat`) raises FrozenInstanceError."""
 
     conv: Conv1DParams
     bn: BatchNormParams
@@ -137,12 +139,6 @@ class NetworkParameters:
     def trainable_arrays(self):
         """(name, array) for every optimizer-owned weight; moving stats excluded."""
         return list(zip(_TRAINABLE_NAMES, _get_trainable(self)))
-
-    def detached(self) -> list:
-        """Names of the trainable arrays that are no longer views into `flat`
-        (they were rebound), so an update of `flat` would miss them."""
-        return [name for name, a in zip(_TRAINABLE_NAMES, _get_trainable(self))
-                if a.base is not self.flat]
 
     def trainable_views(self, buffer: np.ndarray) -> dict:
         """{name: view of `buffer`}, laid out as the trainable arrays are in `flat`."""
@@ -285,32 +281,21 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     return out, None
 
 
-# (key of a layer backward's gradient, trainable name) for the conv branch,
-# the GRU and the two dense layers, in `backward`'s order
-_GRADIENT_NAMES = (
-    (("kernels", "conv.kernels"), ("bias", "conv.bias"), ("gamma", "bn.gamma"),
-     ("beta", "bn.beta")),
-    tuple((name, f"gru.{name}") for name in GRU_FIELDS),
-    (("weights", "dense_hidden.weights"), ("bias", "dense_hidden.bias")),
-    (("weights", "dense_out.weights"), ("bias", "dense_out.bias")),
-)
+# keys of the conv branch's, the GRU's and the two dense layers' weight
+# gradients, in the order of their trainable arrays in `params.flat`
+_GRADIENT_KEYS = (("kernels", "bias", "gamma", "beta"), GRU_FIELDS,
+                  ("weights", "bias"), ("weights", "bias"))
 
 
-def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray,
-             out: dict | None = None):
-    """Gradient of the loss w.r.t. every trainable weight, written into `out`
-    and returned.
+def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray):
+    """Gradient of the loss w.r.t. every trainable weight, as one array laid
+    out like `params.flat` and in its precision; `params.trainable_views`
+    splits it by name.
 
-    `out` is a {name: view} dict keyed like `trainable_arrays()`, every view
-    into one buffer laid out like `params.flat`, as `params.trainable_views`
-    makes it; `rmsprop_step` updates from that buffer. Without `out` a fresh
-    one is made; `fit` makes it once and passes it to every step.
     `dlogits` is the loss gradient w.r.t. the final dense layer's
     pre-softmax logits, as produced by the cross-entropy loss. The input is
     data, so no gradient w.r.t. it is formed.
     """
-    if out is None:
-        out = params.trainable_views(np.empty_like(params.flat))
     d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits)
     d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
     a = params.arch
@@ -318,10 +303,9 @@ def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarr
 
     g_branch = layers.conv_branch_backward(caches.conv_branch, d_pool)
     g_gru = layers.gru_backward(caches.gru, d_flat.reshape(-1, a.seq_len, a.gru_units))
-    for grads, names in zip((g_branch, g_gru, g_hidden, g_out), _GRADIENT_NAMES):
-        for key, name in names:
-            out[name][...] = grads[key]
-    return out
+    return np.concatenate([grads[key].ravel() for grads, keys
+                           in zip((g_branch, g_gru, g_hidden, g_out), _GRADIENT_KEYS)
+                           for key in keys], dtype=params.dtype)
 
 
 def param_count(params: NetworkParameters):

@@ -92,58 +92,34 @@ def _mean_nll(probs: np.ndarray, labels: np.ndarray):
     return -np.add.reduce(nll) / labels.size
 
 
-def init_rmsprop(params: NetworkParameters) -> dict:
-    """Zeroed squared-gradient accumulators keyed like `trainable_arrays()`,
-    views into one buffer laid out as `params.flat`."""
-    return params.trainable_views(np.zeros_like(params.flat))
-
-
-def rmsprop_step(params: NetworkParameters, grads: dict, state: dict,
-                 config: TrainConfig):
+def rmsprop_step(params: NetworkParameters, grads: np.ndarray, state: np.ndarray,
+                 learning_rate: float):
     """In-place RMSProp update of every trainable array, as one update of
-    `params.flat` from the gradients' and the state's buffers.
+    `params.flat`.
 
     s <- rho*s + (1-rho)*g^2 ; theta <- theta - lr * g / (sqrt(s) + eps)
-    `grads` and `state` are {name: view} dicts over one buffer each, laid
-    out as `params.flat`: `network.backward` fills such a gradient dict, and
-    `init_rmsprop` makes the state. Each element sees the same operations
-    as in a per-array update, so the result is byte-identical to one.
-    Moving batchnorm statistics are never touched. Raises ValueError,
-    before anything is updated, if either dict is not one such buffer, or
-    if a parameter, gradient or state array is no longer a view into its
-    buffer (it was rebound), since the update would then miss it.
+    `grads` and `state` are arrays laid out like `params.flat`:
+    `network.backward` returns such a gradient, and `fit` starts the state
+    at zeros. Each element sees the same operations as in a per-array
+    update, so the result is byte-identical to one. Moving batchnorm
+    statistics are never touched. Raises ValueError, before anything is
+    updated, unless both arrays have the shape of `params.flat`.
     """
     flat = params.flat
-    s = _buffer(state, flat, "RMSProp state", "make it with init_rmsprop")
-    g = _buffer(grads, flat, "the gradients", "make them with params.trainable_views")
-    detached = params.detached()
-    if detached:
-        raise ValueError(f"{detached[0]} is no longer a view into its buffer; {_REBOUND}")
-    s *= RMS_DECAY
-    step = g * g
+    for what, a in (("gradient", grads), ("RMSProp state", state)):
+        if np.shape(a) != flat.shape:
+            raise ValueError(f"the {what} has shape {np.shape(a)}; it must be laid out "
+                             f"like the parameters, shape {flat.shape}")
+    state *= RMS_DECAY
+    step = grads * grads
     step *= 1.0 - RMS_DECAY
-    s += step
-    denom = np.sqrt(s)
+    state += step
+    denom = np.sqrt(state)
     denom += RMS_EPSILON
-    np.multiply(config.learning_rate, g, out=step)
+    np.multiply(learning_rate, grads, out=step)
     step /= denom
     flat -= step
     return params, state
-
-
-_REBOUND = "rebinding a parameter, gradient or state array detaches it"
-
-
-def _buffer(views: dict, flat: np.ndarray, what: str, remedy: str) -> np.ndarray:
-    """The one buffer laid out like `flat` that every array of `views` is a
-    view into; ValueError if there is none."""
-    buffer = next(iter(views.values())).base
-    if buffer is None or buffer.shape != flat.shape:
-        raise ValueError(f"{what} is not one buffer laid out like the parameters; {remedy}")
-    for name, view in views.items():
-        if view.base is not buffer:
-            raise ValueError(f"{name} is no longer a view into its buffer; {_REBOUND}")
-    return buffer
 
 
 def _split_indices(n: int, fraction: float, seed: int,
@@ -207,8 +183,7 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     if train_idx.size == 0:
         raise DataError(f"validation_fraction {config.validation_fraction} leaves no "
                         f"training rows out of {labels.size}")
-    state = init_rmsprop(params)
-    grads = params.trainable_views(np.zeros_like(params.flat))
+    state = np.zeros_like(params.flat)
     history = []
     for epoch in range(config.epochs):
         start_time = time.perf_counter()
@@ -224,8 +199,8 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
             loss, dlogits = cross_entropy(probs, yb)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            rmsprop_step(params, network.backward(params, caches, dlogits, grads), state,
-                         config)
+            rmsprop_step(params, network.backward(params, caches, dlogits), state,
+                         config.learning_rate)
             epoch_loss += loss * yb.size
             epoch_correct += np.count_nonzero(probs.argmax(axis=1) == yb)
         train_loss = epoch_loss / shuffled.size
@@ -335,7 +310,8 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
         return probs, caches
 
     probs, caches = train_forward(params)
-    grads = network.backward(params, caches, cross_entropy(probs, labels)[1])
+    grads = params.trainable_views(
+        network.backward(params, caches, cross_entropy(probs, labels)[1]))
     wide = network._assemble({name: a.astype(np.longdouble)
                               for name, a in params.named_arrays()}, arch)
 

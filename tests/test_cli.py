@@ -4,6 +4,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +163,24 @@ class TestPredict:
             assert name  # display name resolved from the label map
         assert 0 <= idx <= 5
 
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path, trained_weights):
+        # `botclf predict ... | head -1`: the reader closes the pipe after one
+        # line, while 3000 rows of output still exceed what the pipe buffers
+        plain = tmp_path / "plain.csv"
+        synth.write_csv(plain, 3000, seed=8, labeled=False)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from botclf.cli import main; sys.exit(main())",
+             "predict", "--data", str(plain), "--weights", str(trained_weights)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert stderr == b""
+        assert re.fullmatch(rb"\d,[^,]+(,\d\.\d{9}){6}\n", first)
 
     def test_chunked_output_matches_reference_forward(self, tmp_path, trained_weights):
         # 1100 valid rows cross two 512-row chunk boundaries; one malformed

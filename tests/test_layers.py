@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -222,8 +223,8 @@ class TestGRU:
     def test_forward_without_cache_gives_same_states(self, b, dtype):
         rng = make_rng(17)
         p = random_gru_params(rng, 1, 10)
-        for name in layers.GRU_FIELDS:
-            setattr(p, name, getattr(p, name).astype(dtype))
+        p = dataclasses.replace(p, **{name: getattr(p, name).astype(dtype)
+                                      for name in layers.GRU_FIELDS})
         x = rng.normal(size=(b, 16, 1)).astype(dtype)
         h_seq, cache = layers.gru_forward(x, p, keep_cache=False)
         assert cache is None
@@ -260,8 +261,8 @@ class TestGRU:
         # reproduce them.
         rng = make_rng(16)
         p = random_gru_params(rng, c, units)
-        for name in layers.GRU_FIELDS:
-            setattr(p, name, getattr(p, name).astype(dtype))
+        p = dataclasses.replace(p, **{name: getattr(p, name).astype(dtype)
+                                      for name in layers.GRU_FIELDS})
         x = rng.normal(size=(b, t + warm_start, c)).astype(dtype)
         upstream = rng.normal(size=(b, t + warm_start, units)).astype(dtype)
 

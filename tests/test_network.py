@@ -406,7 +406,7 @@ def _compare_step(p, x, labels, tol, mode):
     probs, caches = network.forward(p, x, mode=mode)
     if mode == "train":
         ref_probs, ref_dlogits, ref_grads = _layerwise(wide, x.astype(np.longdouble), labels)
-        grads = network.backward(p, caches, ref_dlogits.astype(p.dtype))
+        grads = p.trainable_views(network.backward(p, caches, ref_dlogits.astype(p.dtype)))
     else:
         ref_probs, _ = _layerwise_forward(wide, x.astype(np.longdouble), mode)
         grads = {}
@@ -474,7 +474,8 @@ class TestFusedStep:
             return training.cross_entropy(probs, labels)[0]
 
         probs, caches = network.forward(p, x, mode="train")
-        grads = network.backward(p, caches, training.cross_entropy(probs, labels)[1])
+        grads = p.trainable_views(
+            network.backward(p, caches, training.cross_entropy(probs, labels)[1]))
         for name, arr in p.trainable_arrays():
             check_grads(grads[name], loss, arr, rng, n=6)
 
