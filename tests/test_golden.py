@@ -1,17 +1,21 @@
 """Golden outputs of the fixed model: the seeded initial weights, the
 `summary` text, the weights bundle a fresh model writes, the `gradcheck`
-text and the `.stats` lines of a short `train` run.
+text, the `.stats` lines of a short `train` run and the `predict` output of
+the model it trains.
 
 The first three are built from PCG64 draws, integer arithmetic and `repr` of
 floats, with no BLAS call, so the bytes are the same on every platform. The
 `gradcheck` and `.stats` texts print few enough digits that BLAS summation
 order does not reach them; the trained manifest does depend on it, so it is
-checked against a same-process rerun instead of a checked-in digest. A change
-that alters any of them changes the product and must say so.
+checked against a same-process rerun instead of a checked-in digest, and the
+`predict` probabilities of the trained model against checked-in values
+within 1e-12 relative. A change that alters any of them changes the product
+and must say so.
 """
 
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,3 +110,58 @@ def test_train_stats_and_rerun_manifest(precision, tmp_path, capsys):
         manifests.append(weights.read_bytes())
     assert manifests[0] == manifests[1]
     capsys.readouterr()
+
+
+# `predict` of the one-epoch double-precision model above on 530 unlabeled
+# synthetic rows, one full 512-row chunk and one partial chunk. Each line of
+# the golden file is a `predict` report line with the probabilities at full
+# `repr` precision, as the forward pass returned them.
+PREDICT_GOLDEN = Path(__file__).parent / "golden" / "predict_530.txt"
+PREDICT_ROWS = 530
+
+
+@pytest.fixture(scope="module")
+def golden_model(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden_model")
+    data = folder / "train.csv"
+    synth.write_csv(data, 300, seed=1)
+    weights = folder / "model.weights"
+    assert cli.main(["train", "--data", str(data), "--weights", str(weights),
+                     "--epochs", "1", "--precision", "double"]) == 0
+    return weights
+
+
+def _predict(weights, data, report, monkeypatch):
+    """(report bytes, [probs of each forward call]) of one `predict` run."""
+    real, chunks = network.forward, []
+
+    def record(*args, **kwargs):
+        probs, caches = real(*args, **kwargs)
+        chunks.append(probs.copy())
+        return probs, caches
+
+    monkeypatch.setattr(network, "forward", record)
+    assert cli.main(["predict", "--data", str(data), "--weights", str(weights),
+                     "--report", str(report)]) == 0
+    monkeypatch.setattr(network, "forward", real)
+    return report.read_bytes(), chunks
+
+
+def test_predict_golden_and_rerun(golden_model, tmp_path, monkeypatch):
+    data = tmp_path / "score.csv"
+    synth.write_csv(data, PREDICT_ROWS, seed=2, labeled=False)
+    report, chunks = _predict(golden_model, data, tmp_path / "a.txt", monkeypatch)
+    assert [len(c) for c in chunks] == [512, PREDICT_ROWS - 512]
+    probs = np.concatenate(chunks)
+
+    golden = [line.split(",") for line in PREDICT_GOLDEN.read_text().splitlines()]
+    lines = [line.split(",") for line in report.decode().splitlines()]
+    assert [row[:2] for row in lines] == [row[:2] for row in golden]
+    assert [row[:2] for row in lines] == [
+        [str(i), DEFAULT_LABEL_MAP.names[i]] for i in probs.argmax(axis=1).tolist()]
+    expected = np.array([[float(v) for v in row[2:]] for row in golden])
+    np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
+
+    rerun, rerun_chunks = _predict(golden_model, data, tmp_path / "b.txt", monkeypatch)
+    assert rerun == report
+    assert np.concatenate(rerun_chunks).tobytes() == probs.tobytes()
