@@ -17,7 +17,7 @@ from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
 from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write, require_parent_dir
+from .fileio import atomic_write, require_output_path
 from .network import Architecture
 from .numerics import resolve_dtype
 
@@ -65,8 +65,8 @@ def cmd_train(cfg: RunConfig) -> int:
         stratified=cfg.stratified)
     data_path = _require_data(cfg)
     stats_path = cfg.report or (cfg.weights + ".stats")
-    require_parent_dir(cfg.weights)
-    require_parent_dir(stats_path)
+    require_output_path(cfg.weights)
+    require_output_path(stats_path)
     # one labeled pass: the normalizer is fitted on exactly the rows trained on
     chunks = list(dataio.stream_csv(data_path, schema, spec, label_map,
                                     policy=cfg.policy).chunks())
@@ -94,7 +94,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     data_path = _require_data(cfg)
     if cfg.report:
-        require_parent_dir(cfg.report)
+        require_output_path(cfg.report)
     spec, schema, label_map = _io_setup(cfg)
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map, policy=cfg.policy)
@@ -115,16 +115,17 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     data_path = _require_data(cfg)
     if cfg.report:
-        require_parent_dir(cfg.report)
+        require_output_path(cfg.report)
     spec, schema, label_map = _io_setup(cfg)
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy)
     names = label_map.names
     line = "%d,%s," + ",".join(["%.9f"] * params.arch.classes) + "\n"
+    workspace = {}  # the forward pass's work arrays, made once for all chunks
     with atomic_write(cfg.report) if cfg.report else nullcontext(sys.stdout) as out:
         for features, _ in stream.chunks():
             x = spec.normalize(features)[:, :, None]
-            probs, _ = network.forward(params, x, mode="infer")
+            probs, _ = network.forward(params, x, mode="infer", workspace=workspace)
             out.write("".join([line % (idx, names[idx], *row) for idx, row
                                in zip(probs.argmax(axis=1).tolist(), probs.tolist())]))
     return EXIT_OK

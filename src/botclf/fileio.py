@@ -14,12 +14,16 @@ from contextlib import contextmanager
 from .errors import DataError
 
 
-def require_parent_dir(path) -> None:
-    """Raise DataError unless the directory `atomic_write(path)` writes in
-    exists, so a command can refuse a bad output path before its work."""
-    folder = os.path.dirname(os.path.realpath(path))
+def require_output_path(path) -> None:
+    """Raise DataError unless `atomic_write(path)` can write: the directory
+    it writes in exists and the path is not itself a directory, so a
+    command can refuse a bad output path before its work."""
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
     if not os.path.isdir(folder):
         raise DataError(f"cannot write {path}: directory {folder} does not exist")
+    if os.path.isdir(target):
+        raise DataError(f"cannot write {path}: it is a directory")
 
 
 @contextmanager

@@ -39,6 +39,17 @@ class Cache:
         return self.data
 
 
+def work_array(work: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array of this shape and dtype: the one `work` holds
+    under `name` if it matches, else a new one, left in `work` when given."""
+    arr = None if work is None else work.get(name)
+    if arr is None or arr.shape != shape or arr.dtype != dtype:
+        arr = np.empty(shape, dtype=dtype)
+        if work is not None:
+            work[name] = arr
+    return arr
+
+
 # --------------------------------------------------------------------------
 # parameter containers: frozen, so an array can be updated in place but not
 # rebound
@@ -182,7 +193,8 @@ def conv_branch_backward(cache: Cache, dpool: np.ndarray):
 # GRU (returns the full hidden-state sequence)
 
 
-def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
+def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True,
+                work: dict | None = None, out: np.ndarray | None = None):
     """x: [B, T, input_dim] -> (h_seq: [B, T, units], cache), from the zero
     state.
 
@@ -204,6 +216,11 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
     2z | 2r | inner / 2 | hcand blocks are copied into a [4, T, units, B]
     stack for `gru_backward`. With keep_cache=False (inference) nothing is
     copied and the cache returned is None; the hidden states are the same.
+
+    `work`, a dict, lends the state, pre-activation and diff buffers: they
+    are taken from it when it holds them at this shape and dtype, and left
+    in it for the next call. With `out`, a [B, T, units] array or view, the
+    hidden states are written into it and it is returned as h_seq.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
@@ -220,15 +237,15 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
     m[units:-1, cx], m[-1, cx] = p.w_h, p.b_h
     m[:, :3 * units] *= 0.5
     m = m.T
-    hs = np.empty((t + 1, units + input_dim + 1, b), dtype=dtype)
+    hs = work_array(work, "gru.states", (t + 1, units + input_dim + 1, b), dtype)
     hs[0, :units] = 0.0
     hs[:t, units:-1] = x.transpose(1, 2, 0)  # the last state is read for its h only
     hs[:, -1] = 1.0
     gates = np.empty((4, t if keep_cache else 0, units, b), dtype=dtype)
-    a = np.empty((4 * units, b), dtype=dtype)
+    a = work_array(work, "gru.preact", (4 * units, b), dtype)
     blocks = a.reshape(4, units, b)
     zr, (z2, r2, inner, hcand) = a[:2 * units], blocks
-    diff = np.empty((units, b), dtype=dtype)
+    diff = work_array(work, "gru.diff", (units, b), dtype)
     one, half = np.ones((), dtype), np.full((), 0.5, dtype)
     dot, tanh, add, subtract, multiply = np.dot, np.tanh, np.add, np.subtract, np.multiply
     states, hidden = list(hs), list(hs[:, :units])
@@ -246,7 +263,11 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True):
         add(h, diff, out=hidden[i + 1])
         if keep_cache:
             gates[:, i] = blocks
-    h_seq = np.ascontiguousarray(hs[1:, :units].transpose(2, 0, 1))
+    if out is None:
+        h_seq = np.ascontiguousarray(hs[1:, :units].transpose(2, 0, 1))
+    else:
+        out[...] = hs[1:, :units].transpose(2, 0, 1)
+        h_seq = out
     if not keep_cache:
         return h_seq, None
     return h_seq, Cache({"params": p, "hs": hs, "gates": gates})

@@ -27,8 +27,8 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, WeightForm
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
-from .numerics import (DOUBLE, init_he_uniform, init_truncated_normal, relu,
-                       resolve_dtype, substream)
+from .numerics import (DOUBLE, init_he_uniform, init_truncated_normal, resolve_dtype,
+                       substream)
 
 # rows per pass of the inference engine; bounds its working memory
 INFER_CHUNK = 512
@@ -219,24 +219,35 @@ def _folded_conv(params: NetworkParameters) -> Conv1DParams:
                         bias=(params.conv.bias - bn.moving_mean) * scale + bn.beta)
 
 
-def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams) -> np.ndarray:
-    """max over time of the conv1d ("same" padding) of x: [B, T, C] -> [B, filters].
+def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams, out: np.ndarray,
+                        work: dict) -> None:
+    """out[:] = max over time of the conv1d ("same" padding) of x: [B, T, C]
+    -> [B, filters].
 
     One [B, filters] window product per time step, max-accumulated, so the
     [B, T, filters] conv output is never stored. The bias is added after
-    the max, which is exact: rounding y + b is monotone in y.
+    the max, which is exact: rounding y + b is monotone in y. The padded
+    input, the accumulator and the product are `work` arrays.
     """
     k, c_in, filters = conv.kernels.shape
+    b, t, _ = x.shape
     pad_l = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad_l, k - 1 - pad_l), (0, 0)))
+    xp = layers.work_array(work, "conv.padded", (b, t + k - 1, c_in), x.dtype)
+    xp[:, :pad_l] = 0.0
+    xp[:, pad_l:pad_l + t] = x
+    xp[:, pad_l + t:] = 0.0
     w = conv.kernels.reshape(k * c_in, filters)
-    out = xp[:, :k, :].reshape(-1, k * c_in) @ w
-    for i in range(1, x.shape[1]):
-        np.maximum(out, xp[:, i:i + k, :].reshape(-1, k * c_in) @ w, out=out)
-    return out + conv.bias
+    acc = layers.work_array(work, "conv.max", (b, filters), out.dtype)
+    product = layers.work_array(work, "conv.window", (b, filters), out.dtype)
+    np.matmul(xp[:, :k, :].reshape(-1, k * c_in), w, out=acc)
+    for i in range(1, t):
+        np.matmul(xp[:, i:i + k, :].reshape(-1, k * c_in), w, out=product)
+        np.maximum(acc, product, out=acc)
+    np.add(acc, conv.bias, out=out)
 
 
-def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
+def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
+            workspace: dict | None = None):
     """x: [B, seq_len, in_channels] -> (probs [B, classes], caches).
 
     Each output row is a probability vector summing to 1. In "train" mode
@@ -249,6 +260,15 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     monotone non-decreasing; the ReLU then sees [B, filters] instead of
     [B, seq_len, filters]. Infer mode raises NumericError if any
     probability is non-finite, so a broken model never yields a prediction.
+
+    Infer mode runs each chunk in work arrays (the conv's padded input and
+    accumulators, the GRU's states, the [B, concat_width] concatenation,
+    which the GRU writes its hidden states into) that `workspace` keeps
+    under (rows, dtype, Architecture) for the next chunk and the next call.
+    Without one, a dict local to the call serves its chunks. Only sizes are
+    kept, nothing derived from the weights, so a workspace stays valid when
+    the weights change; the returned probs never share its memory. Train
+    mode ignores `workspace`.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -264,20 +284,26 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
         probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
         return probs, ForwardCaches(c_branch, c_gru, c_hidden, c_out)
 
+    workspace = {} if workspace is None else workspace
     conv = _folded_conv(params)
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
     for start in range(0, x.shape[0], INFER_CHUNK):
         xb = x[start:start + INFER_CHUNK]
-        pooled = relu(_conv_max_over_time(xb, conv))
-        gru_y, _ = layers.gru_forward(xb, params.gru, keep_cache=False)
-        concat_y = np.concatenate([pooled, gru_y.reshape(xb.shape[0], -1)], axis=1)
+        rows = xb.shape[0]
+        work = workspace.setdefault((rows, params.dtype, a), {})
+        concat_y = layers.work_array(work, "concat", (rows, a.concat_width), params.dtype)
+        pooled = concat_y[:, :a.filters]
+        _conv_max_over_time(xb, conv, pooled, work)
+        np.maximum(pooled, 0.0, out=pooled)  # relu
+        layers.gru_forward(xb, params.gru, keep_cache=False, work=work,
+                           out=concat_y[:, a.filters:].reshape(rows, a.seq_len, a.gru_units))
         hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, "relu")
         probs, _ = layers.dense_forward(hidden_y, params.dense_out, "softmax")
         finite = np.isfinite(probs).all(axis=1)
         if not finite.all():
             raise NumericError(f"non-finite class probabilities for "
-                               f"{int((~finite).sum())} of {xb.shape[0]} rows in a batch")
-        out[start:start + xb.shape[0]] = probs
+                               f"{int((~finite).sum())} of {rows} rows in a batch")
+        out[start:start + rows] = probs
     return out, None
 
 

@@ -373,6 +373,26 @@ class TestSettingsFailClosed:
                                     f"{target.parent} does not exist"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
+    @pytest.mark.parametrize("command,flag", [("train", "--weights"), ("train", "--report"),
+                                              ("eval", "--report"), ("predict", "--report")])
+    def test_directory_output_exits_before_reading(self, tmp_path, trained_weights,
+                                                   train_csv, command, flag, monkeypatch,
+                                                   capsys):
+        target = tmp_path / "out_dir"
+        target.mkdir()
+        args = {"--weights": trained_weights if command != "train" else tmp_path / "m.w"}
+        args[flag] = target
+        monkeypatch.setattr(dataio, "stream_csv",
+                            lambda *a, **k: pytest.fail("the data was read"))
+        assert run([command, "--data", train_csv, *[a for kv in args.items() for a in kv]]
+                   ) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"botclf: data error: cannot write {target}: "
+                                    "it is a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out_dir", "train.csv"]
+        assert list(target.iterdir()) == []
+
     def test_validation_fraction_out_of_range(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BOTCLF_VALIDATION_FRACTION", "1.0")
         assert run(["train", "--data", tmp_path / "nope.csv"]) == EXIT_CONFIG
@@ -586,11 +606,11 @@ class TestAtomicOutputs:
         real = network.forward
         calls = []
 
-        def fail_on_second_chunk(params, x, mode):
+        def fail_on_second_chunk(params, x, mode, workspace=None):
             calls.append(len(x))
             if len(calls) == 2:
                 raise NumericError("injected failure after the first chunk")
-            return real(params, x, mode)
+            return real(params, x, mode, workspace)
 
         monkeypatch.setattr(network, "forward", fail_on_second_chunk)
         data = tmp_path / "data.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -101,6 +102,17 @@ def _briefly_trained(dtype):
     return p
 
 
+def _workspace_arrays(workspace):
+    return [arr for work in workspace.values() for arr in work.values()]
+
+
+def _assert_fresh(results, workspace):
+    """No result shares memory with another result or with the workspace."""
+    for i, probs in enumerate(results):
+        for other in results[:i] + _workspace_arrays(workspace):
+            assert not np.shares_memory(probs, other)
+
+
 class TestInferMode:
     @pytest.fixture(scope="class")
     def trained(self):
@@ -130,6 +142,63 @@ class TestInferMode:
         x = make_rng(36).uniform(0, 1, size=(600, 16, 1))
         with pytest.raises(NumericError, match="non-finite"):
             network.forward(p, x, mode="infer")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_shared_workspace_matches_fresh_calls(self, trained, dtype):
+        p, workspace, results = trained[dtype], {}, []
+        for i, n in enumerate([512, 512, 37, 512]):
+            x = make_rng(50 + i).uniform(0, 1, size=(n, 16, 1)).astype(dtype)
+            probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
+            assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
+            results.append(probs)
+        assert sorted(rows for rows, _, _ in workspace) == [37, 512]
+        _assert_fresh(results, workspace)
+
+    def test_one_dict_keeps_buffers_per_dtype_and_architecture(self, trained):
+        models = [trained[np.float64], trained[np.float32],
+                  _randomized(53, Architecture(filters=8, gru_units=4))]
+        x = make_rng(54).uniform(0, 1, size=(512, 16, 1))
+        workspace, results = {}, []
+        for _ in range(2):
+            for p in models:
+                probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
+                assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
+                results.append(probs)
+        assert sorted(workspace, key=str) == sorted(
+            [(512, p.dtype, p.arch) for p in models], key=str)
+        arrays = _workspace_arrays(workspace)
+        for i, arr in enumerate(arrays):
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+        _assert_fresh(results, workspace)
+
+    def test_workspace_stays_valid_after_a_training_step(self):
+        p = _randomized(55)
+        x = make_rng(56).uniform(0, 1, size=(600, 16, 1))
+        workspace = {}
+        before, _ = network.forward(p, x, mode="infer", workspace=workspace)
+        probs, caches = network.forward(p, x[:10], mode="train")
+        _, dlogits = training.cross_entropy(probs, np.arange(10) % 6)
+        training.rmsprop_step(p, network.backward(p, caches, dlogits),
+                              np.zeros_like(p.flat), 1e-2)
+        after, _ = network.forward(p, x, mode="infer", workspace=workspace)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
+
+    def test_reused_workspace_allocates_little(self):
+        # tracemalloc sees numpy's data buffers: without a workspace a
+        # 512-row pass peaks at about 2.5 MB of temporaries
+        p = _randomized(57)
+        x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
+        workspace = {}
+        network.forward(p, x, mode="infer", workspace=workspace)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            network.forward(p, x, mode="infer", workspace=workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 256 * 1024
 
 
 class TestSummary:
