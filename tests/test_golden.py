@@ -1,7 +1,7 @@
 """Golden outputs of the fixed model: the seeded initial weights, the
 `summary` text, the weights bundle a fresh model writes, the `gradcheck`
-text, the `.stats` lines of a short `train` run and the `predict` output of
-the model it trains.
+text, the `.stats` lines of a short `train` run, and the `predict` and
+`eval` outputs of the models it trains.
 
 The first three are built from PCG64 draws, integer arithmetic and `repr` of
 floats, with no BLAS call, so the bytes are the same on every platform. The
@@ -9,7 +9,9 @@ floats, with no BLAS call, so the bytes are the same on every platform. The
 order does not reach them; the trained manifest does depend on it, so it is
 checked against a same-process rerun instead of a checked-in digest, and the
 `predict` probabilities of the trained model against checked-in values
-within 1e-12 relative. A change that alters any of them changes the product
+within 1e-12 relative. The `eval` stdout and report print counts and metrics
+of counts, plus the mean loss to six digits, and are checked byte for byte.
+A change that alters any of them changes the product
 and must say so.
 """
 
@@ -121,14 +123,18 @@ PREDICT_ROWS = 530
 
 
 @pytest.fixture(scope="module")
-def golden_model(tmp_path_factory):
+def golden_models(tmp_path_factory):
+    """{precision: the one-epoch model above, trained in that precision}"""
     folder = tmp_path_factory.mktemp("golden_model")
     data = folder / "train.csv"
     synth.write_csv(data, 300, seed=1)
-    weights = folder / "model.weights"
-    assert cli.main(["train", "--data", str(data), "--weights", str(weights),
-                     "--epochs", "1", "--precision", "double"]) == 0
-    return weights
+    models = {}
+    for precision in sorted(STATS):
+        models[precision] = folder / f"{precision}.weights"
+        assert cli.main(["train", "--data", str(data), "--weights",
+                         str(models[precision]), "--epochs", "1",
+                         "--precision", precision]) == 0
+    return models
 
 
 def _predict(weights, data, report, monkeypatch):
@@ -147,10 +153,10 @@ def _predict(weights, data, report, monkeypatch):
     return report.read_bytes(), chunks
 
 
-def test_predict_golden_and_rerun(golden_model, tmp_path, monkeypatch):
+def test_predict_golden_and_rerun(golden_models, tmp_path, monkeypatch):
     data = tmp_path / "score.csv"
     synth.write_csv(data, PREDICT_ROWS, seed=2, labeled=False)
-    report, chunks = _predict(golden_model, data, tmp_path / "a.txt", monkeypatch)
+    report, chunks = _predict(golden_models["double"], data, tmp_path / "a.txt", monkeypatch)
     assert [len(c) for c in chunks] == [512, PREDICT_ROWS - 512]
     probs = np.concatenate(chunks)
 
@@ -162,6 +168,27 @@ def test_predict_golden_and_rerun(golden_model, tmp_path, monkeypatch):
     expected = np.array([[float(v) for v in row[2:]] for row in golden])
     np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
 
-    rerun, rerun_chunks = _predict(golden_model, data, tmp_path / "b.txt", monkeypatch)
+    rerun, rerun_chunks = _predict(golden_models["double"], data, tmp_path / "b.txt", monkeypatch)
     assert rerun == report
     assert np.concatenate(rerun_chunks).tobytes() == probs.tobytes()
+
+
+# `eval` of each one-epoch model on the same 530 rows, labeled: its stdout
+# and its `--report` JSON. Both precisions print the same bytes.
+EVAL_GOLDEN = Path(__file__).parent / "golden" / "eval_530.txt"
+EVAL_REPORT_GOLDEN = Path(__file__).parent / "golden" / "eval_530.json"
+
+
+@pytest.mark.parametrize("precision", sorted(STATS))
+def test_eval_golden_and_rerun(precision, golden_models, tmp_path, capsys):
+    data = tmp_path / "eval.csv"
+    synth.write_csv(data, PREDICT_ROWS, seed=2)
+    capsys.readouterr()
+    runs = []
+    for run in ("a", "b"):
+        report = tmp_path / f"{run}.json"
+        assert cli.main(["eval", "--data", str(data), "--weights",
+                         str(golden_models[precision]), "--report", str(report)]) == 0
+        runs.append((capsys.readouterr().out, report.read_bytes()))
+    assert runs[0] == (EVAL_GOLDEN.read_text(), EVAL_REPORT_GOLDEN.read_bytes())
+    assert runs[1] == runs[0]
