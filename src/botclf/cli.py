@@ -98,8 +98,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     spec, schema, label_map = _io_setup(cfg)
     params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
     stream = dataio.stream_csv(data_path, schema, spec, label_map, policy=cfg.policy)
-    dataset = dataio.to_dataset(stream.chunks(), spec, dtype=params.dtype)
-    cm, loss = training.evaluate(params, dataset)
+    cm, loss = training.evaluate(params, ((spec.normalize(features), labels)
+                                          for features, labels in stream.chunks()))
     rep = metrics.report(cm)
     print(rep.render_overall())
     print(f"Mean loss      {loss:.6f}")

@@ -31,8 +31,9 @@ DEFAULT_FEATURES = (
 )
 
 # Kept rows per chunk of `CsvStream.chunks()`: one array per chunk instead
-# of per row. A multiple of network.INFER_CHUNK, so `predict` scores the
-# same batches as `eval`.
+# of per row. A multiple of network.INFER_CHUNK, so `predict` and `eval`,
+# which score chunk by chunk, score the batches one forward call over the
+# whole file would.
 CHUNK_ROWS = 512
 
 
@@ -260,31 +261,20 @@ def fit_normalizer(chunks, feature_spec: FeatureSpec) -> FeatureSpec:
 
 @dataclass
 class Dataset:
-    """Materialized, normalized features plus (optionally) integer labels."""
+    """Materialized, normalized features plus integer labels."""
 
     features: np.ndarray            # [N, num_features], in [0, 1]
-    labels: np.ndarray | None = None
+    labels: np.ndarray              # [N]
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def class_distribution(self, num_classes: int) -> np.ndarray:
-        if self.labels is None:
-            raise DataError("dataset has no labels")
         return np.bincount(self.labels, minlength=num_classes)
 
 
 def to_dataset(chunks, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:
-    """Normalize (features, labels) chunks into one Dataset; labels are kept
-    when every chunk has them."""
-    xs = []
-    ys = []
-    for x, y in chunks:
-        xs.append(x)
-        ys.append(y)
-    if not xs:
-        raise DataError("no records to materialize")
+    """Normalize one or more labeled (features, labels) chunks into one Dataset."""
+    xs, ys = zip(*chunks)
     features = feature_spec.normalize(np.concatenate(xs)).astype(dtype, copy=False)
-    if any(y is None for y in ys):
-        return Dataset(features=features, labels=None)
     return Dataset(features=features, labels=np.concatenate(ys).astype(np.int64, copy=False))

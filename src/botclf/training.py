@@ -78,18 +78,19 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
         raise ValueError(f"probs shape {probs.shape} and labels shape {labels.shape} "
                          "must be [batch, classes] and [batch]")
     b = probs.shape[0]
-    loss = float(_mean_nll(probs, labels))
+    loss = float(_mean_nll(probs[np.arange(b), labels]))
     dlogits = probs.copy()
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
     return loss, dlogits
 
 
-def _mean_nll(probs: np.ndarray, labels: np.ndarray):
-    """Mean negative log-likelihood of the labels, in the precision of `probs`,
-    as the sum divided by the count, which is what `mean` computes."""
-    nll = np.log(np.maximum(probs[np.arange(labels.size), labels], _PROB_FLOOR))
-    return -np.add.reduce(nll) / labels.size
+def _mean_nll(true_probs: np.ndarray):
+    """Mean negative log-likelihood of each row's true-class probability, in
+    their precision, as the sum divided by the count, which is what `mean`
+    computes."""
+    nll = np.maximum(true_probs, _PROB_FLOOR)
+    return -np.add.reduce(np.log(nll, out=nll)) / true_probs.size
 
 
 def rmsprop_step(params: NetworkParameters, grads: np.ndarray, state: np.ndarray,
@@ -140,33 +141,6 @@ def _split_indices(n: int, fraction: float, seed: int,
     return perm[n_val:], perm[:n_val]
 
 
-def _epoch_eval(params, features, labels):
-    """Infer-mode loss and accuracy over a fixed set."""
-    if labels.size == 0:
-        return float("nan"), float("nan")
-    probs, _ = network.forward(params, features, mode="infer")
-    return float(_mean_nll(probs, labels)), int((probs.argmax(axis=1) == labels).sum()) / labels.size
-
-
-def _labeled_arrays(params: NetworkParameters, dataset, purpose: str):
-    """(features [N, seq_len] in the parameters' precision, labels [N]) of a
-    dataset, refused with a DataError unless it is labeled, not empty and
-    fits the architecture."""
-    arch = params.arch
-    if dataset.labels is None:
-        raise DataError(f"{purpose} requires labeled records")
-    features = np.asarray(dataset.features, dtype=params.dtype)
-    labels = np.asarray(dataset.labels)
-    if features.size == 0:
-        raise DataError(f"{purpose} dataset is empty")
-    if features.ndim != 2 or features.shape[1] != arch.seq_len:
-        raise DataError(f"records must have {arch.seq_len} features, "
-                        f"got feature array of shape {features.shape}")
-    if (labels < 0).any() or (labels >= arch.classes).any():
-        raise DataError(f"labels must lie in 0..{arch.classes - 1}")
-    return features, labels
-
-
 def fit(params: NetworkParameters, dataset, config: TrainConfig,
         progress_sink=None):
     """Train `params` on a labeled dataset; returns (params, [EpochStats]).
@@ -174,9 +148,20 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     `dataset` needs `.features` [N, seq_len] (already normalized) and
     `.labels` [N] ints. The training split is reshuffled each epoch from
     the run seed plus the epoch index; the trailing partial batch is kept.
-    A split that leaves no training rows is a DataError.
+    An empty dataset, one that does not fit the architecture and a split
+    that leaves no training rows are DataErrors; an empty validation split
+    reports its loss and accuracy as nan.
     """
-    features, labels = _labeled_arrays(params, dataset, "training")
+    arch = params.arch
+    features = np.asarray(dataset.features, dtype=params.dtype)
+    labels = np.asarray(dataset.labels)
+    if features.size == 0:
+        raise DataError("training dataset is empty")
+    if features.ndim != 2 or features.shape[1] != arch.seq_len:
+        raise DataError(f"records must have {arch.seq_len} features, "
+                        f"got feature array of shape {features.shape}")
+    if (labels < 0).any() or (labels >= arch.classes).any():
+        raise DataError(f"labels must lie in 0..{arch.classes - 1}")
     x_all = features[:, :, None]
     train_idx, val_idx = _split_indices(labels.size, config.validation_fraction,
                                         config.seed, labels, config.stratified)
@@ -205,7 +190,10 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
             epoch_correct += np.count_nonzero(probs.argmax(axis=1) == yb)
         train_loss = epoch_loss / shuffled.size
         train_acc = epoch_correct / shuffled.size
-        val_loss, val_acc = _epoch_eval(params, x_all[val_idx], labels[val_idx])
+        val_loss = val_acc = float("nan")
+        if val_idx.size:
+            cm, val_loss = evaluate(params, [(features[val_idx], labels[val_idx])])
+            val_acc = cm.accuracy()
         stats = EpochStats(epoch=epoch, train_loss=train_loss, train_acc=train_acc,
                            val_loss=val_loss, val_acc=val_acc,
                            seconds=time.perf_counter() - start_time)
@@ -215,12 +203,25 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     return params, history
 
 
-def evaluate(params: NetworkParameters, dataset):
-    """Infer-mode pass over a labeled dataset -> (ConfusionMatrix, mean loss)."""
-    features, labels = _labeled_arrays(params, dataset, "evaluation")
-    probs, _ = network.forward(params, features[:, :, None], mode="infer")
-    cm = ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), params.arch.classes)
-    return cm, float(_mean_nll(probs, labels))
+def evaluate(params: NetworkParameters, batches):
+    """Infer-mode pass over normalized (features [n, seq_len], labels [n])
+    batches -> (ConfusionMatrix, mean loss); no batch at all is a DataError.
+
+    The `forward` calls share one workspace, and only the confusion counts
+    and each row's true-class probability outlive a batch."""
+    classes = params.arch.classes
+    counts = np.zeros((classes, classes), dtype=np.int64)
+    true_probs = []
+    workspace = {}
+    for features, labels in batches:
+        probs, _ = network.forward(params, features[:, :, None], mode="infer",
+                                   workspace=workspace)
+        counts += ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), classes).counts
+        true_probs.append(probs[np.arange(labels.size), labels])
+    if not true_probs:
+        raise DataError("no records to materialize")
+    true_probs = np.concatenate(true_probs)  # frees the per-batch arrays
+    return ConfusionMatrix(counts), float(_mean_nll(true_probs))
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def gradient_check(params: NetworkParameters, probes: int = 100,
                               for name, a in params.named_arrays()}, arch)
 
     def loss_fn():
-        return _mean_nll(train_forward(wide)[0], labels)
+        return _mean_nll(train_forward(wide)[0][np.arange(labels.size), labels])
 
     tensors = wide.trainable_arrays()
     results = []

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,45 @@ class TestEval:
     def test_eval_without_weights_file(self, tmp_path, eval_csv):
         assert run(["eval", "--data", eval_csv,
                     "--weights", tmp_path / "none.weights"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("columns,rows,message", [
+        ("", 0, "header is missing columns: pkts, bytes, seq, dur, mean, stddev, sum, "
+                "min, max, spkts, dpkts, sbytes, dbytes, rate, srate, drate, "
+                "category, subcategory"),
+        (",".join(dataio.DEFAULT_FEATURES + ("category", "subcategory")), 0,
+         "no records to materialize"),
+        (",".join(dataio.DEFAULT_FEATURES), 3, "header is missing columns: "
+                                               "category, subcategory"),
+    ])
+    def test_no_labeled_records_is_data_error(self, tmp_path, trained_weights, capsys,
+                                              columns, rows, message):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(f"{line}\n" for line in
+                                [columns] * bool(columns) + ["0.5" + ",0.5" * 15] * rows))
+        assert run(["eval", "--data", path, "--weights", trained_weights]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1
+
+    def test_memory_grows_by_one_value_per_row(self, tmp_path, trained_weights):
+        # eval streams its chunks: going from 10 to 40 full 512-row chunks
+        # may add only each row's kept true-class probability (8 B in double)
+        # plus 64 KB of slack for per-chunk objects. Both files are whole
+        # chunks, because a partial last chunk brings its own work arrays.
+        # Materializing the set cost about 400 B per row.
+        def peak(rows):
+            path = tmp_path / f"eval{rows}.csv"
+            synth.write_csv(path, rows, seed=2)
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                assert run(["eval", "--data", path, "--weights", trained_weights]) == EXIT_OK
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top - start
+
+        small, large = peak(10 * 512), peak(40 * 512)
+        assert large - small <= 30 * 512 * 8 + 64 * 1024
 
 
 class TestPredict:

@@ -9,10 +9,9 @@ floats, with no BLAS call, so the bytes are the same on every platform. The
 order does not reach them; the trained manifest does depend on it, so it is
 checked against a same-process rerun instead of a checked-in digest, and the
 `predict` probabilities of the trained model against checked-in values
-within 1e-12 relative. The `eval` stdout and report print counts and metrics
-of counts, plus the mean loss to six digits, and are checked byte for byte.
-A change that alters any of them changes the product
-and must say so.
+within 1e-12 relative. The `eval` stdout and report print counts, metrics
+of counts and the mean loss to six digits, and are checked byte for byte. A
+change that alters any of them changes the product and must say so.
 """
 
 import hashlib
@@ -156,7 +155,8 @@ def _predict(weights, data, report, monkeypatch):
 def test_predict_golden_and_rerun(golden_models, tmp_path, monkeypatch):
     data = tmp_path / "score.csv"
     synth.write_csv(data, PREDICT_ROWS, seed=2, labeled=False)
-    report, chunks = _predict(golden_models["double"], data, tmp_path / "a.txt", monkeypatch)
+    model = golden_models["double"]
+    report, chunks = _predict(model, data, tmp_path / "a.txt", monkeypatch)
     assert [len(c) for c in chunks] == [512, PREDICT_ROWS - 512]
     probs = np.concatenate(chunks)
 
@@ -168,7 +168,7 @@ def test_predict_golden_and_rerun(golden_models, tmp_path, monkeypatch):
     expected = np.array([[float(v) for v in row[2:]] for row in golden])
     np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
 
-    rerun, rerun_chunks = _predict(golden_models["double"], data, tmp_path / "b.txt", monkeypatch)
+    rerun, rerun_chunks = _predict(model, data, tmp_path / "b.txt", monkeypatch)
     assert rerun == report
     assert np.concatenate(rerun_chunks).tobytes() == probs.tobytes()
 

@@ -154,6 +154,16 @@ class TestInferMode:
         assert sorted(rows for rows, _, _ in workspace) == [37, 512]
         _assert_fresh(results, workspace)
 
+    def test_single_precision_scores_the_cast_input(self, trained):
+        # eval hands float64 chunks to a float32 model: the engine casts them
+        # first instead of computing in mixed precision
+        p = trained[np.float32]
+        x = make_rng(55).uniform(0, 1, size=(600, 16, 1))
+        probs, _ = network.forward(p, x, mode="infer")
+        assert probs.dtype == np.float32
+        assert probs.tobytes() == network.forward(p, x.astype(np.float32),
+                                                  mode="infer")[0].tobytes()
+
     def test_one_dict_keeps_buffers_per_dtype_and_architecture(self, trained):
         models = [trained[np.float64], trained[np.float32],
                   _randomized(53, Architecture(filters=8, gru_units=4))]

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from botclf import layers, network, synth, training
+from botclf import layers, metrics, network, synth, training
 from botclf.dataio import Dataset
 from botclf.errors import ConfigError, DataError, NumericError
 from botclf.numerics import make_rng, softmax
@@ -324,7 +324,7 @@ class TestEvaluate:
         features = make_rng(20).uniform(0, 1, size=(3, 16))
         probs, _ = network.forward(p, features[:, :, None], mode="infer")
         labels = probs.argmax(axis=1)
-        cm, loss = training.evaluate(p, Dataset(features=features, labels=labels))
+        cm, loss = training.evaluate(p, [(features, labels)])
         assert cm.n == 3
         assert cm.accuracy() == 1.0
         assert cm.counts.sum() - np.trace(cm.counts) == 0
@@ -333,21 +333,45 @@ class TestEvaluate:
     def test_counts_conserved(self):
         ds = synth.make_dataset(130, seed=22, noise=0.4)
         p = network.build(22)
-        cm, _ = training.evaluate(p, ds)
+        cm, _ = training.evaluate(p, [(ds.features[i:i + 50], ds.labels[i:i + 50])
+                                      for i in range(0, 130, 50)])
         assert cm.n == 130
 
     def test_accuracy_matches_direct_fraction(self):
         ds = synth.make_dataset(150, seed=23)
         p = network.build(23)
-        cm, _ = training.evaluate(p, ds)
+        cm, _ = training.evaluate(p, [(ds.features, ds.labels)])
         probs, _ = network.forward(p, ds.features[:, :, None], mode="infer")
         direct = float((probs.argmax(axis=1) == ds.labels).mean())
         assert abs(cm.accuracy() - direct) <= 1e-12
 
-    def test_unlabeled_rejected(self):
-        p = network.build(24)
-        with pytest.raises(DataError):
-            training.evaluate(p, Dataset(features=np.zeros((3, 16)), labels=None))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batches_score_as_one_pass(self, dtype):
+        # batches of INFER_CHUNK rows, as eval streams them, give the counts
+        # and the loss bit for bit of one pass over the whole set
+        ds = synth.make_dataset(1100, seed=25, noise=0.3)
+        p = network.build(25, dtype=dtype)
+        chunk = network.INFER_CHUNK
+        cm, loss = training.evaluate(p, ((ds.features[i:i + chunk], ds.labels[i:i + chunk])
+                                         for i in range(0, 1100, chunk)))
+        probs, _ = network.forward(p, ds.features[:, :, None], mode="infer")
+        npt.assert_array_equal(cm.counts, metrics.ConfusionMatrix.from_labels(
+            ds.labels, probs.argmax(axis=1), 6).counts)
+        expect = training.cross_entropy(probs, ds.labels)[0]
+        assert loss == expect and math.isfinite(loss)
+
+    def test_no_batches_rejected(self):
+        with pytest.raises(DataError, match="no records"):
+            training.evaluate(network.build(24), iter([]))
+
+    def test_validation_is_evaluate_on_the_held_out_rows(self):
+        ds = synth.make_dataset(200, seed=26)
+        cfg = TrainConfig(epochs=1, seed=26)
+        p, history = training.fit(network.build(26), ds, cfg)
+        _, val_idx = training._split_indices(200, cfg.validation_fraction, cfg.seed,
+                                             ds.labels, cfg.stratified)
+        cm, loss = training.evaluate(p, [(ds.features[val_idx], ds.labels[val_idx])])
+        assert (history[0].val_loss, history[0].val_acc) == (loss, cm.accuracy())
 
 
 class TestGradientCheck:
