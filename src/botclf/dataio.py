@@ -30,10 +30,8 @@ DEFAULT_FEATURES = (
     "max", "spkts", "dpkts", "sbytes", "dbytes", "rate", "srate", "drate",
 )
 
-# Kept rows per chunk of `CsvStream.chunks()`: one array per chunk instead
-# of per row. A multiple of network.INFER_CHUNK, so `predict` and `eval`,
-# which score chunk by chunk, score the batches one forward call over the
-# whole file would.
+# Kept rows per chunk of `CsvStream.chunks()`, one array per chunk instead of
+# per row, and per pass of the inference engine, which bounds its memory.
 CHUNK_ROWS = 512
 
 

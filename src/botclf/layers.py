@@ -17,6 +17,7 @@ statistics. Inference folds the moving statistics into the conv instead
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +41,16 @@ class Cache:
 
 
 def work_array(work: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
-    """An uninitialized array of this shape and dtype: the one `work` holds
-    under `name` if it matches, else a new one, left in `work` when given."""
-    arr = None if work is None else work.get(name)
-    if arr is None or arr.shape != shape or arr.dtype != dtype:
-        arr = np.empty(shape, dtype=dtype)
-        if work is not None:
-            work[name] = arr
-    return arr
+    """An uninitialized C-contiguous array of this shape and dtype. With
+    `work`, it is the front of the byte buffer kept there under `name`, which
+    is replaced only when too small, so smaller arrays of any dtype reuse it."""
+    if work is None:
+        return np.empty(shape, dtype)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = work.get(name)
+    if buf is None or buf.size < nbytes:
+        buf = work[name] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -217,10 +220,10 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True,
     stack for `gru_backward`. With keep_cache=False (inference) nothing is
     copied and the cache returned is None; the hidden states are the same.
 
-    `work`, a dict, lends the state, pre-activation and diff buffers: they
-    are taken from it when it holds them at this shape and dtype, and left
-    in it for the next call. With `out`, a [B, T, units] array or view, the
-    hidden states are written into it and it is returned as h_seq.
+    `work`, a dict, lends the state, pre-activation and diff buffers through
+    `work_array`, so a call with fewer rows, another dtype or fewer units
+    reuses the buffers of an earlier one. With `out`, a [B, T, units] array
+    or view, the hidden states are written into it and it is returned as h_seq.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:

@@ -22,16 +22,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import layers
-from .dataio import FeatureSpec, LabelMap
+from .dataio import CHUNK_ROWS, FeatureSpec, LabelMap
 from .errors import ConfigError, DataError, NumericError, ShapeError, WeightFormatError
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
 from .numerics import (DOUBLE, init_he_uniform, init_truncated_normal, resolve_dtype,
                        substream)
-
-# rows per pass of the inference engine; bounds its working memory
-INFER_CHUNK = 512
 
 # Most weights an Architecture may have: 229 times the 4370 of the default
 # model, so a mistyped size is refused instead of exhausting memory.
@@ -254,7 +251,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
     the batchnorm uses the batch statistics and updates the moving ones,
     and the caches feed `backward`; `fit` trains in it and `gradient_check`
     differentiates it. "infer" mode scores with the moving statistics, in
-    the parameters' precision and in chunks of INFER_CHUNK rows, and
+    the parameters' precision and in chunks of dataio.CHUNK_ROWS rows, and
     returns (probs, None). There the batchnorm is folded into the conv, and
     the max over time runs before the ReLU, which is exact because ReLU is
     monotone non-decreasing; the ReLU then sees [B, filters] instead of
@@ -263,12 +260,12 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
 
     Infer mode runs each chunk in work arrays (the conv's padded input and
     accumulators, the GRU's states, the [B, concat_width] concatenation,
-    which the GRU writes its hidden states into) that `workspace` keeps
-    under (rows, dtype, Architecture) for the next chunk and the next call.
-    Without one, a dict local to the call serves its chunks. Only sizes are
-    kept, nothing derived from the weights, so a workspace stays valid when
-    the weights change; the returned probs never share its memory. Train
-    mode ignores `workspace`.
+    which the GRU writes its hidden states into) cut by `layers.work_array`
+    from one byte buffer per name that `workspace` keeps for the next chunk
+    and the next call, whatever its rows, dtype or Architecture. Without
+    one, a dict local to the call serves its chunks. Nothing derived from
+    the weights is kept, so a workspace stays valid when the weights change;
+    the returned probs never share its memory. Train mode ignores it.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -284,13 +281,12 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
         probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
         return probs, ForwardCaches(c_branch, c_gru, c_hidden, c_out)
 
-    workspace = {} if workspace is None else workspace
+    work = {} if workspace is None else workspace
     conv = _folded_conv(params)
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
-    for start in range(0, x.shape[0], INFER_CHUNK):
-        xb = x[start:start + INFER_CHUNK]
+    for start in range(0, x.shape[0], CHUNK_ROWS):
+        xb = x[start:start + CHUNK_ROWS]
         rows = xb.shape[0]
-        work = workspace.setdefault((rows, params.dtype, a), {})
         concat_y = layers.work_array(work, "concat", (rows, a.concat_width), params.dtype)
         pooled = concat_y[:, :a.filters]
         _conv_max_over_time(xb, conv, pooled, work)
@@ -594,8 +590,8 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
 
     `spec` and `label_map` stand in for feature names or a class map the
     file lacks. A missing normalizer, one whose length differs from the
-    feature names, a malformed class map, or feature names or classes that
-    do not number the model's meta seq_len and classes is a WeightFormatError.
+    feature names, a malformed or one-key class map, or feature names or
+    classes not numbering the model's meta seq_len and classes is a WeightFormatError.
     """
     tensors, meta = load_manifest(path)
     params = params_from_manifest(tensors, meta)
@@ -614,7 +610,9 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
             f"{path}: normalizer tensors norm.min {mins.shape} and norm.max {maxs.shape} "
             f"do not match the {want[0]} feature names")
     spec = replace(spec, mins=mins, maxs=maxs)
-    if "class_pairs" in meta and "class_names" in meta:
+    if ("class_pairs" in meta) != ("class_names" in meta):
+        raise WeightFormatError(f"{path}: manifest meta holds class_pairs or class_names alone")
+    if "class_pairs" in meta:
         pairs = tuple(tuple(entry.split(",", 1)) for entry in meta["class_pairs"].split(";"))
         names = tuple(meta["class_names"].split(","))
         if len(names) != len(pairs) or any(len(pair) != 2 for pair in pairs):

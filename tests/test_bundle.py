@@ -55,6 +55,24 @@ class TestBundle:
         with pytest.raises(WeightFormatError, match="do not form one class map"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 
+    @pytest.mark.parametrize("key", ["class_pairs", "class_names"])
+    def test_half_a_class_map_is_rejected(self, tmp_path, key):
+        path = tmp_path / "b.weights"
+        _save_small_bundle(path)
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if not line.startswith(f"meta {key} ")))
+        with pytest.raises(WeightFormatError, match="holds class_pairs or class_names alone"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_class_pair_splits_at_its_first_comma(self, tmp_path):
+        # a category holds no comma, so one in a subcategory is part of it
+        path = tmp_path / "b.weights"
+        label_map = LabelMap(pairs=(("Normal", "Normal"), ("DoS", "HTTP,slow")),
+                             names=("Normal", "DoS-slow"))
+        network.save_bundle(network.build(41, Architecture(filters=4, gru_units=2, classes=2)),
+                            path, FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), label_map)
+        assert network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)[2] == label_map
+
     def test_feature_names_must_number_meta_seq_len(self, tmp_path):
         path = tmp_path / "b.weights"
         params = network.build(40, Architecture(filters=4, gru_units=2))

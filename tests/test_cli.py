@@ -114,6 +114,20 @@ class TestTrain:
                     "--weights", tmp_path / "w"]) == EXIT_DATA
 
 
+def _eval_peak(tmp_path, weights, rows):
+    """tracemalloc peak, above its start, of `eval` on a fresh `rows`-row CSV."""
+    path = tmp_path / f"eval{rows}.csv"
+    synth.write_csv(path, rows, seed=2)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        assert run(["eval", "--data", path, "--weights", weights]) == EXIT_OK
+        _, top = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return top - start
+
+
 class TestEval:
     def test_report_and_round_trip(self, tmp_path, train_csv, eval_csv, capsys):
         weights = tmp_path / "model.weights"
@@ -163,23 +177,18 @@ class TestEval:
     def test_memory_grows_by_one_value_per_row(self, tmp_path, trained_weights):
         # eval streams its chunks: going from 10 to 40 full 512-row chunks
         # may add only each row's kept true-class probability (8 B in double)
-        # plus 64 KB of slack for per-chunk objects. Both files are whole
-        # chunks, because a partial last chunk brings its own work arrays.
-        # Materializing the set cost about 400 B per row.
-        def peak(rows):
-            path = tmp_path / f"eval{rows}.csv"
-            synth.write_csv(path, rows, seed=2)
-            tracemalloc.start()
-            try:
-                start, _ = tracemalloc.get_traced_memory()
-                assert run(["eval", "--data", path, "--weights", trained_weights]) == EXIT_OK
-                _, top = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            return top - start
-
-        small, large = peak(10 * 512), peak(40 * 512)
+        # plus 64 KB of slack for per-chunk objects. Materializing the set
+        # cost about 400 B per row.
+        small = _eval_peak(tmp_path, trained_weights, 10 * 512)
+        large = _eval_peak(tmp_path, trained_weights, 40 * 512)
         assert large - small <= 30 * 512 * 8 + 64 * 1024
+
+    def test_partial_last_chunk_adds_no_peak(self, tmp_path, trained_weights):
+        # a 392-row last chunk runs in the front of the 512-row chunks' work
+        # arrays instead of a second set of its own (about 2.7 MB)
+        partial = _eval_peak(tmp_path, trained_weights, 5000)
+        whole = _eval_peak(tmp_path, trained_weights, 10 * dataio.CHUNK_ROWS)
+        assert partial <= whole + 64 * 1024
 
 
 class TestPredict:
@@ -654,13 +663,13 @@ class TestAtomicOutputs:
 
         monkeypatch.setattr(network, "forward", fail_on_second_chunk)
         data = tmp_path / "data.csv"
-        synth.write_csv(data, 3 * network.INFER_CHUNK, seed=4, noise=0.03)
+        synth.write_csv(data, 3 * dataio.CHUNK_ROWS, seed=4, noise=0.03)
         report = tmp_path / "out.txt"
         previous = b"0,Normal,1.0\n"
         report.write_bytes(previous)
         assert run(["predict", "--data", data, "--weights", trained_weights,
                     "--report", report]) == EXIT_NUMERIC
-        assert calls == [network.INFER_CHUNK] * 2
+        assert calls == [dataio.CHUNK_ROWS] * 2
         assert report.read_bytes() == previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out.txt"]
 
@@ -873,6 +882,16 @@ class TestClassMap:
             f"botclf: data error: {bad}: manifest meta classes 6 does not match the "
             f"{count} classes of the class map"]
         assert not out_path.exists()
+
+    def test_class_names_without_pairs_are_refused(self, tmp_path, trained_weights, eval_csv,
+                                                   capsys):
+        # loading them would print the default names of the default pairs
+        text = re.sub(r"meta class_pairs .*\n", "", trained_weights.read_text())
+        bad = tmp_path / "half.weights"
+        bad.write_text(re.sub(r"meta class_names .*\n", "meta class_names A,B,C,D,E,F\n", text))
+        assert run(["predict", "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}: manifest meta holds class_pairs or class_names alone"]
 
 
 class TestFeaturesConfigSizesTheModel:

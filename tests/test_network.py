@@ -102,14 +102,10 @@ def _briefly_trained(dtype):
     return p
 
 
-def _workspace_arrays(workspace):
-    return [arr for work in workspace.values() for arr in work.values()]
-
-
 def _assert_fresh(results, workspace):
-    """No result shares memory with another result or with the workspace."""
+    """No result shares memory with another result or with a workspace buffer."""
     for i, probs in enumerate(results):
-        for other in results[:i] + _workspace_arrays(workspace):
+        for other in results[:i] + list(workspace.values()):
             assert not np.shares_memory(probs, other)
 
 
@@ -120,7 +116,7 @@ class TestInferMode:
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
     def test_matches_reference_forward(self, trained, n):
-        # n crosses the INFER_CHUNK boundaries of the chunked engine
+        # n crosses the CHUNK_ROWS boundaries of the chunked engine
         x = make_rng(n).uniform(0, 1, size=(n, 16, 1))
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             p = trained[dtype]
@@ -151,7 +147,6 @@ class TestInferMode:
             probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
             assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
             results.append(probs)
-        assert sorted(rows for rows, _, _ in workspace) == [37, 512]
         _assert_fresh(results, workspace)
 
     def test_single_precision_scores_the_cast_input(self, trained):
@@ -165,6 +160,9 @@ class TestInferMode:
                                                   mode="infer")[0].tobytes()
 
     def test_one_dict_keeps_buffers_per_dtype_and_architecture(self, trained):
+        # the single-precision and the smaller model run in the front of the
+        # buffers the double-precision model made; in any order, each call
+        # scores as a fresh one
         models = [trained[np.float64], trained[np.float32],
                   _randomized(53, Architecture(filters=8, gru_units=4))]
         x = make_rng(54).uniform(0, 1, size=(512, 16, 1))
@@ -174,11 +172,9 @@ class TestInferMode:
                 probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
                 assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
                 results.append(probs)
-        assert sorted(workspace, key=str) == sorted(
-            [(512, p.dtype, p.arch) for p in models], key=str)
-        arrays = _workspace_arrays(workspace)
-        for i, arr in enumerate(arrays):
-            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+        buffers = list(workspace.values())
+        for i, buf in enumerate(buffers):
+            assert not any(np.shares_memory(buf, other) for other in buffers[i + 1:])
         _assert_fresh(results, workspace)
 
     def test_workspace_stays_valid_after_a_training_step(self):
@@ -209,6 +205,25 @@ class TestInferMode:
         finally:
             tracemalloc.stop()
         assert peak - start < 256 * 1024
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_partial_chunk_reuses_the_buffers(self, trained, dtype):
+        # a short chunk after a full one runs in the front of the full
+        # chunk's work arrays: no second set (2.7 MB in double) is made
+        p = trained[dtype]
+        workspace = {}
+        network.forward(p, make_rng(59).uniform(0, 1, size=(512, 16, 1)), mode="infer",
+                        workspace=workspace)
+        x = make_rng(60).uniform(0, 1, size=(392, 16, 1)).astype(dtype)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 256 * 1024
+        assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
 
 
 class TestSummary:
@@ -412,6 +427,17 @@ class TestWeightsIO:
         npt.assert_array_equal(tensors["norm.min"], extras["norm.min"])
         npt.assert_array_equal(tensors["norm.max"], extras["norm.max"])
         assert meta["feature_names"] == "a,b"
+
+    def test_scalar_and_empty_tensors_load(self, tmp_path):
+        # a tensor line without dims holds one value, and a 0 dim no value
+        path = tmp_path / "w.weights"
+        network.save_weights(network.build(18), path)
+        with open(path, "a") as fh:
+            fh.write("tensor extra.scalar\n2.5\ntensor extra.empty 0\ntensor extra.none 3 0\n")
+        tensors, _ = network.load_manifest(path)
+        assert tensors["extra.scalar"].shape == () and tensors["extra.scalar"] == 2.5
+        assert tensors["extra.empty"].shape == (0,)
+        assert tensors["extra.none"].shape == (3, 0)
 
 
 

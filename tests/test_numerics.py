@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from botclf import numerics
+from botclf.errors import ShapeError
 from oracles import sigmoid
 
 
@@ -57,6 +58,11 @@ class TestSoftmax:
         npt.assert_allclose(numerics.softmax(np.array([1.0, 2.0, 3.0])),
                             [0.09003057317038046, 0.24472847105479767, 0.6652409557748219],
                             rtol=1e-12)
+
+    def test_one_class_is_certain(self):
+        npt.assert_array_equal(numerics.softmax(np.array([[3.0], [-2.0]])), [[1.0], [1.0]])
+        with pytest.raises(ShapeError, match="at least one element"):
+            numerics.softmax(np.zeros((2, 0)))
 
     def test_rows_sum_to_one(self):
         x = numerics.make_rng(7).normal(size=(40, 6)) * 30

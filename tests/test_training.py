@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from botclf import layers, metrics, network, synth, training
+from botclf import dataio, layers, metrics, network, synth, training
 from botclf.dataio import Dataset
 from botclf.errors import ConfigError, DataError, NumericError
 from botclf.numerics import make_rng, softmax
@@ -245,13 +245,13 @@ class TestRmsProp:
 class TestFit:
     def test_rejects_empty_and_bad_shapes(self):
         p = network.build(0)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^training dataset is empty$"):
             training.fit(p, Dataset(features=np.zeros((0, 16)), labels=np.zeros(0, int)),
                          TrainConfig())
         with pytest.raises(DataError):
             training.fit(p, Dataset(features=np.zeros((5, 12)),
                                     labels=np.zeros(5, int)), TrainConfig())
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^labels must lie in 0\.\.5$"):
             training.fit(p, Dataset(features=np.zeros((5, 16)),
                                     labels=np.array([0, 1, 2, 3, 9])), TrainConfig())
 
@@ -347,11 +347,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_batches_score_as_one_pass(self, dtype):
-        # batches of INFER_CHUNK rows, as eval streams them, give the counts
+        # batches of CHUNK_ROWS rows, as eval streams them, give the counts
         # and the loss bit for bit of one pass over the whole set
         ds = synth.make_dataset(1100, seed=25, noise=0.3)
         p = network.build(25, dtype=dtype)
-        chunk = network.INFER_CHUNK
+        chunk = dataio.CHUNK_ROWS
         cm, loss = training.evaluate(p, ((ds.features[i:i + chunk], ds.labels[i:i + chunk])
                                          for i in range(0, 1100, chunk)))
         probs, _ = network.forward(p, ds.features[:, :, None], mode="infer")
