@@ -70,12 +70,13 @@ def cmd_train(cfg: RunConfig) -> int:
     # one labeled pass: the normalizer is fitted on exactly the rows trained on
     chunks = list(dataio.stream_csv(data_path, schema, spec, label_map,
                                     policy=cfg.policy).chunks())
+    dtype = resolve_dtype(cfg.precision)
     fitted = dataio.fit_normalizer(chunks, spec)
-    dataset = dataio.to_dataset(chunks, fitted, dtype=resolve_dtype(cfg.precision))
+    dataset = dataio.to_dataset(chunks, fitted, dtype=dtype)
     dist = dataset.class_distribution(label_map.num_classes)
     log.info("loaded %d records; class distribution %s", len(dataset), dist.tolist())
 
-    params = network.build(cfg.seed, arch, dtype=resolve_dtype(cfg.precision))
+    params = network.build(cfg.seed, arch, dtype=dtype)
 
     lines = []
 

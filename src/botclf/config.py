@@ -10,7 +10,9 @@ import os
 from dataclasses import dataclass, fields
 
 from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .network import Architecture
+from .training import TrainConfig
 
 ENV_PREFIX = "BOTCLF_"
 
@@ -21,16 +23,16 @@ class RunConfig:
     weights: str = "botclf.weights"
     report: str | None = None
     features: str | None = None      # path to a features config file
-    seed: int = 0
-    epochs: int = 4
-    batch_size: int = 10
-    learning_rate: float = 1e-3
-    validation_fraction: float = 0.10
-    stratified: bool = False
+    seed: int = TrainConfig.seed
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    validation_fraction: float = TrainConfig.validation_fraction
+    stratified: bool = TrainConfig.stratified
     precision: str = "double"
     policy: str = "skip"             # malformed-row policy: skip | fail
-    gru_units: int = 10
-    filters: int = 128
+    gru_units: int = Architecture.gru_units
+    filters: int = Architecture.filters
     probes: int = 100
     tolerance: float = 1e-5
     verbose: bool = False
@@ -135,18 +137,19 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
         class.1 = DDoS, TCP, DDoS-TCP       # category, subcategory, display name
     """
     raw = read_kv_file(path)
-    names = None
-    category_col = "category"
-    subcategory_col = "subcategory"
+    spec = FeatureSpec()
+    columns = {}
     class_entries = {}
     for key, value in raw.items():
         if key == "features":
             names = tuple(_check_name(path, "feature name", tok.strip())
                           for tok in value.split(",") if tok.strip())
-        elif key == "category_column":
-            category_col = value
-        elif key == "subcategory_column":
-            subcategory_col = value
+            try:
+                spec = FeatureSpec(names=names)
+            except DataError as exc:
+                raise ConfigError(f"{path}: features: {exc}") from None
+        elif key in ("category_column", "subcategory_column"):
+            columns[key] = value
         elif key.startswith("class."):
             try:
                 idx = int(key.split(".", 1)[1])
@@ -159,8 +162,7 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
             class_entries[idx] = (parts[0], parts[1], parts[2])
         else:
             raise ConfigError(f"{path}: unknown features-config key {key!r}")
-    spec = FeatureSpec(names=names) if names else FeatureSpec()
-    schema = CsvSchema(category_column=category_col, subcategory_column=subcategory_col)
+    schema = CsvSchema(**columns)
     if class_entries:
         if sorted(class_entries) != list(range(len(class_entries))):
             raise ConfigError(f"{path}: class indices must be 0..K-1 without gaps")

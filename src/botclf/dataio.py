@@ -73,11 +73,6 @@ class CsvSchema:
     subcategory_column: str = "subcategory"
 
 
-def _unmapped(category, subcategory) -> DataError:
-    return DataError(f"no class mapping for (category={category!r}, "
-                     f"subcategory={subcategory!r})")
-
-
 @dataclass(frozen=True)
 class LabelMap:
     """(category, subcategory) text pairs -> class indices, plus display names."""
@@ -198,7 +193,8 @@ class CsvStream:
                         if not (isfinite(sum(values)) or all(map(isfinite, values))):
                             reason = "non-finite feature value"
                         elif labeled and (pair := pick_label(cells)) not in codes:
-                            reason = str(_unmapped(*pair))
+                            reason = (f"no class mapping for (category={pair[0]!r}, "
+                                      f"subcategory={pair[1]!r})")
                         else:
                             rows.append(values)
                             if labeled:

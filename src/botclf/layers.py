@@ -18,12 +18,12 @@ statistics. Inference folds the moving statistics into the conv instead
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import CacheReusedError, ShapeError
-from .numerics import d_relu, relu, softmax
+from .numerics import relu, softmax
 
 
 @dataclass
@@ -98,8 +98,7 @@ class GRUParams:
         return self.u_z.shape[0]
 
 
-GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
-              "b_z", "b_r", "b_h", "rb_z", "rb_r", "rb_h")
+GRU_FIELDS = tuple(f.name for f in fields(GRUParams))
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,8 @@ def conv_branch_backward(cache: Cache, dpool: np.ndarray):
 # GRU (returns the full hidden-state sequence)
 
 
-def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True,
-                work: dict | None = None, out: np.ndarray | None = None):
+def gru_forward(x: np.ndarray, p: GRUParams, *, work: dict | None = None,
+                out: np.ndarray | None = None):
     """x: [B, T, input_dim] -> (h_seq: [B, T, units], cache), from the zero
     state.
 
@@ -215,15 +214,16 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True,
     one add turn the halved pre-activations into 2z | 2r; 2r times the
     halved inner term is the reset product, and the update halves
     2z * (hcand - h). Halving is exact barring subnormals. Ten numpy calls
-    per step, all on buffers made before the loop. The step's
-    2z | 2r | inner / 2 | hcand blocks are copied into a [4, T, units, B]
-    stack for `gru_backward`. With keep_cache=False (inference) nothing is
-    copied and the cache returned is None; the hidden states are the same.
+    per step, all on buffers made before the loop.
 
+    Without `out` (training), the step's 2z | 2r | inner / 2 | hcand blocks
+    are copied into a [4, T, units, B] stack for `gru_backward`. With `out`
+    (inference), a [B, T, units] array or view, the hidden states are
+    written into it and it is returned as h_seq; nothing is copied and the
+    cache returned is None. The hidden states are the same either way.
     `work`, a dict, lends the state, pre-activation and diff buffers through
     `work_array`, so a call with fewer rows, another dtype or fewer units
-    reuses the buffers of an earlier one. With `out`, a [B, T, units] array
-    or view, the hidden states are written into it and it is returned as h_seq.
+    reuses the buffers of an earlier one.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
@@ -244,7 +244,7 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True,
     hs[0, :units] = 0.0
     hs[:t, units:-1] = x.transpose(1, 2, 0)  # the last state is read for its h only
     hs[:, -1] = 1.0
-    gates = np.empty((4, t if keep_cache else 0, units, b), dtype=dtype)
+    gates = np.empty((4, t, units, b), dtype=dtype) if out is None else None
     a = work_array(work, "gru.preact", (4 * units, b), dtype)
     blocks = a.reshape(4, units, b)
     zr, (z2, r2, inner, hcand) = a[:2 * units], blocks
@@ -264,15 +264,12 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, keep_cache: bool = True,
         multiply(diff, z2, out=diff)
         multiply(diff, half, out=diff)
         add(h, diff, out=hidden[i + 1])
-        if keep_cache:
+        if gates is not None:
             gates[:, i] = blocks
-    if out is None:
-        h_seq = np.ascontiguousarray(hs[1:, :units].transpose(2, 0, 1))
-    else:
+    if out is not None:
         out[...] = hs[1:, :units].transpose(2, 0, 1)
-        h_seq = out
-    if not keep_cache:
-        return h_seq, None
+        return out, None
+    h_seq = np.ascontiguousarray(hs[1:, :units].transpose(2, 0, 1))
     return h_seq, Cache({"params": p, "hs": hs, "gates": gates})
 
 
@@ -355,7 +352,7 @@ def dense_backward(cache: Cache, dy: np.ndarray):
     """
     d = cache.consume("dense")
     x, pre, w = d["x"], d["pre"], d["weights"]
-    dpre = dy * d_relu(pre) if d["activation"] == "relu" else dy
+    dpre = dy * (pre > 0) if d["activation"] == "relu" else dy
     dw = x.T @ dpre
     db = np.add.reduce(dpre)
     dx = dpre @ w.T

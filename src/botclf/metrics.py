@@ -189,11 +189,11 @@ class OverallStats:
     rci: float
 
 
-def accuracy_ci(accuracy: float, n: int, z: float = 1.96):
-    """Normal-approximation confidence interval for an accuracy estimate."""
+def accuracy_ci(accuracy: float, n: int):
+    """95% normal-approximation confidence interval for an accuracy estimate."""
     if n <= 0:
         raise DataError("population must be positive")
-    half = z * math.sqrt(accuracy * (1.0 - accuracy) / n)
+    half = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / n)
     return accuracy - half, accuracy + half
 
 
@@ -292,9 +292,7 @@ class MetricsReport:
                 v = getattr(stats, attr)
                 if v is None:
                     cells.append(f"{'None':>14}")
-                elif isinstance(v, int):
-                    cells.append(f"{v:>14}")
-                elif isinstance(v, str):
+                elif isinstance(v, (int, str)):
                     cells.append(f"{v:>14}")
                 else:
                     cells.append(f"{v:>14.5f}")

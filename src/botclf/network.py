@@ -189,14 +189,6 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
         arch=arch, flat=flat)
 
 
-@dataclass
-class ForwardCaches:
-    conv_branch: layers.Cache
-    gru: layers.Cache
-    dense_hidden: layers.Cache
-    dense_out: layers.Cache
-
-
 def _check_input(a: Architecture, x: np.ndarray) -> None:
     if x.ndim != 3 or x.shape[1] != a.seq_len or x.shape[2] != a.in_channels:
         raise ShapeError(
@@ -279,7 +271,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
         concat_y = np.concatenate([pool_y, gru_y.reshape(x.shape[0], -1)], axis=1)
         hidden_y, c_hidden = layers.dense_forward(concat_y, params.dense_hidden, "relu")
         probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
-        return probs, ForwardCaches(c_branch, c_gru, c_hidden, c_out)
+        return probs, (c_branch, c_gru, c_hidden, c_out)
 
     work = {} if workspace is None else workspace
     conv = _folded_conv(params)
@@ -291,7 +283,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
         pooled = concat_y[:, :a.filters]
         _conv_max_over_time(xb, conv, pooled, work)
         np.maximum(pooled, 0.0, out=pooled)  # relu
-        layers.gru_forward(xb, params.gru, keep_cache=False, work=work,
+        layers.gru_forward(xb, params.gru, work=work,
                            out=concat_y[:, a.filters:].reshape(rows, a.seq_len, a.gru_units))
         hidden_y, _ = layers.dense_forward(concat_y, params.dense_hidden, "relu")
         probs, _ = layers.dense_forward(hidden_y, params.dense_out, "softmax")
@@ -309,22 +301,25 @@ _GRADIENT_KEYS = (("kernels", "bias", "gamma", "beta"), GRU_FIELDS,
                   ("weights", "bias"), ("weights", "bias"))
 
 
-def backward(params: NetworkParameters, caches: ForwardCaches, dlogits: np.ndarray):
+def backward(params: NetworkParameters, caches: tuple, dlogits: np.ndarray):
     """Gradient of the loss w.r.t. every trainable weight, as one array laid
     out like `params.flat` and in its precision; `params.trainable_views`
     splits it by name.
 
-    `dlogits` is the loss gradient w.r.t. the final dense layer's
-    pre-softmax logits, as produced by the cross-entropy loss. The input is
-    data, so no gradient w.r.t. it is formed.
+    `caches` is what a train-mode `forward` returns beside the probs: the
+    (conv branch, GRU, hidden dense, output dense) layer caches. `dlogits`
+    is the loss gradient w.r.t. the final dense layer's pre-softmax logits,
+    as produced by the cross-entropy loss. The input is data, so no
+    gradient w.r.t. it is formed.
     """
-    d_hidden_out, g_out = layers.dense_backward(caches.dense_out, dlogits)
-    d_concat, g_hidden = layers.dense_backward(caches.dense_hidden, d_hidden_out)
+    c_branch, c_gru, c_hidden, c_out = caches
+    d_hidden_out, g_out = layers.dense_backward(c_out, dlogits)
+    d_concat, g_hidden = layers.dense_backward(c_hidden, d_hidden_out)
     a = params.arch
     d_pool, d_flat = d_concat[:, :a.filters], d_concat[:, a.filters:]
 
-    g_branch = layers.conv_branch_backward(caches.conv_branch, d_pool)
-    g_gru = layers.gru_backward(caches.gru, d_flat.reshape(-1, a.seq_len, a.gru_units))
+    g_branch = layers.conv_branch_backward(c_branch, d_pool)
+    g_gru = layers.gru_backward(c_gru, d_flat.reshape(-1, a.seq_len, a.gru_units))
     return np.concatenate([grads[key].ravel() for grads, keys
                            in zip((g_branch, g_gru, g_hidden, g_out), _GRADIENT_KEYS)
                            for key in keys], dtype=params.dtype)

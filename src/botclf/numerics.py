@@ -49,12 +49,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def d_relu(x: np.ndarray) -> np.ndarray:
-    """The derivative of relu as a boolean mask (x > 0); a product with it
-    casts it to 0 and 1."""
-    return np.asarray(x) > 0
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability.
 

@@ -13,11 +13,11 @@ import csv
 import numpy as np
 
 from .dataio import DEFAULT_FEATURES, DEFAULT_LABEL_MAP, Dataset, LabelMap
-from .numerics import DOUBLE, substream
+from .numerics import substream
 
 
 def make_dataset(n: int, seed: int = 0, classes: int = 6, seq_len: int = 16,
-                 noise: float = 0.05, dtype=DOUBLE) -> Dataset:
+                 noise: float = 0.05) -> Dataset:
     """n sequences with roughly balanced class labels."""
     rng = substream(seed, "synth")
     labels = rng.integers(0, classes, size=n)
@@ -29,7 +29,7 @@ def make_dataset(n: int, seed: int = 0, classes: int = 6, seq_len: int = 16,
         offset = 0.35 + 0.3 * c / max(classes - 1, 1)
         base[c] = offset + 0.25 * np.sin(2.0 * np.pi * freq * t / seq_len + phase)
     features = base[labels] + rng.normal(0.0, noise, size=(n, seq_len))
-    features = np.clip(features, 0.0, 1.0).astype(dtype)
+    features = np.clip(features, 0.0, 1.0)
     return Dataset(features=features, labels=labels)
 
 

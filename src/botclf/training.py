@@ -123,9 +123,9 @@ def rmsprop_step(params: NetworkParameters, grads: np.ndarray, state: np.ndarray
     return params, state
 
 
-def _split_indices(n: int, fraction: float, seed: int,
-                   labels: np.ndarray | None, stratified: bool):
-    if stratified and labels is not None:
+def _split_indices(n: int, fraction: float, seed: int, labels: np.ndarray,
+                   stratified: bool):
+    if stratified:
         rng = substream(seed, "split")
         val_parts, train_parts = [], []
         for cls in np.unique(labels):

@@ -802,6 +802,19 @@ class TestConfigResolution:
                     "--weights", weights, "--epochs", "1"]) == EXIT_OK
         assert weights.exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("features = pkts, bytes, pkts", "feature names must be unique"),
+        ("features = ,", "feature spec needs at least one column"),
+    ], ids=["repeated", "empty"])
+    def test_bad_feature_list_is_a_config_error(self, tmp_path, capsys, line, message):
+        # the fault is in the config file, so neither a data error (3) nor
+        # a silent fall back to the default columns (0)
+        feats = tmp_path / "bad.cfg"
+        feats.write_text(line + "\n")
+        assert run(["summary", "--features", feats]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: config error: {feats}: features: {message}"]
+
 
 def _class_map_files(folder, classes, rows=60, features=16):
     """A features config with `classes` classes over columns c0..c{features-1}

@@ -226,8 +226,9 @@ class TestGRU:
         p = dataclasses.replace(p, **{name: getattr(p, name).astype(dtype)
                                       for name in layers.GRU_FIELDS})
         x = rng.normal(size=(b, 16, 1)).astype(dtype)
-        h_seq, cache = layers.gru_forward(x, p, keep_cache=False)
-        assert cache is None
+        out = np.empty((b, 16, 10), dtype)
+        h_seq, cache = layers.gru_forward(x, p, out=out)
+        assert cache is None and h_seq is out
         npt.assert_array_equal(h_seq, layers.gru_forward(x, p)[0])
 
     def test_backward_same_for_strided_upstream(self):

@@ -38,13 +38,6 @@ class TestActivations:
         npt.assert_allclose(np.tanh(x), 2.0 * sigmoid(2.0 * x) - 1.0,
                             atol=1e-12)
 
-    def test_relu_derivative(self):
-        h = 1e-6
-        x = numerics.make_rng(5).uniform(-4, 4, size=100)
-        x = x[np.abs(x) > 1e-3]  # keep clear of the kink
-        numeric = (numerics.relu(x + h) - numerics.relu(x - h)) / (2 * h)
-        npt.assert_allclose(numerics.d_relu(x), numeric, atol=1e-6)
-
 
 class TestSoftmax:
     def test_uniform_inputs(self):
