@@ -73,6 +73,7 @@ def cmd_train(cfg: RunConfig) -> int:
     dtype = resolve_dtype(cfg.precision)
     fitted = dataio.fit_normalizer(chunks, spec)
     dataset = dataio.to_dataset(chunks, fitted, dtype=dtype)
+    del chunks  # the raw rows; training reads only the dataset's normalized copy
     dist = dataset.class_distribution(label_map.num_classes)
     log.info("loaded %d records; class distribution %s", len(dataset), dist.tolist())
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError
 from .network import Architecture
-from .training import TrainConfig
+from .training import CHECK_PROBES, CHECK_TOLERANCE, TrainConfig
 
 ENV_PREFIX = "BOTCLF_"
 
@@ -33,8 +33,8 @@ class RunConfig:
     policy: str = "skip"             # malformed-row policy: skip | fail
     gru_units: int = Architecture.gru_units
     filters: int = Architecture.filters
-    probes: int = 100
-    tolerance: float = 1e-5
+    probes: int = CHECK_PROBES
+    tolerance: float = CHECK_TOLERANCE
     verbose: bool = False
 
 

@@ -222,10 +222,7 @@ class CsvStream:
                 np.array(labels, dtype=np.int64) if self.label_map is not None else None)
 
 
-def stream_csv(path, schema: CsvSchema = CsvSchema(),
-               feature_spec: FeatureSpec = FeatureSpec(),
-               label_map: LabelMap | None = None, policy: str = "skip") -> CsvStream:
-    return CsvStream(path, schema, feature_spec, label_map, policy)
+stream_csv = CsvStream
 
 
 def fit_normalizer(chunks, feature_spec: FeatureSpec) -> FeatureSpec:
@@ -268,7 +265,18 @@ class Dataset:
 
 
 def to_dataset(chunks, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:
-    """Normalize one or more labeled (features, labels) chunks into one Dataset."""
-    xs, ys = zip(*chunks)
-    features = feature_spec.normalize(np.concatenate(xs)).astype(dtype, copy=False)
-    return Dataset(features=features, labels=np.concatenate(ys).astype(np.int64, copy=False))
+    """Normalize one or more labeled (features, labels) chunks into one Dataset.
+
+    The features, in `dtype`, and the int64 labels are allocated once at their
+    full length, and each chunk is normalized into its own slice: the rows are
+    copied once, into the result."""
+    chunks = list(chunks)  # read twice: for the length, then for the rows
+    n = sum(len(y) for _, y in chunks)
+    features = np.empty((n, len(feature_spec.names)), dtype=dtype)
+    labels = np.empty(n, dtype=np.int64)
+    stop = 0
+    for x, y in chunks:
+        start, stop = stop, stop + len(y)
+        features[start:stop] = feature_spec.normalize(x)
+        labels[start:stop] = y
+    return Dataset(features=features, labels=labels)

@@ -168,19 +168,20 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     if train_idx.size == 0:
         raise DataError(f"validation_fraction {config.validation_fraction} leaves no "
                         f"training rows out of {labels.size}")
+    val_batches = [(features[val_idx], labels[val_idx])] if val_idx.size else []
     state = np.zeros_like(params.flat)
     history = []
     for epoch in range(config.epochs):
         start_time = time.perf_counter()
         order = substream(config.seed, f"epoch-{epoch}").permutation(train_idx.size)
         shuffled = train_idx[order]
-        x_epoch, y_epoch = x_all[shuffled], labels[shuffled]  # batches are slices
         epoch_loss = 0.0
         epoch_correct = 0
         for start in range(0, shuffled.size, config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            yb = y_epoch[batch]
-            probs, caches = network.forward(params, x_epoch[batch], mode="train")
+            # each batch is gathered by index, so no shuffled copy of the set exists
+            idx = shuffled[start:start + config.batch_size]
+            yb = labels[idx]
+            probs, caches = network.forward(params, x_all[idx], mode="train")
             loss, dlogits = cross_entropy(probs, yb)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -191,8 +192,8 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
         train_loss = epoch_loss / shuffled.size
         train_acc = epoch_correct / shuffled.size
         val_loss = val_acc = float("nan")
-        if val_idx.size:
-            cm, val_loss = evaluate(params, [(features[val_idx], labels[val_idx])])
+        if val_batches:
+            cm, val_loss = evaluate(params, val_batches)
             val_acc = cm.accuracy()
         stats = EpochStats(epoch=epoch, train_loss=train_loss, train_acc=train_acc,
                            val_loss=val_loss, val_acc=val_acc,
@@ -261,6 +262,9 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
+# Default probe count and relative-error tolerance of `gradient_check`.
+CHECK_PROBES = 100
+CHECK_TOLERANCE = 1e-5
 # Central-difference step and batch size of `gradient_check`.
 _FD_STEP = 1e-6
 _CHECK_BATCH = 4
@@ -276,8 +280,8 @@ _ABS_AGREEMENT = 1e-8
 _REDRAW_LIMIT = 50
 
 
-def gradient_check(params: NetworkParameters, probes: int = 100,
-                   tolerance: float = 1e-5, seed: int = 0) -> GradCheckReport:
+def gradient_check(params: NetworkParameters, probes: int = CHECK_PROBES,
+                   tolerance: float = CHECK_TOLERANCE, seed: int = 0) -> GradCheckReport:
     """Check hand-written backprop against central finite differences.
 
     The loss is the train-mode one that `fit` descends: for a fixed batch,

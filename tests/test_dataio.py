@@ -415,6 +415,30 @@ class TestDatasetAndBatches:
         assert (ds.features == 0.0).any() and (ds.features == 1.0).any()
         assert not ds.features[:, 2].any()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_to_dataset_copies_each_row_once(self, dtype):
+        # the peak grows per added row by at most that row's features in
+        # `dtype` and its int64 label, plus 8 B: no whole-set temporary
+        spec = FeatureSpec(mins=np.zeros(16), maxs=np.ones(16))
+        rng = make_rng(9)
+
+        def peak(n_chunks):
+            chunks = [(rng.uniform(-0.5, 1.5, size=(dataio.CHUNK_ROWS, 16)),
+                       rng.integers(0, 6, size=dataio.CHUNK_ROWS))
+                      for _ in range(n_chunks)]
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                ds = dataio.to_dataset(chunks, spec, dtype=dtype)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(ds) == n_chunks * dataio.CHUNK_ROWS
+            return top - start
+
+        per_row = 16 * np.dtype(dtype).itemsize + 8 + 8
+        assert peak(40) - peak(10) <= 30 * dataio.CHUNK_ROWS * per_row
+
     def test_to_dataset_requires_fitted_spec(self, fixture_csv):
         spec = FeatureSpec(names=FEATURES_4)
         chunks = list(dataio.stream_csv(fixture_csv, CsvSchema(), spec,

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -308,6 +309,24 @@ class TestFit:
         _, history = training.fit(network.build(12), ds,
                                   TrainConfig(epochs=2, seed=8, learning_rate=5e-3))
         assert all(math.isfinite(s.train_loss) for s in history)
+
+    def test_memory_grows_by_indices_not_copies(self):
+        # batches and the held-out rows are gathered by index from the one
+        # dataset: a 1-epoch fit's peak grows by at most 64 B per added row
+        def peak(rows):
+            ds = synth.make_dataset(rows, seed=15)
+            p = network.build(15)
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                training.fit(p, ds, TrainConfig(epochs=1, seed=15))
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top - start
+
+        assert peak(40 * dataio.CHUNK_ROWS) - peak(10 * dataio.CHUNK_ROWS) <= \
+            30 * dataio.CHUNK_ROWS * 64
 
     def test_stratified_split(self):
         ds = synth.make_dataset(600, seed=13)
