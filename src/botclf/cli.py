@@ -19,7 +19,7 @@ from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write, require_output_path
 from .network import Architecture
-from .numerics import resolve_dtype
+from .numerics import PRECISIONS, resolve_dtype
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,16 +79,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
     params = network.build(cfg.seed, arch, dtype=dtype)
 
-    lines = []
-
-    def sink(stats):
-        print(stats.line())
-        lines.append(stats.line())
-
-    training.fit(params, dataset, train_cfg, progress_sink=sink)
+    _, history = training.fit(params, dataset, train_cfg,
+                              progress_sink=lambda stats: print(stats.line()))
     with atomic_write(stats_path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    network.save_bundle(params, cfg.weights, fitted, label_map)
+        fh.write("\n".join(stats.line() for stats in history) + "\n")
+    network.save_weights(params, cfg.weights, fitted, label_map)
     log.info("wrote weights to %s and epoch stats to %s", cfg.weights, stats_path)
     return EXIT_OK
 
@@ -159,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--epochs", type=int)
     common.add_argument("--batch-size", type=int, dest="batch_size")
     common.add_argument("--learning-rate", type=float, dest="learning_rate")
-    common.add_argument("--precision", choices=("double", "single"))
-    common.add_argument("--policy", choices=("skip", "fail"),
+    common.add_argument("--precision", choices=tuple(PRECISIONS))
+    common.add_argument("--policy", choices=dataio.POLICIES,
                         help="malformed CSV row handling")
     common.add_argument("--stratified", action="store_true", default=None,
                         help="stratify the train/validation split by class")

@@ -9,9 +9,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
+from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP, POLICIES
 from .errors import ConfigError, DataError
 from .network import Architecture
+from .numerics import PRECISIONS
 from .training import CHECK_PROBES, CHECK_TOLERANCE, TrainConfig
 
 ENV_PREFIX = "BOTCLF_"
@@ -30,7 +31,7 @@ class RunConfig:
     validation_fraction: float = TrainConfig.validation_fraction
     stratified: bool = TrainConfig.stratified
     precision: str = "double"
-    policy: str = "skip"             # malformed-row policy: skip | fail
+    policy: str = POLICIES[0]        # malformed-row policy, one of POLICIES
     gru_units: int = Architecture.gru_units
     filters: int = Architecture.filters
     probes: int = CHECK_PROBES
@@ -110,10 +111,11 @@ def resolve(cli_values: dict, config_path: str | None = None,
             setattr(cfg, name, _coerce(name, base_kind, env_val))
         elif name in normalized_file:
             setattr(cfg, name, _coerce(name, base_kind, normalized_file[name]))
-    if cfg.precision not in ("double", "single"):
-        raise ConfigError(f"precision must be 'double' or 'single', got {cfg.precision!r}")
-    if cfg.policy not in ("skip", "fail"):
-        raise ConfigError(f"policy must be 'skip' or 'fail', got {cfg.policy!r}")
+    for name, allowed in (("precision", PRECISIONS), ("policy", POLICIES)):
+        value = getattr(cfg, name)
+        if value not in allowed:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, "
+                              f"got {value!r}")
     return cfg
 
 

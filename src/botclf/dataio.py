@@ -34,6 +34,9 @@ DEFAULT_FEATURES = (
 # per row, and per pass of the inference engine, which bounds its memory.
 CHUNK_ROWS = 512
 
+# The malformed-row policies of `CsvStream`, the default first.
+POLICIES = ("skip", "fail")
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -130,8 +133,8 @@ class CsvStream:
 
     def __init__(self, path, schema: CsvSchema = CsvSchema(),
                  feature_spec: FeatureSpec = FeatureSpec(),
-                 label_map: LabelMap | None = None, policy: str = "skip"):
-        if policy not in ("skip", "fail"):
+                 label_map: LabelMap | None = None, policy: str = POLICIES[0]):
+        if policy not in POLICIES:
             raise DataError(f"unknown malformed-row policy {policy!r}")
         self.path = path
         self.schema = schema

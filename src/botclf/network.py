@@ -7,7 +7,7 @@ Head:     Concatenate(A, B) -> Dense(hidden, relu) -> Dense(classes, softmax)
 The topology is fixed; only four sizes vary: the input length, the conv
 filters, the GRU units and the class count. The weights bundle, one text
 manifest holding the weights, the fitted normalizer and the class map, is
-written by `save_bundle` and read by `load_bundle`; no other module knows
+written by `save_weights` and read by `load_bundle`; no other module knows
 its keys.
 """
 
@@ -420,29 +420,28 @@ def _meta_sizes(meta: dict) -> dict:
     return sizes
 
 
-def save_weights(params: NetworkParameters, path,
-                 extras: dict | None = None, meta: dict | None = None) -> None:
-    """Write a versioned text manifest of every weight array.
+def save_weights(params: NetworkParameters, path, spec: FeatureSpec,
+                 label_map: LabelMap) -> None:
+    """Write the weights bundle: a versioned text manifest of every weight
+    array, the fitted normalizer and the class map.
 
-    Layer order in the file is fixed (`named_arrays` order) but loading is
-    name-keyed, so a reordered file still loads. Values are decimal and
-    round-trip bit-exactly at the stored precision. `extras` lets callers
-    persist additional named arrays (e.g. normalizer state) in the same
-    file; `meta` adds string key/value pairs. The file is replaced
-    atomically: a failed save leaves the previous one intact.
+    Layer order in the file is fixed (`named_arrays` order, then `norm.min`
+    and `norm.max`) but loading is name-keyed, so a reordered file still
+    loads. Values are decimal and round-trip bit-exactly at the stored
+    precision. The file is replaced atomically: a failed save leaves the
+    previous one intact.
     """
-    tensors = list(params.named_arrays())
-    if extras:
-        tensors += list(extras.items())
-    all_meta = {"precision": "double" if params.dtype == np.float64 else "single"}
-    all_meta.update({name: str(getattr(params.arch, name)) for name in _SIZE_FIELDS})
-    all_meta.update(_CONSTANT_META)
-    if meta:
-        all_meta.update(meta)
+    tensors = [*params.named_arrays(), ("norm.min", spec.mins), ("norm.max", spec.maxs)]
+    meta = {"precision": "double" if params.dtype == np.float64 else "single",
+            **{name: str(getattr(params.arch, name)) for name in _SIZE_FIELDS},
+            **_CONSTANT_META,
+            "feature_names": ",".join(spec.names),
+            "class_names": ",".join(label_map.names),
+            "class_pairs": ";".join(f"{c},{s}" for c, s in label_map.pairs)}
     with atomic_write(path) as fh:
         fh.write(f"{MANIFEST_MAGIC} {MANIFEST_VERSION}\n")
-        for key in sorted(all_meta):
-            fh.write(f"meta {key} {all_meta[key]}\n")
+        for key in sorted(meta):
+            fh.write(f"meta {key} {meta[key]}\n")
         for name, arr in tensors:
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"tensor {name} {dims}\n")
@@ -566,27 +565,14 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     return _assemble(arrays, arch)
 
 
-def load_weights(path) -> NetworkParameters:
-    tensors, meta = load_manifest(path)
-    return params_from_manifest(tensors, meta)
-
-
-def save_bundle(params: NetworkParameters, path, spec: FeatureSpec,
-                label_map: LabelMap) -> None:
-    """Write the weights with the fitted normalizer and the class map."""
-    save_weights(params, path, extras={"norm.min": spec.mins, "norm.max": spec.maxs},
-                 meta={"feature_names": ",".join(spec.names),
-                       "class_names": ",".join(label_map.names),
-                       "class_pairs": ";".join(f"{c},{s}" for c, s in label_map.pairs)})
-
-
 def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
-    """(params, fitted FeatureSpec, LabelMap) from a `save_bundle` file.
+    """(params, fitted FeatureSpec, LabelMap) from a `save_weights` file.
 
     `spec` and `label_map` stand in for feature names or a class map the
     file lacks. A missing normalizer, one whose length differs from the
-    feature names, a malformed or one-key class map, or feature names or
-    classes not numbering the model's meta seq_len and classes is a WeightFormatError.
+    feature names, a feature whose norm.min is above its norm.max, a malformed
+    or one-key class map, or feature names or classes not numbering the
+    model's meta seq_len and classes is a WeightFormatError.
     """
     tensors, meta = load_manifest(path)
     params = params_from_manifest(tensors, meta)
@@ -604,6 +590,11 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
         raise WeightFormatError(
             f"{path}: normalizer tensors norm.min {mins.shape} and norm.max {maxs.shape} "
             f"do not match the {want[0]} feature names")
+    inverted = np.flatnonzero(mins > maxs)
+    if inverted.size:
+        i = inverted[0]
+        raise WeightFormatError(f"{path}: normalizer of feature {spec.names[i]!r} has norm.min "
+                                f"{float(mins[i])!r} above norm.max {float(maxs[i])!r}")
     spec = replace(spec, mins=mins, maxs=maxs)
     if ("class_pairs" in meta) != ("class_names" in meta):
         raise WeightFormatError(f"{path}: manifest meta holds class_pairs or class_names alone")

@@ -19,15 +19,17 @@ from .errors import ShapeError
 DOUBLE = np.float64
 SINGLE = np.float32
 
-_PRECISIONS = {"double": DOUBLE, "single": SINGLE}
+# The precision names a run accepts and the dtype of each.
+PRECISIONS = {"double": DOUBLE, "single": SINGLE}
 
 
 def resolve_dtype(precision: str) -> np.dtype:
     """Map a precision name ('double' or 'single') to a numpy dtype."""
     try:
-        return _PRECISIONS[precision]
+        return PRECISIONS[precision]
     except KeyError:
-        raise ValueError(f"unknown precision {precision!r}; expected 'double' or 'single'") from None
+        raise ValueError(f"unknown precision {precision!r}; "
+                         f"expected {' or '.join(map(repr, PRECISIONS))}") from None
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from botclf import cli, layers, metrics, network, synth, training
+from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.metrics import BinaryCells, ConfusionMatrix
 from botclf.numerics import make_rng, softmax
 from oracles import gru_oracle, random_gru_params
@@ -235,12 +236,13 @@ def test_criterion_8_invariant_suites(tmp_path):
     ident_ok = ident.kappa == 1.0 and abs(ident.rci - 1.0) <= 1e-12
 
     dataset = synth.make_dataset(600, seed=88)
+    unit_spec = FeatureSpec(mins=np.zeros(16), maxs=np.ones(16))
     paths = []
     for run in range(2):
         params = network.build(88)
         training.fit(params, dataset, training.TrainConfig(epochs=2, seed=88))
         path = tmp_path / f"run{run}.weights"
-        network.save_weights(params, path)
+        network.save_weights(params, path, unit_spec, DEFAULT_LABEL_MAP)
         paths.append(path)
     determinism_ok = paths[0].read_bytes() == paths[1].read_bytes()
 

@@ -1,4 +1,4 @@
-"""The weights bundle: `network.save_bundle` / `network.load_bundle`."""
+"""The weights bundle: `network.save_weights` / `network.load_bundle`."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +9,14 @@ from botclf import network
 from botclf.dataio import DEFAULT_FEATURES, DEFAULT_LABEL_MAP, FeatureSpec, LabelMap
 from botclf.errors import WeightFormatError
 from botclf.network import Architecture
+from botclf.numerics import make_rng
 
 
 def _save_small_bundle(path):
     """A bundle of a small model (the 16 default features, 6 classes)."""
     params = network.build(40, Architecture(filters=4, gru_units=2))
     spec = FeatureSpec(mins=-np.arange(16.0), maxs=np.arange(16.0) + 1.5)
-    network.save_bundle(params, path, spec, DEFAULT_LABEL_MAP)
+    network.save_weights(params, path, spec, DEFAULT_LABEL_MAP)
     return params, spec
 
 
@@ -34,9 +35,34 @@ class TestBundle:
         npt.assert_array_equal(got_spec.maxs, spec.maxs)
         assert label_map == DEFAULT_LABEL_MAP
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_save_round_trips_weights_normalizer_and_class_map(self, tmp_path, dtype):
+        path = tmp_path / "b.weights"
+        params = network.build(42, Architecture(filters=4, gru_units=2, classes=2), dtype=dtype)
+        # make the moving stats non-trivial before saving
+        network.forward(params, make_rng(1).uniform(0, 1, (4, 16, 1)).astype(dtype),
+                        mode="train")
+        rng = make_rng(2)
+        mins = rng.normal(size=16)
+        spec = FeatureSpec(mins=mins, maxs=mins + rng.uniform(0, 3, size=16))
+        label_map = LabelMap(pairs=(("Normal", "Normal"), ("DoS", "HTTP")),
+                             names=("Normal", "DoS-HTTP"))
+        network.save_weights(params, path, spec, label_map)
+        got, got_spec, got_map = network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+        assert got.dtype == dtype and got.arch == params.arch
+        for (name, a), (_, b) in zip(params.named_arrays(), got.named_arrays()):
+            assert a.tobytes() == b.tobytes(), name
+        assert got_spec.names == spec.names
+        assert got_spec.mins.tobytes() == spec.mins.tobytes()
+        assert got_spec.maxs.tobytes() == spec.maxs.tobytes()
+        assert got_map == label_map
+
     def test_no_normalizer_is_rejected(self, tmp_path):
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(0), path)
+        _save_small_bundle(path)
+        # norm.min and norm.max are the last two tensor blocks
+        text = path.read_text()
+        path.write_text(text[:text.index("tensor norm.min ")])
         with pytest.raises(WeightFormatError, match="no normalizer state"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 
@@ -46,6 +72,21 @@ class TestBundle:
         path.write_text(path.read_text().replace("sbytes,dbytes", "dbytes,dbytes"))
         with pytest.raises(WeightFormatError, match="feature_names: feature names must be "
                                                     "unique"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_normalizer_min_above_max_is_rejected(self, tmp_path):
+        # a constant feature (min == max) loads, but one whose min is above its
+        # max would scale every row of that feature to 0.0
+        path = tmp_path / "b.weights"
+        params = network.build(40, Architecture(filters=4, gru_units=2))
+        mins, maxs = np.zeros(16), np.ones(16)
+        maxs[0] = 0.0
+        network.save_weights(params, path, FeatureSpec(mins=mins, maxs=maxs), DEFAULT_LABEL_MAP)
+        network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+        mins[[3, 9]] = 2.5
+        network.save_weights(params, path, FeatureSpec(mins=mins, maxs=maxs), DEFAULT_LABEL_MAP)
+        with pytest.raises(WeightFormatError, match="normalizer of feature 'dur' has norm.min "
+                                                    "2.5 above norm.max 1.0$"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 
     def test_class_names_and_pairs_must_agree(self, tmp_path):
@@ -69,25 +110,25 @@ class TestBundle:
         path = tmp_path / "b.weights"
         label_map = LabelMap(pairs=(("Normal", "Normal"), ("DoS", "HTTP,slow")),
                              names=("Normal", "DoS-slow"))
-        network.save_bundle(network.build(41, Architecture(filters=4, gru_units=2, classes=2)),
-                            path, FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), label_map)
+        network.save_weights(network.build(41, Architecture(filters=4, gru_units=2, classes=2)),
+                             path, FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), label_map)
         assert network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)[2] == label_map
 
     def test_feature_names_must_number_meta_seq_len(self, tmp_path):
         path = tmp_path / "b.weights"
         params = network.build(40, Architecture(filters=4, gru_units=2))
         spec = FeatureSpec(names=DEFAULT_FEATURES[:15], mins=np.zeros(15), maxs=np.ones(15))
-        network.save_bundle(params, path, spec, DEFAULT_LABEL_MAP)
+        network.save_weights(params, path, spec, DEFAULT_LABEL_MAP)
         with pytest.raises(WeightFormatError, match="manifest meta seq_len 16 does not "
                                                     "match the 15 feature names$"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 
     def test_negative_tensor_dims_are_rejected(self, tmp_path):
-        # -2 x -64 has the 128 values conv.bias holds, but is no shape
+        # -2 x -2 has the 4 values conv.bias holds, but is no shape
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(0), path)
-        path.write_text(path.read_text().replace("tensor conv.bias 128\n",
-                                                 "tensor conv.bias -2 -64\n"))
+        _save_small_bundle(path)
+        path.write_text(path.read_text().replace("tensor conv.bias 4\n",
+                                                 "tensor conv.bias -2 -2\n"))
         with pytest.raises(WeightFormatError, match="bad tensor dims for conv.bias"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 

@@ -286,16 +286,13 @@ class TestFailClosed:
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_non_finite_output_is_numeric_error(self, tmp_path, trained_weights, eval_csv,
                                                 command, capsys):
-        tensors, meta = network.load_manifest(trained_weights)
-        params = network.params_from_manifest(tensors, meta)
+        params, spec, label_map = network.load_bundle(trained_weights, FeatureSpec(),
+                                                      DEFAULT_LABEL_MAP)
         # finite weights whose output logits are all +inf
         params.dense_hidden.bias[:] = 1e308
         params.dense_out.weights[:] = 1e308
         bad = tmp_path / "overflow.weights"
-        network.save_weights(params, bad,
-                             extras={k: tensors[k] for k in ("norm.min", "norm.max")},
-                             meta={k: meta[k] for k in ("feature_names", "class_names",
-                                                        "class_pairs")})
+        network.save_weights(params, bad, spec, label_map)
         out_path = tmp_path / "out.txt"
         assert run([command, "--data", eval_csv, "--weights", bad,
                     "--report", out_path]) == EXIT_NUMERIC
@@ -319,6 +316,26 @@ class TestFailClosed:
         assert err.splitlines() == [f"botclf: data error: {bad}: normalizer tensors norm.min "
                                     "(16,) and norm.max (16,) do not match the 15 "
                                     "feature names"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_swapped_normalizer_is_data_error(self, tmp_path, trained_weights, eval_csv,
+                                              command, capsys):
+        # with norm.min above norm.max every feature would scale to 0.0, and
+        # every row would get the same class
+        text = trained_weights.read_text()
+        bad = tmp_path / "swapped.weights"
+        bad.write_text(text.replace("tensor norm.min ", "tensor norm.swap ")
+                       .replace("tensor norm.max ", "tensor norm.min ")
+                       .replace("tensor norm.swap ", "tensor norm.max "))
+        _, spec, _ = network.load_bundle(trained_weights, FeatureSpec(), DEFAULT_LABEL_MAP)
+        i = int(np.flatnonzero(spec.mins < spec.maxs)[0])
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}: normalizer of feature {spec.names[i]!r} has norm.min "
+            f"{float(spec.maxs[i])!r} above norm.max {float(spec.mins[i])!r}"]
         assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])

@@ -64,8 +64,8 @@ def test_summary_text():
 
 def test_fresh_bundle_bytes(tmp_path):
     path = tmp_path / "fresh.weights"
-    network.save_bundle(network.build(0), path,
-                        FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), DEFAULT_LABEL_MAP)
+    network.save_weights(network.build(0), path,
+                         FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), DEFAULT_LABEL_MAP)
     assert _sha256(path.read_bytes()) == (
         "f1aee6b2fdbe31701753fa3341c7909bb6e1cc3cd654fc8470e3047e2321bfa4")
 

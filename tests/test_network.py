@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from botclf import layers, network, synth, training
+from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.errors import NumericError, ShapeError, WeightFormatError
 from botclf.network import Architecture
 from botclf.numerics import make_rng
@@ -265,14 +266,25 @@ class TestEndToEndGradients:
         assert touched == {"conv", "bn", "gru", "dense_hidden", "dense_out"}
 
 
+def _save_bundle(params, path):
+    """Write `params` as a bundle with a unit normalizer and the default class
+    map; the weights read back as `_load_params(path)`."""
+    network.save_weights(params, path, FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)),
+                         DEFAULT_LABEL_MAP)
+
+
+def _load_params(path):
+    return network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)[0]
+
+
 class TestWeightsIO:
     def test_round_trip_bit_exact(self, tmp_path):
         p = network.build(12)
         # make the moving stats non-trivial before saving
         network.forward(p, make_rng(1).uniform(0, 1, (4, 16, 1)), mode="train")
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
-        q = network.load_weights(path)
+        _save_bundle(p, path)
+        q = _load_params(path)
         for (name_a, arr_a), (name_b, arr_b) in zip(p.named_arrays(), q.named_arrays()):
             assert name_a == name_b
             npt.assert_array_equal(arr_a, arr_b)
@@ -281,8 +293,8 @@ class TestWeightsIO:
     def test_single_precision_round_trip(self, tmp_path):
         p = network.build(13, dtype=np.float32)
         path = tmp_path / "w32.weights"
-        network.save_weights(p, path)
-        q = network.load_weights(path)
+        _save_bundle(p, path)
+        q = _load_params(path)
         assert q.dtype == np.float32
         for (_, arr_a), (_, arr_b) in zip(p.named_arrays(), q.named_arrays()):
             npt.assert_array_equal(arr_a, arr_b)
@@ -290,15 +302,15 @@ class TestWeightsIO:
     def test_truncated_file_reports_byte_offset(self, tmp_path):
         p = network.build(14)
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
+        _save_bundle(p, path)
         data = path.read_bytes()
         (tmp_path / "cut.weights").write_bytes(data[: len(data) // 2])
         with pytest.raises(WeightFormatError, match="byte"):
-            network.load_weights(tmp_path / "cut.weights")
+            _load_params(tmp_path / "cut.weights")
 
     def test_short_tensor_is_reported_where_it_closes(self, tmp_path):
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(14), path)
+        _save_bundle(network.build(14), path)
         text = path.read_text()
         end = text.index("tensor conv.bias")
         # drop conv.kernels' last value, then spoil a line of the next tensor
@@ -309,55 +321,55 @@ class TestWeightsIO:
         at = len((text[:cut] + "\n").encode())
         with pytest.raises(WeightFormatError, match=rf"tensor conv.kernels needs 384 values, "
                                                     rf"got 383 \(at byte {at}\)$"):
-            network.load_weights(bad)
+            _load_params(bad)
 
     def test_truncated_last_tensor_is_reported_at_the_file_size(self, tmp_path):
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(14), path)
+        _save_bundle(network.build(14), path)
         data = path.read_bytes()
-        # drop the last value of dense_out.bias, the last tensor
+        # drop the last value of norm.max, the last tensor
         cut = data[:data.rindex(b" ")] + b"\n"
         (tmp_path / "cut.weights").write_bytes(cut)
-        with pytest.raises(WeightFormatError, match=rf"tensor dense_out.bias needs 6 values, "
-                                                    rf"got 5 \(at byte {len(cut)}\)$"):
-            network.load_weights(tmp_path / "cut.weights")
+        with pytest.raises(WeightFormatError, match=rf"tensor norm.max needs 16 values, "
+                                                    rf"got 15 \(at byte {len(cut)}\)$"):
+            _load_params(tmp_path / "cut.weights")
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "w.weights"
         path.write_text("botclf-weights 99\n")
         with pytest.raises(WeightFormatError, match="version"):
-            network.load_weights(path)
+            _load_params(path)
 
     @pytest.mark.parametrize("header", ["botclf-weights x", "botclf-weights 1.0"])
     def test_unparsable_version_rejected(self, tmp_path, header):
         path = tmp_path / "w.weights"
         path.write_text(header + "\n")
         with pytest.raises(WeightFormatError, match=r"version .*\(at byte 0\)"):
-            network.load_weights(path)
+            _load_params(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected_at_its_line(self, tmp_path, token):
         p = network.build(19)
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
+        _save_bundle(p, path)
         text = path.read_text()
         start = text.index("\n", text.index("tensor dense_out.bias")) + 1
         bad = tmp_path / "nan.weights"
         bad.write_text(text[:start] + token + text[text.index(" ", start):])
         with pytest.raises(WeightFormatError,
                            match=rf"non-finite value in tensor dense_out.bias \(at byte {start}\)"):
-            network.load_weights(bad)
+            _load_params(bad)
 
     def test_not_a_manifest(self, tmp_path):
         path = tmp_path / "junk.weights"
         path.write_text("hello world\n")
         with pytest.raises(WeightFormatError):
-            network.load_weights(path)
+            _load_params(path)
 
     def test_reordered_file_loads_by_name(self, tmp_path):
         p = network.build(15)
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
+        _save_bundle(p, path)
         lines = path.read_text().splitlines(keepends=True)
         header, body = lines[0], lines[1:]
         # split into blocks at 'meta'/'tensor' boundaries, then reverse
@@ -369,40 +381,41 @@ class TestWeightsIO:
                 blocks[-1].append(line)
         reordered = tmp_path / "r.weights"
         reordered.write_text(header + "".join("".join(b) for b in reversed(blocks)))
-        q = network.load_weights(reordered)
+        q = _load_params(reordered)
         for (_, arr_a), (_, arr_b) in zip(p.named_arrays(), q.named_arrays()):
             npt.assert_array_equal(arr_a, arr_b)
 
     def test_missing_tensor_rejected(self, tmp_path):
         p = network.build(16)
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
+        _save_bundle(p, path)
         text = path.read_text()
         marker = "tensor conv.bias"
         start = text.index(marker)
         end = text.index("tensor ", start + 1)
         (tmp_path / "m.weights").write_text(text[:start] + text[end:])
         with pytest.raises(WeightFormatError, match="conv.bias"):
-            network.load_weights(tmp_path / "m.weights")
+            _load_params(tmp_path / "m.weights")
 
     def test_shape_mismatch_against_architecture(self, tmp_path):
         p = network.build(17, Architecture(gru_units=4))
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
+        _save_bundle(p, path)
         # claim 10 units in the metadata while tensors carry 4
         text = path.read_text().replace("meta gru_units 4", "meta gru_units 10")
         bad = tmp_path / "bad.weights"
         bad.write_text(text)
         with pytest.raises(WeightFormatError, match="shape"):
-            network.load_weights(bad)
+            _load_params(bad)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(0), path)
+        _save_bundle(network.build(0), path)
         previous = path.read_bytes()
-        # the weight tensors are written before the extra fails
+        # the weight tensors and norm.min are written before norm.max fails
         with pytest.raises(AttributeError):
-            network.save_weights(network.build(1), path, extras={"broken": object()})
+            network.save_weights(network.build(1), path,
+                                 FeatureSpec(mins=np.zeros(16), maxs=object()), DEFAULT_LABEL_MAP)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["w.weights"]
 
@@ -410,28 +423,18 @@ class TestWeightsIO:
                                            ("bn_epsilon", "tiny"), ("precision", "quad")])
     def test_unparsable_meta_names_the_key(self, tmp_path, key, value):
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(0), path)
+        _save_bundle(network.build(0), path)
         text = path.read_text()
         start = text.index(f"meta {key} ")
         end = text.index("\n", start)
         path.write_text(text[:start] + f"meta {key} {value}" + text[end:])
         with pytest.raises(WeightFormatError, match=f"meta {key}"):
-            network.load_weights(path)
-
-    def test_extras_survive(self, tmp_path):
-        p = network.build(18)
-        path = tmp_path / "w.weights"
-        extras = {"norm.min": np.arange(16.0), "norm.max": np.arange(16.0) + 2}
-        network.save_weights(p, path, extras=extras, meta={"feature_names": "a,b"})
-        tensors, meta = network.load_manifest(path)
-        npt.assert_array_equal(tensors["norm.min"], extras["norm.min"])
-        npt.assert_array_equal(tensors["norm.max"], extras["norm.max"])
-        assert meta["feature_names"] == "a,b"
+            _load_params(path)
 
     def test_scalar_and_empty_tensors_load(self, tmp_path):
         # a tensor line without dims holds one value, and a 0 dim no value
         path = tmp_path / "w.weights"
-        network.save_weights(network.build(18), path)
+        _save_bundle(network.build(18), path)
         with open(path, "a") as fh:
             fh.write("tensor extra.scalar\n2.5\ntensor extra.empty 0\ntensor extra.none 3 0\n")
         tensors, _ = network.load_manifest(path)
@@ -602,8 +605,8 @@ class TestTrainableBuffer:
         self._assert_views_flat(p)
         assert p.flat.dtype == dtype
         path = tmp_path / "w.weights"
-        network.save_weights(p, path)
-        q = network.load_weights(path)
+        _save_bundle(p, path)
+        q = _load_params(path)
         self._assert_views_flat(q)
         npt.assert_array_equal(q.flat, p.flat)
         self._assert_views_flat(network.params_from_manifest(*network.load_manifest(path)))
