@@ -48,11 +48,23 @@ def _require_data(cfg: RunConfig) -> str:
     return cfg.data
 
 
+def _scoring_setup(cfg: RunConfig, labeled: bool):
+    """The front half of eval (`labeled`) and predict: (params, fitted spec,
+    label map, unread CSV stream), failing fast in this order on the data
+    path, the report path, the features config, then the weights bundle."""
+    data_path = _require_data(cfg)
+    if cfg.report:
+        require_output_path(cfg.report)
+    spec, schema, label_map = _io_setup(cfg)
+    params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
+    stream = dataio.stream_csv(data_path, schema, spec, label_map if labeled else None,
+                               policy=cfg.policy)
+    return params, spec, label_map, stream
+
+
 def cmd_summary(cfg: RunConfig) -> int:
     spec, _, label_map = _io_setup(cfg)
-    params = network.build(cfg.seed, _architecture(cfg, spec, label_map),
-                           dtype=resolve_dtype(cfg.precision))
-    print(network.summary(params).render())
+    print(network.summary(_architecture(cfg, spec, label_map)).render())
     return EXIT_OK
 
 
@@ -89,12 +101,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    data_path = _require_data(cfg)
-    if cfg.report:
-        require_output_path(cfg.report)
-    spec, schema, label_map = _io_setup(cfg)
-    params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
-    stream = dataio.stream_csv(data_path, schema, spec, label_map, policy=cfg.policy)
+    params, spec, _, stream = _scoring_setup(cfg, labeled=True)
     cm, loss = training.evaluate(params, ((spec.normalize(features), labels)
                                           for features, labels in stream.chunks()))
     rep = metrics.report(cm)
@@ -110,12 +117,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    data_path = _require_data(cfg)
-    if cfg.report:
-        require_output_path(cfg.report)
-    spec, schema, label_map = _io_setup(cfg)
-    params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
-    stream = dataio.stream_csv(data_path, schema, spec, label_map=None, policy=cfg.policy)
+    params, spec, label_map, stream = _scoring_setup(cfg, labeled=False)
     names = label_map.names
     line = "%d,%s," + ",".join(["%.9f"] * params.arch.classes) + "\n"
     workspace = {}  # the forward pass's work arrays, made once for all chunks

@@ -17,7 +17,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,7 +58,10 @@ class Architecture:
     dense_units = 10
 
     def __post_init__(self):
-        _check_sizes(vars(self))
+        for name in _SIZE_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         total = sum(map(math.prod, _shapes(self).values()))
         if total > MAX_PARAMETERS:
             name = max(_SIZE_FIELDS, key=lambda n: getattr(self, n))
@@ -74,22 +76,15 @@ class Architecture:
 _SIZE_FIELDS = [f.name for f in fields(Architecture)]
 
 
-def _check_sizes(values: dict) -> None:
-    for name in _SIZE_FIELDS:
-        if values[name] < 1:
-            raise ConfigError(f"{name} must be at least 1, got {values[name]}")
-
-
-def _shapes(a) -> dict:
-    """{name: shape} of every weight array, in the fixed manifest order, for
-    an Architecture or any object with its four size fields."""
-    c, k, d = Architecture.in_channels, Architecture.kernel_size, Architecture.dense_units
+def _shapes(a: Architecture) -> dict:
+    """{name: shape} of every weight array of `a`, in the fixed manifest order."""
+    c, k, d = a.in_channels, a.kernel_size, a.dense_units
     shapes = {"conv.kernels": (k, c, a.filters), "conv.bias": (a.filters,)}
     shapes.update({f"bn.{n}": (a.filters,)
                    for n in ("gamma", "beta", "moving_mean", "moving_var")})
     gru = {"w": (c, a.gru_units), "u": (a.gru_units, a.gru_units)}
     shapes.update({f"gru.{n}": gru.get(n[0], (a.gru_units,)) for n in GRU_FIELDS})
-    shapes.update({"dense_hidden.weights": (a.filters + a.seq_len * a.gru_units, d),
+    shapes.update({"dense_hidden.weights": (a.concat_width, d),
                    "dense_hidden.bias": (d,),
                    "dense_out.weights": (d, a.classes),
                    "dense_out.bias": (a.classes,)})
@@ -100,6 +95,11 @@ _ARRAY_GETTERS = [(name, attrgetter(name)) for name in _shapes(Architecture())]
 _TRAINABLE_NAMES = tuple(n for n, _ in _ARRAY_GETTERS
                          if n not in ("bn.moving_mean", "bn.moving_var"))
 _get_trainable = attrgetter(*_TRAINABLE_NAMES)
+# (layer, key) of each trainable array, in the order of `params.flat`
+_TRAINABLE_KEYS = tuple(tuple(name.split(".")) for name in _TRAINABLE_NAMES)
+# the container class of each layer prefix of the array names
+_CONTAINERS = {"conv": Conv1DParams, "bn": BatchNormParams, "gru": GRUParams,
+               "dense_hidden": DenseParams, "dense_out": DenseParams}
 
 
 def _views(buffer: np.ndarray, shapes) -> dict:
@@ -175,18 +175,17 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
     trainable = [(name, arrays[name].shape) for name in _TRAINABLE_NAMES]
     flat = np.empty(sum(math.prod(shape) for _, shape in trainable),
                     dtype=arrays["conv.kernels"].dtype)
-    arrays = dict(arrays)
-    for name, view in _views(flat, trainable).items():
+    views = _views(flat, trainable)
+    for name, view in views.items():
         view[...] = arrays[name]
-        arrays[name] = view
-    return NetworkParameters(
-        conv=Conv1DParams(arrays["conv.kernels"], arrays["conv.bias"]),
-        bn=BatchNormParams(arrays["bn.gamma"], arrays["bn.beta"], arrays["bn.moving_mean"],
-                           arrays["bn.moving_var"]),
-        gru=GRUParams(**{name: arrays[f"gru.{name}"] for name in GRU_FIELDS}),
-        dense_hidden=DenseParams(arrays["dense_hidden.weights"], arrays["dense_hidden.bias"]),
-        dense_out=DenseParams(arrays["dense_out.weights"], arrays["dense_out.bias"]),
-        arch=arch, flat=flat)
+    arrays = {**arrays, **views}
+    layer_arrays = {prefix: {} for prefix in _CONTAINERS}
+    for name, _ in _ARRAY_GETTERS:
+        prefix, key = name.split(".")
+        layer_arrays[prefix][key] = arrays[name]
+    return NetworkParameters(**{prefix: container(**layer_arrays[prefix])
+                                for prefix, container in _CONTAINERS.items()},
+                             arch=arch, flat=flat)
 
 
 def _check_input(a: Architecture, x: np.ndarray) -> None:
@@ -295,12 +294,6 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
     return out, None
 
 
-# keys of the conv branch's, the GRU's and the two dense layers' weight
-# gradients, in the order of their trainable arrays in `params.flat`
-_GRADIENT_KEYS = (("kernels", "bias", "gamma", "beta"), GRU_FIELDS,
-                  ("weights", "bias"), ("weights", "bias"))
-
-
 def backward(params: NetworkParameters, caches: tuple, dlogits: np.ndarray):
     """Gradient of the loss w.r.t. every trainable weight, as one array laid
     out like `params.flat` and in its precision; `params.trainable_views`
@@ -318,17 +311,18 @@ def backward(params: NetworkParameters, caches: tuple, dlogits: np.ndarray):
     a = params.arch
     d_pool, d_flat = d_concat[:, :a.filters], d_concat[:, a.filters:]
 
-    g_branch = layers.conv_branch_backward(c_branch, d_pool)
-    g_gru = layers.gru_backward(c_gru, d_flat.reshape(-1, a.seq_len, a.gru_units))
-    return np.concatenate([grads[key].ravel() for grads, keys
-                           in zip((g_branch, g_gru, g_hidden, g_out), _GRADIENT_KEYS)
-                           for key in keys], dtype=params.dtype)
+    g_branch = layers.conv_branch_backward(c_branch, d_pool)  # keyed for "conv" and "bn"
+    grads = {"conv": g_branch, "bn": g_branch, "dense_hidden": g_hidden, "dense_out": g_out,
+             "gru": layers.gru_backward(c_gru, d_flat.reshape(-1, a.seq_len, a.gru_units))}
+    return np.concatenate([grads[layer][key].ravel() for layer, key in _TRAINABLE_KEYS],
+                          dtype=params.dtype)
 
 
-def param_count(params: NetworkParameters):
-    """(total, trainable, non_trainable), exact integer accounting."""
-    total = sum(arr.size for _, arr in params.named_arrays())
-    trainable = sum(arr.size for _, arr in params.trainable_arrays())
+def param_count(arch: Architecture):
+    """(total, trainable, non_trainable) weights of `arch`, exact integer accounting."""
+    sizes = {name: math.prod(shape) for name, shape in _shapes(arch).items()}
+    total = sum(sizes.values())
+    trainable = sum(sizes[name] for name in _TRAINABLE_NAMES)
     return total, trainable, total - trainable
 
 
@@ -359,12 +353,11 @@ class ModelSummary:
         return "\n".join(lines)
 
 
-def summary(params: NetworkParameters) -> ModelSummary:
-    """Per-layer output shapes and parameter counts, in graph build order."""
-    a = params.arch
+def summary(a: Architecture) -> ModelSummary:
+    """Per-layer output shapes and parameter counts of `a`, in graph build order."""
     count = Counter()
-    for name, arr in params.named_arrays():
-        count[name.split(".")[0]] += arr.size
+    for name, shape in _shapes(a).items():
+        count[name.split(".")[0]] += math.prod(shape)
     rows = (
         SummaryRow("InputLayer", (None, a.seq_len, a.in_channels), 0),
         SummaryRow("Conv1D", (None, a.seq_len, a.filters), count["conv"]),
@@ -377,8 +370,7 @@ def summary(params: NetworkParameters) -> ModelSummary:
         SummaryRow("dense (Dense)", (None, a.dense_units), count["dense_hidden"]),
         SummaryRow("dense_1 (Dense)", (None, a.classes), count["dense_out"]),
     )
-    total, trainable, non_trainable = param_count(params)
-    return ModelSummary(rows, total, trainable, non_trainable)
+    return ModelSummary(rows, *param_count(a))
 
 
 # --------------------------------------------------------------------------
@@ -399,8 +391,9 @@ _FIXED_META = {**_CONSTANT_META,
                "pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
 
 
-def _meta_sizes(meta: dict) -> dict:
-    """The four Architecture sizes: the manifest meta's, else the default."""
+def _meta_architecture(meta: dict) -> Architecture:
+    """The Architecture of the manifest meta's four sizes; an absent size is
+    the default."""
     for key, value in _FIXED_META.items():
         if meta.get(key, value) != value:
             raise WeightFormatError(
@@ -414,10 +407,9 @@ def _meta_sizes(meta: dict) -> dict:
             raise WeightFormatError(
                 f"manifest meta {f.name}: expected int, got {raw!r}") from None
     try:
-        _check_sizes(sizes)
+        return Architecture(**sizes)
     except ConfigError as exc:
         raise WeightFormatError(f"manifest meta {exc}") from None
-    return sizes
 
 
 def save_weights(params: NetworkParameters, path, spec: FeatureSpec,
@@ -455,8 +447,8 @@ def load_manifest(path):
     """Parse a manifest into ({name: array}, {meta key: value}).
 
     Raises WeightFormatError (with the byte offset of the offending line)
-    on truncation, malformed content, a non-finite value or bytes that are
-    not UTF-8.
+    on truncation, malformed content, a non-finite value, a tensor or meta
+    key given twice or bytes that are not UTF-8.
     """
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
@@ -497,11 +489,15 @@ def load_manifest(path):
                 current = None
                 if len(words) < 3:
                     fail("malformed meta line", at)
+                if words[1] in meta:
+                    fail(f"meta {words[1]} given twice", at)
                 meta[words[1]] = " ".join(words[2:])
             elif words[0] == "tensor":
                 close(at)
                 if len(words) < 2:
                     fail("malformed tensor line", at)
+                if words[1] in tensors:
+                    fail(f"tensor {words[1]} given twice", at)
                 try:
                     shape = tuple(int(d) for d in words[2:])
                 except ValueError:
@@ -528,19 +524,19 @@ def load_manifest(path):
 def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     """Assemble NetworkParameters from parsed manifest content.
 
-    Every tensor's shape is checked against the meta sizes before anything
-    is allocated, so an oversized meta size cannot allocate; sizes that fit
-    the tensors but exceed MAX_PARAMETERS are refused next. A value that
-    overflows the manifest's precision, or a negative moving variance, is
-    refused by tensor name.
+    The meta sizes are checked first, as an Architecture (each at least 1,
+    at most MAX_PARAMETERS weights in all), and every tensor's shape against
+    them before anything is allocated, so an oversized meta size cannot
+    allocate. A value that overflows the manifest's precision, or a negative
+    moving variance, is refused by tensor name.
     """
-    sizes = _meta_sizes(meta)
+    arch = _meta_architecture(meta)
     precision = meta.get("precision", "double")
     try:
         dtype = resolve_dtype(precision)
     except ValueError as exc:
         raise WeightFormatError(f"manifest meta precision: {exc}") from None
-    shapes = _shapes(SimpleNamespace(**sizes))
+    shapes = _shapes(arch)
     missing = [n for n in shapes if n not in tensors]
     if missing:
         raise WeightFormatError(f"manifest is missing tensors: {', '.join(sorted(missing))}")
@@ -548,10 +544,6 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
         if tensors[name].shape != shape:
             raise WeightFormatError(
                 f"tensor {name} has shape {tensors[name].shape}, architecture expects {shape}")
-    try:
-        arch = Architecture(**sizes)
-    except ConfigError as exc:
-        raise WeightFormatError(f"manifest meta {exc}") from None
     arrays = {}
     with np.errstate(over="ignore"):
         for name in shapes:

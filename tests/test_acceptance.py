@@ -67,7 +67,7 @@ def verdict(number, label, ok, detail=""):
 def test_criterion_1_parameter_accounting(capsys):
     start = time.perf_counter()
     params = network.build(0)
-    s = network.summary(params)
+    s = network.summary(params.arch)
     by_name = {r.name: r.params for r in s.rows}
     ok = (by_name["Conv1D"] == 512 and by_name["BatchNormalization"] == 512
           and by_name["GRU"] == 390 and by_name["dense (Dense)"] == 2890

@@ -132,6 +132,32 @@ class TestBundle:
         with pytest.raises(WeightFormatError, match="bad tensor dims for conv.bias"):
             network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
 
+    def test_repeated_tensor_is_rejected(self, tmp_path):
+        # a second block of a tensor would otherwise replace the first
+        path = tmp_path / "b.weights"
+        _save_small_bundle(path)
+        text = path.read_bytes()
+        path.write_bytes(text + b"tensor dense_out.bias 6\n" + b"50.0 " * 5 + b"50.0\n")
+        with pytest.raises(WeightFormatError, match=f"tensor dense_out.bias given twice "
+                                                    f"\\(at byte {len(text)}\\)$"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
+    def test_repeated_meta_key_is_rejected(self, tmp_path):
+        # a second class_names line, here with classes 0 and 1 swapped, would
+        # otherwise relabel the model's outputs
+        path = tmp_path / "b.weights"
+        _save_small_bundle(path)
+        text = path.read_bytes()
+        line = next(line for line in text.splitlines(keepends=True)
+                    if line.startswith(b"meta class_names "))
+        at = text.index(line) + len(line)
+        swapped = line.replace(b"Normal,DDoS-TCP,", b"DDoS-TCP,Normal,")
+        assert swapped != line
+        path.write_bytes(text[:at] + swapped + text[at:])
+        with pytest.raises(WeightFormatError, match=f"meta class_names given twice "
+                                                    f"\\(at byte {at}\\)$"):
+            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+
     @pytest.fixture(scope="class")
     def bundle_lines(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("bundle") / "b.weights"

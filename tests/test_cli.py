@@ -65,6 +65,13 @@ class TestSummary:
              "Flatten", "GlobalMaxPooling1D", "Concatenate", "dense"))]
         assert len(layer_lines) == 10
 
+    def test_precision_and_seed_leave_the_table_unchanged(self, capsys):
+        # the table is counted from the architecture alone
+        assert run(["summary"]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert run(["summary", "--precision", "single", "--seed", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+
     def test_custom_units_recompute_totals(self, capsys):
         assert run(["summary", "--gru-units", "8"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -544,21 +551,20 @@ class TestSettingsFailClosed:
         assert outputs[stripped].read_bytes() == outputs[trained_weights].read_bytes()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
-    @pytest.mark.parametrize("key,value,tensor,shape", [
-        ("filters", 128, "conv.kernels", "(3, 1, 1000000000000000)"),
-        ("seq_len", 16, "dense_hidden.weights", "(10000000000000128, 10)"),
+    @pytest.mark.parametrize("key,value,total", [
+        ("filters", 128, 18000000000002066),
+        ("seq_len", 16, 100000000000002770),
     ], ids=["filters", "seq_len"])
     def test_oversized_meta_size_is_rejected_before_allocating(
-            self, tmp_path, trained_weights, eval_csv, capsys, command, key, value,
-            tensor, shape):
+            self, tmp_path, trained_weights, eval_csv, capsys, command, key, value, total):
         bad = tmp_path / "huge.weights"
         bad.write_text(trained_weights.read_text().replace(
             f"meta {key} {value}\n", f"meta {key} 1000000000000000\n"))
         assert run([command, "--data", eval_csv, "--weights", bad]) == EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"botclf: data error: tensor {tensor} has shape ")
-        assert err[0].endswith(f"architecture expects {shape}")
+        assert err[0] == (f"botclf: data error: manifest meta {key} 1000000000000000 gives "
+                          f"the model {total} parameters, more than the 1000000 allowed")
 
 
 class TestDecodingFailsClosed:

@@ -59,7 +59,7 @@ Non-trainable params: 256"""
 
 
 def test_summary_text():
-    assert network.summary(network.build(0)).render() == SUMMARY
+    assert network.summary(network.build(0).arch).render() == SUMMARY
 
 
 def test_fresh_bundle_bytes(tmp_path):

@@ -16,12 +16,12 @@ from oracles import (batchnorm_backward, batchnorm_forward, check_grads, conv1d_
 
 def test_param_count_default():
     p = network.build(0)
-    assert network.param_count(p) == (4370, 4114, 256)
+    assert network.param_count(p.arch) == (4370, 4114, 256)
 
 
 def test_param_count_any_seed():
     for seed in (1, 99, 2**40):
-        assert network.param_count(network.build(seed))[0] == 4370
+        assert network.param_count(network.build(seed).arch)[0] == 4370
 
 
 def test_build_deterministic():
@@ -229,7 +229,7 @@ class TestInferMode:
 
 class TestSummary:
     def test_rows(self):
-        s = network.summary(network.build(0))
+        s = network.summary(network.build(0).arch)
         rows = {r.name: r for r in s.rows}
         assert len(s.rows) == 10
         assert rows["Conv1D"].output_shape == (None, 16, 128)
@@ -247,13 +247,36 @@ class TestSummary:
 
     def test_recomputed_totals_for_custom_units(self):
         arch = Architecture(gru_units=8)
-        s = network.summary(network.build(0, arch))
+        s = network.summary(network.build(0, arch).arch)
         gru_expect = 3 * 8 * (1 + 8 + 2)
         concat = 128 + 16 * 8
         dense_expect = concat * 10 + 10
         assert {r.name: r.params for r in s.rows}["GRU"] == gru_expect
         assert {r.name: r.params for r in s.rows}["dense (Dense)"] == dense_expect
         assert s.total == 512 + 512 + gru_expect + dense_expect + 66
+
+
+    @pytest.mark.parametrize("arch", [
+        Architecture(),
+        Architecture(filters=8, gru_units=4, seq_len=5, classes=3),
+        Architecture(filters=1, gru_units=1, seq_len=1, classes=1),
+        Architecture(filters=3, gru_units=7, seq_len=20, classes=2),
+    ], ids=["default", "small", "unit", "long"])
+    def test_counts_from_shapes_match_built_arrays(self, arch):
+        p = network.build(0, arch)
+        total = sum(arr.size for _, arr in p.named_arrays())
+        trainable = sum(arr.size for _, arr in p.trainable_arrays())
+        assert network.param_count(arch) == (total, trainable, total - trainable)
+        layer_rows = {"conv": "Conv1D", "bn": "BatchNormalization", "gru": "GRU",
+                      "dense_hidden": "dense (Dense)", "dense_out": "dense_1 (Dense)"}
+        built = {row: 0 for row in layer_rows.values()}
+        for name, arr in p.named_arrays():
+            built[layer_rows[name.split(".")[0]]] += arr.size
+        s = network.summary(arch)
+        counted = {r.name: r.params for r in s.rows}
+        assert {row: counted[row] for row in built} == built
+        assert sum(counted.values()) == s.total == total
+        assert (s.trainable, s.non_trainable) == (trainable, total - trainable)
 
 
 class TestEndToEndGradients:
@@ -595,7 +618,7 @@ class TestTrainableBuffer:
             assert arr.base is p.flat, name
             assert np.shares_memory(arr, p.flat[offset:offset + arr.size]), name
             offset += arr.size
-        assert offset == p.flat.size == network.param_count(p)[1]
+        assert offset == p.flat.size == network.param_count(p.arch)[1]
         for arr in (p.bn.moving_mean, p.bn.moving_var):
             assert not np.shares_memory(arr, p.flat)
 
