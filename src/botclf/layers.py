@@ -40,17 +40,37 @@ class Cache:
         return self.data
 
 
-def work_array(work: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
-    """An uninitialized C-contiguous array of this shape and dtype. With
-    `work`, it is the front of the byte buffer kept there under `name`, which
-    is replaced only when too small, so smaller arrays of any dtype reuse it."""
+# The workspace buffer that each stage of an infer chunk cuts its temporaries
+# from in turn: first the conv's (`network._conv_max_over_time`), then the GRU's.
+STAGE = "stage"
+
+
+def work_arrays(work: dict | None, name: str, *specs) -> list:
+    """Uninitialized C-contiguous arrays, one per (shape, dtype) in `specs`.
+    With `work`, they are cut back to back, each starting on a 64-byte
+    boundary, from the byte buffer kept there under `name`, which is
+    replaced only when too small; so arrays that are dead before the next
+    call under the same name share its memory, and smaller ones of any dtype
+    run in its front. Without it, each is a fresh array.
+
+    The boundary is absolute, not just an offset into the buffer: malloc
+    returns 16-byte aligned memory, and the infer forward took about 15 %
+    longer with every work array 16 bytes off a cache line than on one
+    (20,480 rows in 512-row chunks, AVX-512 x86-64, one BLAS thread)."""
     if work is None:
-        return np.empty(shape, dtype)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        return [np.empty(shape, dtype) for shape, dtype in specs]
+    spans, end = [], 0
+    for shape, dtype in specs:
+        start = -(-end // 64) * 64
+        end = start + math.prod(shape) * np.dtype(dtype).itemsize
+        spans.append((start, end))
     buf = work.get(name)
-    if buf is None or buf.size < nbytes:
-        buf = work[name] = np.empty(nbytes, np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
+    if buf is None or buf.size < end:
+        work.pop(name, None)  # freed first, so the old and the new never coexist
+        raw = np.empty(end + 63, np.uint8)
+        buf = work[name] = raw[-raw.ctypes.data % 64:][:end]
+    return [buf[start:stop].view(dtype).reshape(shape)
+            for (start, stop), (shape, dtype) in zip(spans, specs)]
 
 
 # --------------------------------------------------------------------------
@@ -221,9 +241,10 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, work: dict | None = None,
     (inference), a [B, T, units] array or view, the hidden states are
     written into it and it is returned as h_seq; nothing is copied and the
     cache returned is None. The hidden states are the same either way.
-    `work`, a dict, lends the state, pre-activation and diff buffers through
-    `work_array`, so a call with fewer rows, another dtype or fewer units
-    reuses the buffers of an earlier one.
+    `work`, a dict, lends the state, pre-activation and diff arrays, cut by
+    `work_arrays` from its STAGE buffer, so a call with fewer rows, another
+    dtype or fewer units runs in the bytes of an earlier one, and
+    `network.forward` lets the conv's temporaries use them first.
     """
     input_dim = p.w_z.shape[0]
     if x.ndim != 3 or x.shape[2] != input_dim:
@@ -240,15 +261,14 @@ def gru_forward(x: np.ndarray, p: GRUParams, *, work: dict | None = None,
     m[units:-1, cx], m[-1, cx] = p.w_h, p.b_h
     m[:, :3 * units] *= 0.5
     m = m.T
-    hs = work_array(work, "gru.states", (t + 1, units + input_dim + 1, b), dtype)
+    hs, a, diff = work_arrays(work, STAGE, ((t + 1, units + input_dim + 1, b), dtype),
+                              ((4 * units, b), dtype), ((units, b), dtype))
     hs[0, :units] = 0.0
     hs[:t, units:-1] = x.transpose(1, 2, 0)  # the last state is read for its h only
     hs[:, -1] = 1.0
     gates = np.empty((4, t, units, b), dtype=dtype) if out is None else None
-    a = work_array(work, "gru.preact", (4 * units, b), dtype)
     blocks = a.reshape(4, units, b)
     zr, (z2, r2, inner, hcand) = a[:2 * units], blocks
-    diff = work_array(work, "gru.diff", (units, b), dtype)
     one, half = np.ones((), dtype), np.full((), 0.5, dtype)
     dot, tanh, add, subtract, multiply = np.dot, np.tanh, np.add, np.subtract, np.multiply
     states, hidden = list(hs), list(hs[:, :units])

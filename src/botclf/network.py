@@ -215,18 +215,20 @@ def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams, out: np.ndarray,
     One [B, filters] window product per time step, max-accumulated, so the
     [B, T, filters] conv output is never stored. The bias is added after
     the max, which is exact: rounding y + b is monotone in y. The padded
-    input, the accumulator and the product are `work` arrays.
+    input, the accumulator and the product are cut from `work`'s
+    `layers.STAGE` buffer, which the GRU reuses once this returns.
     """
     k, c_in, filters = conv.kernels.shape
     b, t, _ = x.shape
     pad_l = (k - 1) // 2
-    xp = layers.work_array(work, "conv.padded", (b, t + k - 1, c_in), x.dtype)
+    xp, acc, product = layers.work_arrays(work, layers.STAGE,
+                                          ((b, t + k - 1, c_in), x.dtype),
+                                          ((b, filters), out.dtype),
+                                          ((b, filters), out.dtype))
     xp[:, :pad_l] = 0.0
     xp[:, pad_l:pad_l + t] = x
     xp[:, pad_l + t:] = 0.0
     w = conv.kernels.reshape(k * c_in, filters)
-    acc = layers.work_array(work, "conv.max", (b, filters), out.dtype)
-    product = layers.work_array(work, "conv.window", (b, filters), out.dtype)
     np.matmul(xp[:, :k, :].reshape(-1, k * c_in), w, out=acc)
     for i in range(1, t):
         np.matmul(xp[:, i:i + k, :].reshape(-1, k * c_in), w, out=product)
@@ -249,14 +251,16 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
     [B, seq_len, filters]. Infer mode raises NumericError if any
     probability is non-finite, so a broken model never yields a prediction.
 
-    Infer mode runs each chunk in work arrays (the conv's padded input and
-    accumulators, the GRU's states, the [B, concat_width] concatenation,
-    which the GRU writes its hidden states into) cut by `layers.work_array`
-    from one byte buffer per name that `workspace` keeps for the next chunk
-    and the next call, whatever its rows, dtype or Architecture. Without
-    one, a dict local to the call serves its chunks. Nothing derived from
-    the weights is kept, so a workspace stays valid when the weights change;
-    the returned probs never share its memory. Train mode ignores it.
+    Infer mode runs each chunk in arrays cut by `layers.work_arrays` from two
+    byte buffers that `workspace` keeps for the next chunk and the next call,
+    whatever its rows, dtype or Architecture: "concat", the
+    [B, concat_width] concatenation that the pool and the GRU's hidden
+    states are written into, and `layers.STAGE`, which holds first the conv's
+    padded input and accumulators and then, once they are dead, the GRU's
+    states, pre-activations and diff. Without a workspace, a dict local to
+    the call serves its chunks. Nothing derived from the weights is kept,
+    so a workspace stays valid when the weights change; the returned probs
+    never share its memory. Train mode ignores it.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -278,7 +282,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
     for start in range(0, x.shape[0], CHUNK_ROWS):
         xb = x[start:start + CHUNK_ROWS]
         rows = xb.shape[0]
-        concat_y = layers.work_array(work, "concat", (rows, a.concat_width), params.dtype)
+        concat_y, = layers.work_arrays(work, "concat", ((rows, a.concat_width), params.dtype))
         pooled = concat_y[:, :a.filters]
         _conv_max_over_time(xb, conv, pooled, work)
         np.maximum(pooled, 0.0, out=pooled)  # relu
@@ -391,6 +395,13 @@ _FIXED_META = {**_CONSTANT_META,
                "pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
 
 
+def _digits(text: str) -> int | None:
+    """The value of `text` if it is plain ASCII digits, as the writer emits
+    every integer, else None; `int()` alone would also take a sign,
+    underscores and other scripts' digits."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _meta_architecture(meta: dict) -> Architecture:
     """The Architecture of the manifest meta's four sizes; an absent size is
     the default."""
@@ -400,12 +411,10 @@ def _meta_architecture(meta: dict) -> Architecture:
                 f"manifest meta {key}: only {value!r} is supported, got {meta[key]!r}")
     sizes = {}
     for f in fields(Architecture):
-        raw = meta.get(f.name, f.default)
-        try:
-            sizes[f.name] = int(raw)
-        except ValueError:
-            raise WeightFormatError(
-                f"manifest meta {f.name}: expected int, got {raw!r}") from None
+        raw = meta.get(f.name, str(f.default))
+        sizes[f.name] = _digits(raw)
+        if sizes[f.name] is None:
+            raise WeightFormatError(f"manifest meta {f.name}: expected int, got {raw!r}")
     try:
         return Architecture(**sizes)
     except ConfigError as exc:
@@ -475,11 +484,7 @@ def load_manifest(path):
             if at == 0:  # the header line
                 if len(words) != 2 or words[0] != MANIFEST_MAGIC:
                     fail("not a weight manifest", 0)
-                try:
-                    version = int(words[1])
-                except ValueError:
-                    version = None
-                if version != MANIFEST_VERSION:
+                if _digits(words[1]) != MANIFEST_VERSION:
                     fail(f"unsupported manifest version {words[1]!r} "
                          f"(expected {MANIFEST_VERSION})", 0)
             elif not words:
@@ -498,11 +503,8 @@ def load_manifest(path):
                     fail("malformed tensor line", at)
                 if words[1] in tensors:
                     fail(f"tensor {words[1]} given twice", at)
-                try:
-                    shape = tuple(int(d) for d in words[2:])
-                except ValueError:
-                    shape = None
-                if shape is None or any(d < 0 for d in shape):
+                shape = tuple(map(_digits, words[2:]))
+                if None in shape:
                     fail(f"bad tensor dims for {words[1]}", at)
                 current = (words[1], shape, [])
             elif current is None:

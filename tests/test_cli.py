@@ -121,14 +121,16 @@ class TestTrain:
                     "--weights", tmp_path / "w"]) == EXIT_DATA
 
 
-def _eval_peak(tmp_path, weights, rows):
-    """tracemalloc peak, above its start, of `eval` on a fresh `rows`-row CSV."""
-    path = tmp_path / f"eval{rows}.csv"
+def _peak(tmp_path, weights, rows, command="eval"):
+    """tracemalloc peak, above its start, of `command` on a fresh `rows`-row
+    CSV; `predict` writes its report to a file, as stdout is captured."""
+    path = tmp_path / f"{command}{rows}.csv"
     synth.write_csv(path, rows, seed=2)
+    report = ["--report", tmp_path / f"{command}{rows}.out"] if command == "predict" else []
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        assert run(["eval", "--data", path, "--weights", weights]) == EXIT_OK
+        assert run([command, "--data", path, "--weights", weights, *report]) == EXIT_OK
         _, top = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -186,15 +188,15 @@ class TestEval:
         # may add only each row's kept true-class probability (8 B in double)
         # plus 64 KB of slack for per-chunk objects. Materializing the set
         # cost about 400 B per row.
-        small = _eval_peak(tmp_path, trained_weights, 10 * 512)
-        large = _eval_peak(tmp_path, trained_weights, 40 * 512)
+        small = _peak(tmp_path, trained_weights, 10 * 512)
+        large = _peak(tmp_path, trained_weights, 40 * 512)
         assert large - small <= 30 * 512 * 8 + 64 * 1024
 
     def test_partial_last_chunk_adds_no_peak(self, tmp_path, trained_weights):
         # a 392-row last chunk runs in the front of the 512-row chunks' work
-        # arrays instead of a second set of its own (about 2.7 MB)
-        partial = _eval_peak(tmp_path, trained_weights, 5000)
-        whole = _eval_peak(tmp_path, trained_weights, 10 * dataio.CHUNK_ROWS)
+        # buffers instead of a second pair of its own (about 1.8 MB)
+        partial = _peak(tmp_path, trained_weights, 5000)
+        whole = _peak(tmp_path, trained_weights, 10 * dataio.CHUNK_ROWS)
         assert partial <= whole + 64 * 1024
 
 
@@ -218,6 +220,13 @@ class TestPredict:
             assert idx == int(np.argmax(probs))
             assert name  # display name resolved from the label map
         assert 0 <= idx <= 5
+
+    def test_memory_is_flat_in_the_row_count(self, tmp_path, trained_weights):
+        # predict streams its chunks and keeps nothing per row: going from 10
+        # to 40 full 512-row chunks may add only 64 KB for per-chunk objects
+        small = _peak(tmp_path, trained_weights, 10 * 512, "predict")
+        large = _peak(tmp_path, trained_weights, 40 * 512, "predict")
+        assert large - small <= 64 * 1024
 
     def test_closed_stdout_pipe_ends_quietly(self, tmp_path, trained_weights):
         # `botclf predict ... | head -1`: the reader closes the pipe after one
@@ -608,6 +617,35 @@ class TestDecodingFailsClosed:
         err = capsys.readouterr().err
         assert err.splitlines() == ["botclf: data error: manifest meta filters: "
                                     "expected int, got 'abc'"]
+
+    # int() reads each of these as the default model's value; the writer
+    # emits plain ASCII digits only, so anything else is hand-edited
+    @pytest.mark.parametrize("line,edited,message", [
+        ("meta filters 128", "meta filters 1_2_8",
+         "manifest meta filters: expected int, got '1_2_8'"),
+        ("meta seq_len 16", "meta seq_len +16",
+         "manifest meta seq_len: expected int, got '+16'"),
+        ("meta gru_units 10", "meta gru_units ١٠",
+         "manifest meta gru_units: expected int, got '١٠'"),
+        ("tensor conv.bias 128", "tensor conv.bias 1_28",
+         "bad tensor dims for conv.bias (at byte {at})"),
+        ("botclf-weights 1", "botclf-weights +1",
+         "unsupported manifest version '+1' (expected 1) (at byte {at})"),
+    ], ids=["underscores", "sign", "arabic-indic", "tensor-dims", "header-version"])
+    def test_manifest_integers_are_plain_ascii_digits(self, tmp_path, trained_weights,
+                                                      eval_csv, capsys, line, edited,
+                                                      message):
+        text = trained_weights.read_text()
+        assert f"{line}\n" in text
+        bad = tmp_path / "edited.weights"
+        bad.write_text(text.replace(f"{line}\n", f"{edited}\n"), encoding="utf-8")
+        at = bad.read_bytes().index(f"{edited}\n".encode())
+        assert run(["predict", "--data", eval_csv, "--weights", bad,
+                    "--report", tmp_path / "out.txt"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.rstrip("\n").endswith(message.format(at=at))
+        assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_non_utf8_manifest_cites_byte(self, tmp_path, trained_weights, eval_csv,

@@ -321,6 +321,34 @@ class TestPooling:
 # Dense
 
 
+class TestWorkArrays:
+    SPECS = (((3, 5), np.float64), ((7,), np.float32), ((2, 3, 2), np.int64))
+
+    def test_cuts_aligned_disjoint_arrays_from_one_buffer(self):
+        work = {}
+        arrays = layers.work_arrays(work, "w", *self.SPECS)
+        assert list(work) == ["w"]
+        for i, (arr, (shape, dtype)) in enumerate(zip(arrays, self.SPECS)):
+            assert arr.shape == shape and arr.dtype == dtype and arr.flags.c_contiguous
+            assert arr.ctypes.data % 64 == 0  # absolute, not only an offset
+            assert np.shares_memory(arr, work["w"])
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+
+    def test_buffer_is_replaced_only_when_too_small(self):
+        work = {}
+        layers.work_arrays(work, "w", *self.SPECS)
+        buf = work["w"]
+        front, = layers.work_arrays(work, "w", ((4,), np.float32))
+        assert work["w"] is buf and np.shares_memory(front, buf)
+        layers.work_arrays(work, "w", ((1000,), np.float64))
+        assert work["w"] is not buf and work["w"].nbytes == 8000
+
+    def test_without_work_each_array_is_fresh(self):
+        arrays = layers.work_arrays(None, "w", *self.SPECS)
+        assert [(a.shape, a.dtype) for a in arrays] == [(s, np.dtype(d)) for s, d in self.SPECS]
+        assert all(a.base is None for a in arrays)
+
+
 class TestDense:
     def test_zero_weights_gives_bias(self):
         p = layers.DenseParams(weights=np.zeros((4, 3)), bias=np.array([1.0, 2.0, 3.0]))

@@ -191,9 +191,41 @@ class TestInferMode:
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
 
+    def test_workspace_holds_the_concatenation_and_one_stage(self, trained):
+        # the conv's padded input and accumulators are dead before the GRU
+        # cuts its states, pre-activations and diff, so both run in one
+        # stage buffer sized for the larger of the two
+        p, rows, item = trained[np.float64], 512, 8
+        a = p.arch
+        workspace = {}
+        network.forward(p, make_rng(61).uniform(0, 1, size=(rows, 16, 1)), mode="infer",
+                        workspace=workspace)
+        concat = rows * a.concat_width * item
+        conv = (rows * (a.seq_len + a.kernel_size - 1) * a.in_channels
+                + 2 * rows * a.filters) * item
+        gru = ((a.seq_len + 1) * (a.gru_units + a.in_channels + 1) * rows
+               + 5 * a.gru_units * rows) * item
+        assert len(workspace) == 2
+        assert sum(buf.nbytes for buf in workspace.values()) == concat + max(conv, gru)
+
+    def test_cold_pass_peaks_at_its_two_buffers(self):
+        # a first 512-row pass makes the 2.3 MB of work buffers in double,
+        # and the dense head's temporaries stay small beside them; one
+        # buffer per work array peaked at 3.5 MB
+        p = _randomized(57)
+        x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            network.forward(p, x, mode="infer", workspace={})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2_600_000
+
     def test_reused_workspace_allocates_little(self):
         # tracemalloc sees numpy's data buffers: without a workspace a
-        # 512-row pass peaks at about 2.5 MB of temporaries
+        # 512-row pass peaks at about 2.5 MB, 2.3 MB of it the work buffers
         p = _randomized(57)
         x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
         workspace = {}
@@ -210,7 +242,7 @@ class TestInferMode:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_partial_chunk_reuses_the_buffers(self, trained, dtype):
         # a short chunk after a full one runs in the front of the full
-        # chunk's work arrays: no second set (2.7 MB in double) is made
+        # chunk's work buffers: no second pair (1.8 MB in double) is made
         p = trained[dtype]
         workspace = {}
         network.forward(p, make_rng(59).uniform(0, 1, size=(512, 16, 1)), mode="infer",

@@ -328,6 +328,21 @@ class TestFit:
         assert peak(40 * dataio.CHUNK_ROWS) - peak(10 * dataio.CHUNK_ROWS) <= \
             30 * dataio.CHUNK_ROWS * 64
 
+    def test_peak_of_a_small_fit(self):
+        # 6000 rows hold out 600, so the first validation pass scores a full
+        # 512-row chunk and sets the peak; its work buffers are 2.3 MB in
+        # double, where one buffer per work array made them 3.3 MB
+        ds = synth.make_dataset(6000, seed=15)
+        p = network.build(15)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            training.fit(p, ds, TrainConfig(epochs=1, seed=15))
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert top - start <= 3_200_000
+
     def test_stratified_split(self):
         ds = synth.make_dataset(600, seed=13)
         _, history = training.fit(network.build(13), ds,
