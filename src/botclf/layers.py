@@ -54,9 +54,11 @@ def work_arrays(work: dict | None, name: str, *specs) -> list:
     run in its front. Without it, each is a fresh array.
 
     The boundary is absolute, not just an offset into the buffer: malloc
-    returns 16-byte aligned memory, and the infer forward took about 15 %
-    longer with every work array 16 bytes off a cache line than on one
-    (20,480 rows in 512-row chunks, AVX-512 x86-64, one BLAS thread)."""
+    returns 16-byte aligned memory, and in an in-process microbenchmark the
+    infer forward took about 15 % longer with every work array 16 bytes off
+    a cache line than on one (20,480 rows in 512-row chunks, AVX-512 x86-64,
+    one BLAS thread). The bench's end-to-end `rows_per_s` is too noisy to
+    resolve that difference either way."""
     if work is None:
         return [np.empty(shape, dtype) for shape, dtype in specs]
     spans, end = [], 0

@@ -396,10 +396,14 @@ _FIXED_META = {**_CONSTANT_META,
 
 
 def _digits(text: str) -> int | None:
-    """The value of `text` if it is plain ASCII digits, as the writer emits
-    every integer, else None; `int()` alone would also take a sign,
-    underscores and other scripts' digits."""
-    return int(text) if text.isascii() and text.isdigit() else None
+    """The value of `text` if it is at most 18 plain ASCII digits, as the
+    writer emits every integer, else None. `int()` alone would also take a
+    sign, underscores and other scripts' digits, and raises ValueError past
+    `sys.get_int_max_str_digits()` digits; 18 digits hold any size that
+    MAX_PARAMETERS admits, and more are refused like any other bad text."""
+    if len(text) <= 18 and text.isascii() and text.isdigit():
+        return int(text)
+    return None
 
 
 def _meta_architecture(meta: dict) -> Architecture:

@@ -618,8 +618,9 @@ class TestDecodingFailsClosed:
         assert err.splitlines() == ["botclf: data error: manifest meta filters: "
                                     "expected int, got 'abc'"]
 
-    # int() reads each of these as the default model's value; the writer
-    # emits plain ASCII digits only, so anything else is hand-edited
+    # int() reads the first five as the default model's value and raises
+    # ValueError on a digit string past 4300 digits; the writer emits plain
+    # ASCII digits only, and few of them, so anything else is hand-edited
     @pytest.mark.parametrize("line,edited,message", [
         ("meta filters 128", "meta filters 1_2_8",
          "manifest meta filters: expected int, got '1_2_8'"),
@@ -631,7 +632,12 @@ class TestDecodingFailsClosed:
          "bad tensor dims for conv.bias (at byte {at})"),
         ("botclf-weights 1", "botclf-weights +1",
          "unsupported manifest version '+1' (expected 1) (at byte {at})"),
-    ], ids=["underscores", "sign", "arabic-indic", "tensor-dims", "header-version"])
+        ("meta filters 128", "meta filters " + "1" * 5000,
+         f"manifest meta filters: expected int, got '{'1' * 5000}'"),
+        ("tensor conv.bias 128", "tensor conv.bias " + "1" * 5000,
+         "bad tensor dims for conv.bias (at byte {at})"),
+    ], ids=["underscores", "sign", "arabic-indic", "tensor-dims", "header-version",
+            "long-meta-size", "long-tensor-dims"])
     def test_manifest_integers_are_plain_ascii_digits(self, tmp_path, trained_weights,
                                                       eval_csv, capsys, line, edited,
                                                       message):

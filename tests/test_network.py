@@ -194,17 +194,23 @@ class TestInferMode:
     def test_workspace_holds_the_concatenation_and_one_stage(self, trained):
         # the conv's padded input and accumulators are dead before the GRU
         # cuts its states, pre-activations and diff, so both run in one
-        # stage buffer sized for the larger of the two
+        # stage buffer sized for the larger of the two; every array but a
+        # buffer's last starts the next one on a 64-byte boundary
         p, rows, item = trained[np.float64], 512, 8
         a = p.arch
         workspace = {}
         network.forward(p, make_rng(61).uniform(0, 1, size=(rows, 16, 1)), mode="infer",
                         workspace=workspace)
-        concat = rows * a.concat_width * item
-        conv = (rows * (a.seq_len + a.kernel_size - 1) * a.in_channels
-                + 2 * rows * a.filters) * item
-        gru = ((a.seq_len + 1) * (a.gru_units + a.in_channels + 1) * rows
-               + 5 * a.gru_units * rows) * item
+
+        def cut(*sizes):
+            *padded, last = (n * item for n in sizes)
+            return sum(-(-n // 64) * 64 for n in padded) + last
+
+        concat = cut(rows * a.concat_width)
+        conv = cut(rows * (a.seq_len + a.kernel_size - 1) * a.in_channels,
+                   rows * a.filters, rows * a.filters)
+        gru = cut((a.seq_len + 1) * (a.gru_units + a.in_channels + 1) * rows,
+                  4 * a.gru_units * rows, a.gru_units * rows)
         assert len(workspace) == 2
         assert sum(buf.nbytes for buf in workspace.values()) == concat + max(conv, gru)
 
