@@ -19,7 +19,7 @@ from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write, require_output_path
 from .network import Architecture
-from .numerics import PRECISIONS, resolve_dtype
+from .numerics import PRECISIONS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +82,7 @@ def cmd_train(cfg: RunConfig) -> int:
     # one labeled pass: the normalizer is fitted on exactly the rows trained on
     chunks = list(dataio.stream_csv(data_path, schema, spec, label_map,
                                     policy=cfg.policy).chunks())
-    dtype = resolve_dtype(cfg.precision)
+    dtype = PRECISIONS[cfg.precision]
     fitted = dataio.fit_normalizer(chunks, spec)
     dataset = dataio.to_dataset(chunks, fitted, dtype=dtype)
     del chunks  # the raw rows; training reads only the dataset's normalized copy
@@ -210,15 +210,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"botclf: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"botclf: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"botclf: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"botclf: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

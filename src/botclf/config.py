@@ -43,20 +43,18 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, kind: str, raw: str):
+def _coerce(name: str, default, raw: str):
+    """`raw` as the type of the option's `default`; a default of None marks a
+    path, which stays text."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
+        if isinstance(default, bool):
             lowered = raw.strip().lower()
             if lowered in _BOOL_TRUE:
                 return True
             if lowered in _BOOL_FALSE:
                 return False
             raise ValueError(raw)
-        return raw
+        return raw if default is None else type(default)(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for option {name}") from None
 
@@ -81,8 +79,7 @@ def read_kv_file(path) -> dict:
     return out
 
 
-def resolve(cli_values: dict, config_path: str | None = None,
-            environ: dict | None = None) -> RunConfig:
+def resolve(cli_values: dict, config_path: str | None = None) -> RunConfig:
     """Merge flag values, env vars, and a config file into a RunConfig.
 
     `cli_values` holds only options the user actually passed (unset flags
@@ -90,27 +87,25 @@ def resolve(cli_values: dict, config_path: str | None = None,
     (`TrainConfig`, `Architecture`, `gradient_check`), which the commands
     build before they read any file.
     """
-    environ = os.environ if environ is None else environ
     file_values = read_kv_file(config_path) if config_path else {}
-    field_map = {f.name: f for f in fields(RunConfig)}
+    names = [f.name for f in fields(RunConfig)]
     # keys in files may be spelled with dashes
     normalized_file = {}
     for key, value in file_values.items():
         name = key.replace("-", "_")
-        if name not in field_map:
+        if name not in names:
             raise ConfigError(f"unknown config key {key!r}")
         normalized_file[name] = value
 
     cfg = RunConfig()
-    for name, f in field_map.items():
-        type_name = f.type.replace(" | None", "")
-        base_kind = type_name if type_name in ("bool", "int", "float") else "str"
+    for name in names:
+        default = getattr(cfg, name)
         if name in cli_values and cli_values[name] is not None:
             setattr(cfg, name, cli_values[name])
-        elif (env_val := environ.get(ENV_PREFIX + name.upper())) is not None:
-            setattr(cfg, name, _coerce(name, base_kind, env_val))
+        elif (env_val := os.environ.get(ENV_PREFIX + name.upper())) is not None:
+            setattr(cfg, name, _coerce(name, default, env_val))
         elif name in normalized_file:
-            setattr(cfg, name, _coerce(name, base_kind, normalized_file[name]))
+            setattr(cfg, name, _coerce(name, default, normalized_file[name]))
     for name, allowed in (("precision", PRECISIONS), ("policy", POLICIES)):
         value = getattr(cfg, name)
         if value not in allowed:

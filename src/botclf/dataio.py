@@ -128,7 +128,7 @@ class CsvStream:
     header name given twice reads its last column, and a row shorter than
     the header lacks its last cells. A missing feature or label column,
     bytes that are not UTF-8 and a record the `csv` module cannot read (a
-    cell over its field size limit) are always fatal.
+    cell over its field size limit), the header included, are always fatal.
     """
 
     def __init__(self, path, schema: CsvSchema = CsvSchema(),
@@ -152,34 +152,28 @@ class CsvStream:
                 yield FlowRecord(features=values, label=label)
 
     def chunks(self):
-        try:
-            yield from self._chunks()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{self.path}: not UTF-8 text "
-                            f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
-
-    def _chunks(self):
         names = self.feature_spec.names
         labeled = self.label_map is not None
+        number = 0                    # row number of the last record read
         with open(self.path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            column = {name: i for i, name in enumerate(header)}  # last duplicate wins
-            label_columns = ((self.schema.category_column, self.schema.subcategory_column)
-                             if labeled else ())
-            missing = [c for c in (*names, *label_columns) if c not in column]
-            if missing:
-                raise SchemaError(f"{self.path}: header is missing columns: "
-                                  f"{', '.join(missing)}")
-            cols = [column[c] for c in names]
-            pick = itemgetter(*cols) if len(cols) > 1 else lambda cells: (cells[cols[0]],)
-            if labeled:
-                pick_label = itemgetter(*(column[c] for c in label_columns))
-                codes = self.label_map.codes
-            width = len(header)
-            number = 1                # row number of the last record read
-            rows, labels = [], []
             try:
+                header = next(reader, [])
+                number = 1
+                column = {name: i for i, name in enumerate(header)}  # last duplicate wins
+                label_columns = ((self.schema.category_column, self.schema.subcategory_column)
+                                 if labeled else ())
+                missing = [c for c in (*names, *label_columns) if c not in column]
+                if missing:
+                    raise SchemaError(f"{self.path}: header is missing columns: "
+                                      f"{', '.join(missing)}")
+                cols = [column[c] for c in names]
+                pick = itemgetter(*cols) if len(cols) > 1 else lambda cells: (cells[cols[0]],)
+                if labeled:
+                    pick_label = itemgetter(*(column[c] for c in label_columns))
+                    codes = self.label_map.codes
+                width = len(header)
+                rows, labels = [], []
                 for cells in reader:
                     if not cells:
                         continue  # a blank line is no record
@@ -212,6 +206,9 @@ class CsvStream:
                     log.debug("skipping row %d of %s: %s", number, self.path, reason)
             except csv.Error as exc:  # e.g. a cell over the field size limit
                 raise DataError(f"{self.path}:{number + 1}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{self.path}: not UTF-8 text "
+                                f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
             if rows:
                 yield self._chunk(rows, labels)
         if self.skipped:

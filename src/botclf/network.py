@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, WeightForm
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
                      GRU_FIELDS)
-from .numerics import (DOUBLE, init_he_uniform, init_truncated_normal, resolve_dtype,
+from .numerics import (DOUBLE, PRECISIONS, init_he_uniform, init_truncated_normal,
                        substream)
 
 # Most weights an Architecture may have: 229 times the 4370 of the default
@@ -538,10 +538,10 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     """
     arch = _meta_architecture(meta)
     precision = meta.get("precision", "double")
-    try:
-        dtype = resolve_dtype(precision)
-    except ValueError as exc:
-        raise WeightFormatError(f"manifest meta precision: {exc}") from None
+    if precision not in PRECISIONS:
+        raise WeightFormatError(f"manifest meta precision: unknown precision {precision!r}; "
+                                f"expected {' or '.join(map(repr, PRECISIONS))}")
+    dtype = PRECISIONS[precision]
     shapes = _shapes(arch)
     missing = [n for n in shapes if n not in tensors]
     if missing:

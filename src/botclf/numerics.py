@@ -23,15 +23,6 @@ SINGLE = np.float32
 PRECISIONS = {"double": DOUBLE, "single": SINGLE}
 
 
-def resolve_dtype(precision: str) -> np.dtype:
-    """Map a precision name ('double' or 'single') to a numpy dtype."""
-    try:
-        return PRECISIONS[precision]
-    except KeyError:
-        raise ValueError(f"unknown precision {precision!r}; "
-                         f"expected {' or '.join(map(repr, PRECISIONS))}") from None
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """A PCG64 generator seeded with `seed`; same seed, same draw sequence."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -34,18 +34,17 @@ def make_dataset(n: int, seed: int = 0, classes: int = 6, seq_len: int = 16,
 
 
 def write_csv(path, n: int, seed: int = 0, label_map: LabelMap = DEFAULT_LABEL_MAP,
-              feature_names=DEFAULT_FEATURES, noise: float = 0.05,
-              labeled: bool = True) -> Dataset:
+              noise: float = 0.05, labeled: bool = True) -> Dataset:
     """Write a synthetic flow CSV in the default ingestion schema.
 
     Feature columns take the waveform values; category/subcategory columns
     carry the text pair for each class. Returns the generated dataset.
     """
     ds = make_dataset(n, seed=seed, classes=label_map.num_classes,
-                      seq_len=len(feature_names), noise=noise)
+                      seq_len=len(DEFAULT_FEATURES), noise=noise)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(feature_names)
+        header = list(DEFAULT_FEATURES)
         if labeled:
             header += ["category", "subcategory"]
         writer.writerow(header)

@@ -148,9 +148,10 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     `dataset` needs `.features` [N, seq_len] (already normalized) and
     `.labels` [N] ints. The training split is reshuffled each epoch from
     the run seed plus the epoch index; the trailing partial batch is kept.
-    An empty dataset, one that does not fit the architecture and a split
-    that leaves no training rows are DataErrors; an empty validation split
-    reports its loss and accuracy as nan.
+    An empty dataset, one that does not fit the architecture, a split
+    that leaves no training rows and a batch of one position (one row of one
+    feature) are DataErrors, raised before any step; an empty validation
+    split reports its loss and accuracy as nan.
     """
     arch = params.arch
     features = np.asarray(dataset.features, dtype=params.dtype)
@@ -168,6 +169,13 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
     if train_idx.size == 0:
         raise DataError(f"validation_fraction {config.validation_fraction} leaves no "
                         f"training rows out of {labels.size}")
+    # train-mode batchnorm needs two positions per channel in every batch,
+    # the last one included, which holds what is left after the full ones
+    smallest = train_idx.size % config.batch_size or config.batch_size
+    if smallest * arch.seq_len < 2:
+        raise DataError(f"batch_size {config.batch_size} over {train_idx.size} training "
+                        f"rows leaves a batch of {smallest} row of {arch.seq_len} feature; "
+                        "train-mode batchnorm needs at least 2 positions per channel")
     val_batches = [(features[val_idx], labels[val_idx])] if val_idx.size else []
     state = np.zeros_like(params.flat)
     history = []

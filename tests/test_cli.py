@@ -575,6 +575,17 @@ class TestSettingsFailClosed:
         assert err[0] == (f"botclf: data error: manifest meta {key} 1000000000000000 gives "
                           f"the model {total} parameters, more than the 1000000 allowed")
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_unknown_meta_precision_is_rejected(self, tmp_path, trained_weights, eval_csv,
+                                                capsys, command):
+        bad = tmp_path / "half.weights"
+        bad.write_text(trained_weights.read_text().replace(
+            "meta precision double\n", "meta precision half\n"))
+        assert run([command, "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: manifest meta precision: unknown precision 'half'; "
+            "expected 'double' or 'single'"]
+
 
 class TestDecodingFailsClosed:
     @pytest.mark.parametrize("command", ["predict", "eval"])
@@ -681,12 +692,12 @@ class TestDecodingFailsClosed:
 
 class TestCsvFieldLimit:
     @staticmethod
-    def _long_cell_csv(eval_csv, path, bad_row=None):
-        """eval_csv with a 140,000-digit cell in row 10 (the csv module refuses
-        cells over 131072 characters) and, if given, a non-numeric cell in
-        `bad_row`."""
+    def _long_cell_csv(eval_csv, path, long_row=10, width=140_000, bad_row=None):
+        """eval_csv with a `width`-digit cell in row `long_row`, the header
+        being row 1 (the csv module refuses cells over 131072 characters) and,
+        if given, a non-numeric cell in `bad_row`."""
         lines = eval_csv.read_text().splitlines(keepends=True)
-        for row, cell in ((10, "7" * 140_000), (bad_row, "abc")):
+        for row, cell in ((long_row, "7" * width), (bad_row, "abc")):
             if row is not None:
                 cells = lines[row - 1].split(",")
                 cells[0] = cell
@@ -694,17 +705,19 @@ class TestCsvFieldLimit:
         path.write_text("".join(lines))
         return path
 
+    @pytest.mark.parametrize("row,width", [(10, 140_000), (1, 200_000)], ids=["row", "header"])
     @pytest.mark.parametrize("policy", ["skip", "fail"])
     @pytest.mark.parametrize("command", ["train", "predict", "eval"])
     def test_cell_over_the_field_limit_names_the_row(self, tmp_path, trained_weights,
-                                                     eval_csv, command, policy, capsys):
-        bad = self._long_cell_csv(eval_csv, tmp_path / "long.csv")
+                                                     eval_csv, command, policy, row, width,
+                                                     capsys):
+        bad = self._long_cell_csv(eval_csv, tmp_path / "long.csv", long_row=row, width=width)
         weights = tmp_path / "new.weights" if command == "train" else trained_weights
         out_path = tmp_path / "out.txt"
         assert run([command, "--data", bad, "--weights", weights, "--policy", policy,
                     "--report", out_path]) == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [
-            f"botclf: data error: {bad}:10: field larger than field limit (131072)"]
+            f"botclf: data error: {bad}:{row}: field larger than field limit (131072)"]
         assert not out_path.exists()
 
     def test_rows_before_it_are_checked_first(self, tmp_path, trained_weights, eval_csv,
@@ -1033,6 +1046,22 @@ class TestSplit:
         assert capsys.readouterr().err.splitlines() == [
             "botclf: data error: validation_fraction 0.99 leaves no training rows out of 10"]
         assert not weights.exists()
+
+    def test_batch_of_one_position_is_data_error(self, tmp_path, capsys):
+        # one feature column, and 11 training rows in batches of 10: the last
+        # batch holds one row, which train-mode batchnorm cannot normalize
+        feats = tmp_path / "features.cfg"
+        feats.write_text("features = pkts\n")
+        data = tmp_path / "train.csv"
+        synth.write_csv(data, 12, seed=2)
+        weights = tmp_path / "w.weights"
+        assert run(["train", "--data", data, "--features", feats, "--weights", weights,
+                    "--epochs", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: batch_size 10 over 11 training rows leaves a batch of 1 row "
+            "of 1 feature; train-mode batchnorm needs at least 2 positions per channel"]
+        assert not weights.exists()
+        assert not (tmp_path / "w.weights.stats").exists()
 
     def test_empty_validation_split_is_allowed(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "train.csv"

@@ -1,4 +1,5 @@
-"""The package's only runtime dependency is numpy."""
+"""The package's only runtime dependency is numpy, and no module imports a
+name it never reads."""
 
 import ast
 import sys
@@ -23,6 +24,23 @@ def test_imports_only_numpy_and_the_standard_library(path):
         outside += [f"{name} (line {node.lineno})" for name in names
                     if name.split(".")[0] not in ALLOWED]
     assert not outside, f"{path.name} imports {', '.join(outside)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations":  # `from __future__ import annotations`
+                    imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    unused = [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+    assert not unused, f"{path.name} never reads {', '.join(unused)}"
 
 
 def test_every_module_is_checked():

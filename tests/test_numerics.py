@@ -112,9 +112,3 @@ class TestRngStreams:
         conv2 = numerics.substream(5, "conv").random(8)
         npt.assert_array_equal(conv1, conv2)
         assert not np.array_equal(conv1, numerics.substream(5, "gru").random(8))
-
-    def test_precision_resolution(self):
-        assert numerics.resolve_dtype("double") == np.float64
-        assert numerics.resolve_dtype("single") == np.float32
-        with pytest.raises(ValueError):
-            numerics.resolve_dtype("half")

@@ -256,6 +256,20 @@ class TestFit:
             training.fit(p, Dataset(features=np.zeros((5, 16)),
                                     labels=np.array([0, 1, 2, 3, 9])), TrainConfig())
 
+    @pytest.mark.parametrize("batch_size", [10, 1], ids=["last-batch-of-one", "batch-size-one"])
+    def test_batch_of_one_position_is_refused_before_any_step(self, batch_size):
+        # train-mode batchnorm cannot normalize one row of one feature, and the
+        # short last batch comes after every full one has updated the weights;
+        # 12 rows leave 11 to train on
+        p = network.build(0, network.Architecture(seq_len=1))
+        before = [(name, a.tobytes()) for name, a in p.named_arrays()]
+        ds = Dataset(features=make_rng(1).uniform(size=(12, 1)), labels=np.arange(12) % 6)
+        with pytest.raises(DataError, match=(
+                rf"^batch_size {batch_size} over 11 training rows leaves a batch of 1 row "
+                r"of 1 feature; train-mode batchnorm needs at least 2 positions per channel$")):
+            training.fit(p, ds, TrainConfig(epochs=1, batch_size=batch_size))
+        assert [(name, a.tobytes()) for name, a in p.named_arrays()] == before
+
     def test_deterministic_runs(self):
         ds = synth.make_dataset(300, seed=5)
         cfg = TrainConfig(epochs=2, seed=9)
