@@ -13,6 +13,8 @@ import os
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from . import dataio, metrics, network, training
 from .config import RunConfig, load_features_config, resolve
 from .dataio import CsvSchema, FeatureSpec, LabelMap, DEFAULT_LABEL_MAP
@@ -86,7 +88,7 @@ def cmd_train(cfg: RunConfig) -> int:
     fitted = dataio.fit_normalizer(chunks, spec)
     dataset = dataio.to_dataset(chunks, fitted, dtype=dtype)
     del chunks  # the raw rows; training reads only the dataset's normalized copy
-    dist = dataset.class_distribution(label_map.num_classes)
+    dist = np.bincount(dataset.labels, minlength=label_map.num_classes)
     log.info("loaded %d records; class distribution %s", len(dataset), dist.tolist())
 
     params = network.build(cfg.seed, arch, dtype=dtype)
@@ -199,7 +201,9 @@ def main(argv=None) -> int:
         cfg = resolve(cli_values, config_path=args.config)
         logging.basicConfig(level=logging.DEBUG if cfg.verbose else logging.INFO,
                             format="%(levelname)s %(name)s: %(message)s")
-        code = _COMMANDS[args.command](cfg)
+        # the finiteness checks report an overflow; numpy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = _COMMANDS[args.command](cfg)
         sys.stdout.flush()  # so a closed stdout pipe is caught here, not at exit
         return code
     except BrokenPipeError:

@@ -166,7 +166,10 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
         pairs = tuple((class_entries[i][0], class_entries[i][1])
                       for i in range(len(class_entries)))
         display = tuple(class_entries[i][2] for i in range(len(class_entries)))
-        label_map = LabelMap(pairs=pairs, names=display)
+        try:
+            label_map = LabelMap(pairs=pairs, names=display)
+        except DataError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     else:
         label_map = DEFAULT_LABEL_MAP
     return spec, schema, label_map

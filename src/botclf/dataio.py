@@ -52,16 +52,12 @@ class FeatureSpec:
         if len(self.names) == 0:
             raise DataError("feature spec needs at least one column")
 
-    @property
-    def fitted(self) -> bool:
-        return self.mins is not None
-
     def normalize(self, values: np.ndarray) -> np.ndarray:
         """Min-max scale to [0, 1]; out-of-range values are clamped.
 
         Constant features (min == max on the training data) map to 0.0.
         """
-        if not self.fitted:
+        if self.mins is None:
             raise NotFittedError("feature spec must be fitted on training data first")
         span = self.maxs - self.mins
         safe = np.where(span > 0, span, 1.0)
@@ -83,14 +79,16 @@ class LabelMap:
     pairs: tuple   # ((category, subcategory), ...) indexed by class
     names: tuple   # display name per class
 
+    def __post_init__(self):
+        for idx, pair in enumerate(self.pairs):
+            if pair in self.pairs[:idx]:
+                raise DataError(f"class map lists the (category, subcategory) pair "
+                                f"{pair!r} twice")
+
     @cached_property
     def codes(self) -> dict:
-        """{(category, subcategory): class index}; a pair listed twice keeps
-        its first index."""
-        codes = {}
-        for idx, pair in enumerate(self.pairs):
-            codes.setdefault(pair, idx)
-        return codes
+        """{(category, subcategory): class index}."""
+        return {pair: idx for idx, pair in enumerate(self.pairs)}
 
     @property
     def num_classes(self) -> int:
@@ -259,9 +257,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def class_distribution(self, num_classes: int) -> np.ndarray:
-        return np.bincount(self.labels, minlength=num_classes)
 
 
 def to_dataset(chunks, feature_spec: FeatureSpec, dtype=DOUBLE) -> Dataset:

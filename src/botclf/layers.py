@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import CacheReusedError, ShapeError
-from .numerics import relu, softmax
+from .numerics import softmax
 
 
 @dataclass
@@ -184,9 +184,9 @@ def conv_branch_forward(x: np.ndarray, conv: Conv1DParams, bn: BatchNormParams):
     sel = centred.T.take(rows, axis=1)                # [k*C, B, filters], centred
     xhat = np.einsum("jbf,jf->bf", sel, w) * inv
     pre = bn.gamma * xhat + bn.beta
-    saved = dict(sigma_w=sigma_w, sel=sel, xhat=xhat, active=pre > 0, w=w, inv=inv,
+    saved = dict(sigma_w=sigma_w, sel=sel, xhat=xhat, active=pre > 0, inv=inv,
                  gamma=bn.gamma, shape=conv.kernels.shape, dtype=dtype)
-    return relu(pre).astype(dtype, copy=False), Cache(saved)
+    return np.maximum(pre, 0.0).astype(dtype, copy=False), Cache(saved)
 
 
 def conv_branch_backward(cache: Cache, dpool: np.ndarray):
@@ -361,7 +361,7 @@ def dense_forward(x: np.ndarray, p: DenseParams, activation: str):
         raise ShapeError(
             f"dense expects input width {p.weights.shape[0]}, got input shape {x.shape}")
     pre = x @ p.weights + p.bias
-    y = relu(pre) if activation == "relu" else softmax(pre)
+    y = np.maximum(pre, 0.0) if activation == "relu" else softmax(pre)
     return y, Cache({"x": x, "pre": pre, "weights": p.weights, "activation": activation})
 
 

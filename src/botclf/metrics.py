@@ -173,10 +173,6 @@ def stats_from_cells(cells: BinaryCells) -> ClassStats:
                       auc=auc, auci=band, youden=youden, dind=dind, sind=sind)
 
 
-def class_stats(cm: ConfusionMatrix, c: int) -> ClassStats:
-    return stats_from_cells(cm.binarize(c))
-
-
 @dataclass(frozen=True)
 class OverallStats:
     accuracy: float
@@ -245,7 +241,7 @@ def relative_classifier_information(cm: ConfusionMatrix) -> float:
 def overall_stats(cm: ConfusionMatrix) -> OverallStats:
     acc = cm.accuracy()
     ci_low, ci_high = accuracy_ci(acc, cm.n)
-    f1s = [class_stats(cm, c).f1 for c in range(cm.num_classes)]
+    f1s = [stats_from_cells(cm.binarize(c)).f1 for c in range(cm.num_classes)]
     defined = [f for f in f1s if f is not None]
     macro_f1 = sum(defined) / len(defined) if defined else None
     kappa = cohen_kappa(acc, cm.counts.sum(axis=1), cm.counts.sum(axis=0))
@@ -315,5 +311,5 @@ class MetricsReport:
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
     """OverallStats plus ClassStats for every class, ready to serialize."""
-    classes = tuple(class_stats(cm, c) for c in range(cm.num_classes))
+    classes = tuple(stats_from_cells(cm.binarize(c)) for c in range(cm.num_classes))
     return MetricsReport(overall=overall_stats(cm), classes=classes)

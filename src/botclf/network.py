@@ -188,12 +188,6 @@ def _assemble(arrays: dict, arch: Architecture) -> NetworkParameters:
                              arch=arch, flat=flat)
 
 
-def _check_input(a: Architecture, x: np.ndarray) -> None:
-    if x.ndim != 3 or x.shape[1] != a.seq_len or x.shape[2] != a.in_channels:
-        raise ShapeError(
-            f"expected input of shape (batch, {a.seq_len}, {a.in_channels}), got {x.shape}")
-
-
 def _folded_conv(params: NetworkParameters) -> Conv1DParams:
     """Conv kernels and bias with the infer-mode batchnorm affine map folded in.
 
@@ -266,7 +260,9 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = np.asarray(x, dtype=params.dtype if mode == "infer" else None)
-    _check_input(a, x)
+    if x.ndim != 3 or x.shape[1] != a.seq_len or x.shape[2] != a.in_channels:
+        raise ShapeError(
+            f"expected input of shape (batch, {a.seq_len}, {a.in_channels}), got {x.shape}")
 
     if mode == "train":
         pool_y, c_branch = layers.conv_branch_forward(x, params.conv, params.bn)
@@ -437,7 +433,7 @@ def save_weights(params: NetworkParameters, path, spec: FeatureSpec,
     previous one intact.
     """
     tensors = [*params.named_arrays(), ("norm.min", spec.mins), ("norm.max", spec.maxs)]
-    meta = {"precision": "double" if params.dtype == np.float64 else "single",
+    meta = {"precision": next(n for n, t in PRECISIONS.items() if t == params.dtype),
             **{name: str(getattr(params.arch, name)) for name in _SIZE_FIELDS},
             **_CONSTANT_META,
             "feature_names": ",".join(spec.names),
@@ -602,7 +598,10 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
         if len(names) != len(pairs) or any(len(pair) != 2 for pair in pairs):
             raise WeightFormatError(f"{path}: manifest meta class_pairs and class_names "
                                     "do not form one class map")
-        label_map = LabelMap(pairs=pairs, names=names)
+        try:
+            label_map = LabelMap(pairs=pairs, names=names)
+        except DataError as exc:
+            raise WeightFormatError(f"{path}: manifest meta class_pairs: {exc}") from None
     arch = params.arch
     if len(spec.names) != arch.seq_len:
         raise WeightFormatError(f"{path}: manifest meta seq_len {arch.seq_len} does not "

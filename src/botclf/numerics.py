@@ -1,4 +1,4 @@
-"""Dense-array numerics: activations, weight initializers, seeded RNG streams.
+"""Dense-array numerics: the softmax, weight initializers, seeded RNG streams.
 
 Everything operates on plain numpy arrays in row-major layout. Default
 element precision is float64 ("double"); float32 ("single") is selectable
@@ -36,10 +36,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """
     digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
     return make_rng(int.from_bytes(digest[:8], "little"))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

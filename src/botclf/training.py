@@ -120,7 +120,6 @@ def rmsprop_step(params: NetworkParameters, grads: np.ndarray, state: np.ndarray
     np.multiply(learning_rate, grads, out=step)
     step /= denom
     flat -= step
-    return params, state
 
 
 def _split_indices(n: int, fraction: float, seed: int, labels: np.ndarray,
@@ -228,7 +227,7 @@ def evaluate(params: NetworkParameters, batches):
         counts += ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), classes).counts
         true_probs.append(probs[np.arange(labels.size), labels])
     if not true_probs:
-        raise DataError("no records to materialize")
+        raise DataError("no labeled rows to evaluate")
     true_probs = np.concatenate(true_probs)  # frees the per-batch arrays
     return ConfusionMatrix(counts), float(_mean_nll(true_probs))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from botclf import cli, dataio, metrics, network, synth, training
+from botclf import cli, dataio, network, synth, training
 from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.errors import NumericError
@@ -170,7 +170,7 @@ class TestEval:
                 "min, max, spkts, dpkts, sbytes, dbytes, rate, srate, drate, "
                 "category, subcategory"),
         (",".join(dataio.DEFAULT_FEATURES + ("category", "subcategory")), 0,
-         "no records to materialize"),
+         "no labeled rows to evaluate"),
         (",".join(dataio.DEFAULT_FEATURES), 3, "header is missing columns: "
                                                "category, subcategory"),
     ])
@@ -297,8 +297,9 @@ class TestFailClosed:
         err = capsys.readouterr().err
         assert "(at byte 0)" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    # numpy's overflow warnings would print above the one-line error, so
+    # here they fail the test
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_non_finite_output_is_numeric_error(self, tmp_path, trained_weights, eval_csv,
                                                 command, capsys):
@@ -312,8 +313,18 @@ class TestFailClosed:
         out_path = tmp_path / "out.txt"
         assert run([command, "--data", eval_csv, "--weights", bad,
                     "--report", out_path]) == EXIT_NUMERIC
-        assert "non-finite class probabilities" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-finite class probabilities" in err[0]
         assert not out_path.exists() or "nan" not in out_path.read_text()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_training_is_numeric_error(self, tmp_path, train_csv, capsys):
+        weights = tmp_path / "model.weights"
+        assert run(["train", "--data", train_csv, "--weights", weights, "--epochs", "1",
+                    "--precision", "single", "--learning-rate", "1e30"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: numeric error: non-finite training loss at epoch 0"]
+        assert not weights.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_normalizer_and_feature_names_disagree(self, tmp_path, trained_weights,
@@ -974,6 +985,34 @@ class TestClassMap:
         assert capsys.readouterr().err.splitlines() == [
             f"botclf: data error: {bad}: manifest meta classes 6 does not match the "
             f"{count} classes of the class map"]
+        assert not out_path.exists()
+
+    def test_repeated_class_pair_in_features_config_is_config_error(self, tmp_path, capsys):
+        # the second class could never be reached by a row, so it would train
+        # on nothing and score a recall of None
+        feats, data = _class_map_files(tmp_path, 3)
+        feats.write_text(feats.read_text().replace("cat2, sub2,", "cat1, sub1,"))
+        weights = tmp_path / "w.weights"
+        assert run(["train", "--data", data, "--features", feats, "--weights", weights,
+                    "--epochs", "1"]) == EXIT_CONFIG
+        assert not weights.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: config error: {feats}: class map lists the (category, subcategory) "
+            "pair ('cat1', 'sub1') twice"]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_repeated_class_pair_in_manifest_is_data_error(self, tmp_path, trained_weights,
+                                                           eval_csv, capsys, command):
+        text = trained_weights.read_text()
+        bad = tmp_path / "repeated.weights"
+        bad.write_text(text.replace(";DDoS,UDP;", ";DDoS,TCP;"))
+        assert bad.read_text() != text
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}: manifest meta class_pairs: class map lists the "
+            "(category, subcategory) pair ('DDoS', 'TCP') twice"]
         assert not out_path.exists()
 
     def test_class_names_without_pairs_are_refused(self, tmp_path, trained_weights, eval_csv,

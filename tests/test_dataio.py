@@ -196,8 +196,7 @@ class TestChunks:
 # Differential test of the chunked reader against the per-row reader it
 # replaced (tests/oracles.py), on generated CSV text.
 ORACLE_FEATURES = ("f0", "f1", "f2")
-# ("a", "x") is listed twice: the first index wins
-ORACLE_LABELS = LabelMap(pairs=(("a", "x"), ("b", "y"), ("a", "x"), ("c", "x")),
+ORACLE_LABELS = LabelMap(pairs=(("a", "x"), ("b", "y"), ("a", "y"), ("c", "x")),
                          names=("A", "B", "A2", "C"))
 _COLUMNS = ORACLE_FEATURES + ("category", "subcategory", "note")
 _NUMBER = st.one_of(
@@ -388,17 +387,6 @@ class TestNormalizer:
 
 
 class TestDatasetAndBatches:
-    def make_dataset(self, n=25):
-        rng = np.random.default_rng(3)
-        return dataio.Dataset(features=rng.uniform(0, 1, size=(n, 16)),
-                              labels=rng.integers(0, 6, size=n))
-
-    def test_class_distribution_sums_to_count(self):
-        ds = self.make_dataset(40)
-        dist = ds.class_distribution(6)
-        assert dist.sum() == 40
-        assert len(dist) == 6
-
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_to_dataset_equals_per_row_normalize(self, dtype):
         # column 2 is constant on the fitted range; rows reach outside it
@@ -462,7 +450,7 @@ class TestSynth:
         ds = synth.make_dataset(1200, seed=4)
         assert len(ds) == 1200
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-        dist = ds.class_distribution(6)
+        dist = np.bincount(ds.labels, minlength=6)
         assert (dist > 100).all()
 
     def test_csv_round_trip(self, tmp_path):

@@ -1,5 +1,5 @@
-"""The package's only runtime dependency is numpy, and no module imports a
-name it never reads."""
+"""The package's only runtime dependency is numpy, and no module, of the
+package or of its tests, imports a name it never reads."""
 
 import ast
 import sys
@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "botclf").glob("*.py"))
+TESTS_DIR = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS_DIR.parent / "src" / "botclf").glob("*.py"))
+TESTS = sorted(TESTS_DIR.glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -26,7 +28,8 @@ def test_imports_only_numpy_and_the_standard_library(path):
     assert not outside, f"{path.name} imports {', '.join(outside)}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=[p.name for p in SOURCES]
+                         + [f"tests/{p.name}" for p in TESTS])
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
@@ -45,3 +48,4 @@ def test_every_imported_name_is_read(path):
 
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "network.py", "training.py"}
+    assert {p.name for p in TESTS} >= {"oracles.py", "test_cli.py", "test_imports.py"}

@@ -126,7 +126,7 @@ class TestPerClassInvariants:
             counts[0, 0] += 1
             cm = ConfusionMatrix(counts)
             for c in range(4):
-                s = metrics.class_stats(cm, c)
+                s = metrics.stats_from_cells(cm.binarize(c))
                 assert s.acc + s.err == 1.0
 
     def test_f1_matches_harmonic_mean(self):
@@ -135,7 +135,7 @@ class TestPerClassInvariants:
             counts = rng.integers(1, 30, size=(3, 3))
             cm = ConfusionMatrix(counts)
             for c in range(3):
-                s = metrics.class_stats(cm, c)
+                s = metrics.stats_from_cells(cm.binarize(c))
                 if s.precision is not None and s.tpr is not None and s.tp > 0:
                     expect = 2 * s.precision * s.tpr / (s.precision + s.tpr)
                     assert abs(s.f1 - expect) <= 1e-12
@@ -146,14 +146,14 @@ class TestPerClassInvariants:
             counts = rng.integers(1, 30, size=(3, 3))
             cm = ConfusionMatrix(counts)
             for c in range(3):
-                s = metrics.class_stats(cm, c)
+                s = metrics.stats_from_cells(cm.binarize(c))
                 assert s.sind == 1 - s.dind / math.sqrt(2)
                 assert abs(s.youden - (2 * s.auc - 1)) < 1e-12
 
     def test_absent_class_is_undefined_not_nan(self):
         # class 2 never occurs and is never predicted
         cm = ConfusionMatrix([[5, 1, 0], [2, 7, 0], [0, 0, 0]])
-        s = metrics.class_stats(cm, 2)
+        s = metrics.stats_from_cells(cm.binarize(2))
         assert s.tpr is None and s.precision is None
         for name in ("f1", "auc", "auci", "youden", "dind", "sind", "agf", "agm"):
             assert getattr(s, name) is None

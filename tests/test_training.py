@@ -409,7 +409,7 @@ class TestEvaluate:
         assert loss == expect and math.isfinite(loss)
 
     def test_no_batches_rejected(self):
-        with pytest.raises(DataError, match="no records"):
+        with pytest.raises(DataError, match="no labeled rows to evaluate"):
             training.evaluate(network.build(24), iter([]))
 
     def test_validation_is_evaluate_on_the_held_out_rows(self):
