@@ -93,8 +93,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     params = network.build(cfg.seed, arch, dtype=dtype)
 
-    _, history = training.fit(params, dataset, train_cfg,
-                              progress_sink=lambda stats: print(stats.line()))
+    history = training.fit(params, dataset, train_cfg,
+                           progress_sink=lambda stats: print(stats.line()))
     with atomic_write(stats_path) as fh:
         fh.write("\n".join(stats.line() for stats in history) + "\n")
     network.save_weights(params, cfg.weights, fitted, label_map)
@@ -122,11 +122,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     params, spec, label_map, stream = _scoring_setup(cfg, labeled=False)
     names = label_map.names
     line = "%d,%s," + ",".join(["%.9f"] * params.arch.classes) + "\n"
-    workspace = {}  # the forward pass's work arrays, made once for all chunks
     with atomic_write(cfg.report) if cfg.report else nullcontext(sys.stdout) as out:
         for features, _ in stream.chunks():
             x = spec.normalize(features)[:, :, None]
-            probs, _ = network.forward(params, x, mode="infer", workspace=workspace)
+            probs, _ = network.forward(params, x, mode="infer")
             out.write("".join([line % (idx, names[idx], *row) for idx, row
                                in zip(probs.argmax(axis=1).tolist(), probs.tolist())]))
     return EXIT_OK

@@ -156,6 +156,8 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
             if len(parts) != 3:
                 raise ConfigError(f"{path}: class entries need "
                                   f"'category, subcategory, name', got {value!r}")
+            if not parts[2]:
+                raise ConfigError(f"{path}: {key} has an empty display name")
             class_entries[idx] = (parts[0], parts[1], parts[2])
         else:
             raise ConfigError(f"{path}: unknown features-config key {key!r}")

@@ -40,7 +40,7 @@ class Cache:
         return self.data
 
 
-# The workspace buffer that each stage of an infer chunk cuts its temporaries
+# The work buffer that each stage of an infer chunk cuts its temporaries
 # from in turn: first the conv's (`network._conv_max_over_time`), then the GRU's.
 STAGE = "stage"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -119,7 +119,16 @@ class NetworkParameters:
     optimizer updates all of them at once; the moving statistics are
     separate arrays. This container and the layer containers are frozen:
     arrays are updated in place, and rebinding one (which would detach it
-    from `flat`) raises FrozenInstanceError."""
+    from `flat`) raises FrozenInstanceError.
+
+    `work` holds the infer-mode forward's two byte buffers, kept for the
+    next chunk and the next call: "concat", the [B, concat_width]
+    concatenation that the pool and the GRU's hidden states are written
+    into, and `layers.STAGE`, which holds first the conv's padded input and
+    accumulators and then, once they are dead, the GRU's states,
+    pre-activations and diff. It starts empty, and nothing derived from the
+    weights is kept in it; two infer calls on one model must not run at
+    once."""
 
     conv: Conv1DParams
     bn: BatchNormParams
@@ -128,6 +137,7 @@ class NetworkParameters:
     dense_out: DenseParams
     arch: Architecture
     flat: np.ndarray
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def named_arrays(self):
         """All weight arrays as (name, array), in the fixed manifest order."""
@@ -230,8 +240,7 @@ def _conv_max_over_time(x: np.ndarray, conv: Conv1DParams, out: np.ndarray,
     np.add(acc, conv.bias, out=out)
 
 
-def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
-            workspace: dict | None = None):
+def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     """x: [B, seq_len, in_channels] -> (probs [B, classes], caches).
 
     Each output row is a probability vector summing to 1. In "train" mode
@@ -244,17 +253,8 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
     monotone non-decreasing; the ReLU then sees [B, filters] instead of
     [B, seq_len, filters]. Infer mode raises NumericError if any
     probability is non-finite, so a broken model never yields a prediction.
-
-    Infer mode runs each chunk in arrays cut by `layers.work_arrays` from two
-    byte buffers that `workspace` keeps for the next chunk and the next call,
-    whatever its rows, dtype or Architecture: "concat", the
-    [B, concat_width] concatenation that the pool and the GRU's hidden
-    states are written into, and `layers.STAGE`, which holds first the conv's
-    padded input and accumulators and then, once they are dead, the GRU's
-    states, pre-activations and diff. Without a workspace, a dict local to
-    the call serves its chunks. Nothing derived from the weights is kept,
-    so a workspace stays valid when the weights change; the returned probs
-    never share its memory. Train mode ignores it.
+    Its chunks run in arrays cut from `params.work`, which the returned
+    probs never share.
     """
     a = params.arch
     if mode not in ("train", "infer"):
@@ -272,7 +272,7 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer",
         probs, c_out = layers.dense_forward(hidden_y, params.dense_out, "softmax")
         return probs, (c_branch, c_gru, c_hidden, c_out)
 
-    work = {} if workspace is None else workspace
+    work = params.work
     conv = _folded_conv(params)
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
     for start in range(0, x.shape[0], CHUNK_ROWS):

@@ -142,7 +142,7 @@ def _split_indices(n: int, fraction: float, seed: int, labels: np.ndarray,
 
 def fit(params: NetworkParameters, dataset, config: TrainConfig,
         progress_sink=None):
-    """Train `params` on a labeled dataset; returns (params, [EpochStats]).
+    """Train `params` in place on a labeled dataset; returns [EpochStats].
 
     `dataset` needs `.features` [N, seq_len] (already normalized) and
     `.labels` [N] ints. The training split is reshuffled each epoch from
@@ -208,22 +208,19 @@ def fit(params: NetworkParameters, dataset, config: TrainConfig,
         history.append(stats)
         if progress_sink is not None:
             progress_sink(stats)
-    return params, history
+    return history
 
 
 def evaluate(params: NetworkParameters, batches):
     """Infer-mode pass over normalized (features [n, seq_len], labels [n])
     batches -> (ConfusionMatrix, mean loss); no batch at all is a DataError.
-
-    The `forward` calls share one workspace, and only the confusion counts
-    and each row's true-class probability outlive a batch."""
+    Only the confusion counts and each row's true-class probability outlive
+    a batch."""
     classes = params.arch.classes
     counts = np.zeros((classes, classes), dtype=np.int64)
     true_probs = []
-    workspace = {}
     for features, labels in batches:
-        probs, _ = network.forward(params, features[:, :, None], mode="infer",
-                                   workspace=workspace)
+        probs, _ = network.forward(params, features[:, :, None], mode="infer")
         counts += ConfusionMatrix.from_labels(labels, probs.argmax(axis=1), classes).counts
         true_probs.append(probs[np.arange(labels.size), labels])
     if not true_probs:

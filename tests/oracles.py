@@ -1,4 +1,5 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+published one-vs-rest cells that the metrics are checked against.
 
 Everything here is deliberately written as plain scalar loops, direct
 formula evaluation or one layer at a time, separate from the vectorized and
@@ -12,7 +13,19 @@ import numpy as np
 
 from botclf import layers
 from botclf.errors import DataError, SchemaError, ShapeError
+from botclf.metrics import BinaryCells
 from botclf.training import RMS_DECAY, RMS_EPSILON
+
+# Published one-vs-rest cells of the 6-class benchmark evaluation this tool
+# reproduces (population 731867). Class 0 is excluded: its published cells
+# sum to 731827, not the population, so they cannot all be correct at once.
+REFERENCE_N = 731867
+REFERENCE_CELLS = {
+    1: BinaryCells(tp=318277, fp=57, fn=60, tn=413473),
+    2: BinaryCells(tp=1846, fp=3487, fn=1734, tn=724800),
+    4: BinaryCells(tp=449, fp=29, fn=55, tn=731334),
+    5: BinaryCells(tp=0, fp=0, fn=107, tn=731760),
+}
 
 
 def conv_oracle(x, kernels, bias):

@@ -12,20 +12,11 @@ import numpy as np
 
 from botclf import cli, layers, metrics, network, synth, training
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
-from botclf.metrics import BinaryCells, ConfusionMatrix
+from botclf.metrics import ConfusionMatrix
 from botclf.numerics import make_rng, softmax
-from oracles import gru_oracle, random_gru_params
+from oracles import REFERENCE_CELLS, REFERENCE_N, gru_oracle, random_gru_params
 
-# Reference statistics for the 6-class benchmark evaluation this tool
-# reproduces (population 731867). Class 0 is excluded: its published cells
-# sum to 731827, not the population, so they cannot all be correct at once.
-REFERENCE_N = 731867
-REFERENCE_CELLS = {
-    1: BinaryCells(tp=318277, fp=57, fn=60, tn=413473),
-    2: BinaryCells(tp=1846, fp=3487, fn=1734, tn=724800),
-    4: BinaryCells(tp=449, fp=29, fn=55, tn=731334),
-    5: BinaryCells(tp=0, fp=0, fn=107, tn=731760),
-}
+# The published statistics of the reference cells' classes.
 REFERENCE_STATS = {
     1: dict(acc=0.99984, err=0.00016, precision=0.99982, f1=0.99982,
             auc=0.99984, auci="Excellent", agf=0.99983, agm=0.99985,
@@ -209,7 +200,7 @@ def test_criterion_7_desk_scale_training():
     params = network.build(7)
     cfg = training.TrainConfig(epochs=4, batch_size=10,
                                validation_fraction=0.10, seed=7)
-    _, history = training.fit(params, dataset, cfg)
+    history = training.fit(params, dataset, cfg)
     elapsed = time.perf_counter() - start
     val_acc = history[-1].val_acc
     ok = val_acc >= 0.95 and elapsed <= 300.0 and len(history) == 4

@@ -56,6 +56,9 @@ class TestBundle:
         assert got_spec.mins.tobytes() == spec.mins.tobytes()
         assert got_spec.maxs.tobytes() == spec.maxs.tobytes()
         assert got_map == label_map
+        again = tmp_path / "again.weights"
+        network.save_weights(got, again, got_spec, got_map)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_no_normalizer_is_rejected(self, tmp_path):
         path = tmp_path / "w.weights"

@@ -243,6 +243,7 @@ class TestPredict:
         first = proc.stdout.readline()
         proc.stdout.close()
         stderr = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=120) == EXIT_OK
         assert stderr == b""
         assert re.fullmatch(rb"\d,[^,]+(,\d\.\d{9}){6}\n", first)
@@ -746,11 +747,11 @@ class TestAtomicOutputs:
         real = network.forward
         calls = []
 
-        def fail_on_second_chunk(params, x, mode, workspace=None):
+        def fail_on_second_chunk(params, x, mode):
             calls.append(len(x))
             if len(calls) == 2:
                 raise NumericError("injected failure after the first chunk")
-            return real(params, x, mode, workspace)
+            return real(params, x, mode)
 
         monkeypatch.setattr(network, "forward", fail_on_second_chunk)
         data = tmp_path / "data.csv"
@@ -907,13 +908,14 @@ class TestConfigResolution:
             f"botclf: config error: {feats}: features: {message}"]
 
 
-def _class_map_files(folder, classes, rows=60, features=16):
-    """A features config with `classes` classes over columns c0..c{features-1}
-    and a CSV of `rows` rows cycling through them."""
+def _class_map_files(folder, classes, rows=60, features=16, display="name-{k}"):
+    """A features config with `classes` classes over columns c0..c{features-1},
+    class k displayed as `display.format(k=k)`, and a CSV of `rows` rows
+    cycling through them."""
     feats = folder / f"features{classes}.cfg"
     names = [f"c{i}" for i in range(features)]
     feats.write_text("features = " + ", ".join(names) + "\n"
-                     + "".join(f"class.{k} = cat{k}, sub{k}, name-{k}\n"
+                     + "".join(f"class.{k} = cat{k}, sub{k}, {display.format(k=k)}\n"
                                for k in range(classes)))
     data = folder / f"data{classes}.csv"
     rng = np.random.default_rng(classes)
@@ -926,9 +928,12 @@ def _class_map_files(folder, classes, rows=60, features=16):
 
 
 class TestClassMap:
-    @pytest.mark.parametrize("classes", [3, 8])
-    def test_output_layer_sized_from_the_class_map(self, tmp_path, capsys, classes):
-        feats, data = _class_map_files(tmp_path, classes)
+    # one class, and display names with single spaces, round-trip through the
+    # bundle as well
+    @pytest.mark.parametrize("classes,display", [(1, "name-{k}"), (3, "Botnet class {k}"),
+                                                 (8, "name-{k}")], ids=["1", "3", "8"])
+    def test_output_layer_sized_from_the_class_map(self, tmp_path, capsys, classes, display):
+        feats, data = _class_map_files(tmp_path, classes, display=display)
         weights = tmp_path / "w.weights"
         assert run(["train", "--data", data, "--features", feats, "--weights", weights,
                     "--epochs", "1"]) == EXIT_OK
@@ -938,7 +943,7 @@ class TestClassMap:
                     "--report", out_path]) == EXIT_OK
         for line in out_path.read_text().splitlines():
             idx, name, *probs = line.split(",")
-            assert len(probs) == classes and name == f"name-{idx}"
+            assert len(probs) == classes and name == display.format(k=idx)
         report = tmp_path / "metrics.json"
         assert run(["eval", "--data", data, "--features", feats, "--weights", weights,
                     "--report", report]) == EXIT_OK
@@ -963,6 +968,20 @@ class TestClassMap:
         assert capsys.readouterr().err.splitlines() == [
             f"botclf: config error: {feats}: {what} {new!r} cannot be stored in a weights "
             "manifest; use no ';' and single spaces only"]
+
+    @pytest.mark.parametrize("classes", [1, 2])
+    def test_empty_display_name_is_refused_before_reading_data(self, tmp_path, capsys,
+                                                                classes):
+        # with one class the manifest would carry `meta class_names ` with no
+        # value, which predict and eval refuse as a malformed meta line; with
+        # two, predict would print an empty class field
+        feats, _ = _class_map_files(tmp_path, classes, features=4, display="")
+        weights = tmp_path / "w.weights"
+        assert run(["train", "--data", tmp_path / "absent.csv", "--features", feats,
+                    "--weights", weights]) == EXIT_CONFIG
+        assert not weights.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: config error: {feats}: class.0 has an empty display name"]
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("edit,count", [

@@ -6,19 +6,12 @@ import pytest
 
 from botclf import metrics
 from botclf.errors import DataError
-from botclf.metrics import BinaryCells, ConfusionMatrix
+from botclf.metrics import ConfusionMatrix
 from botclf.numerics import make_rng
+from oracles import REFERENCE_CELLS, REFERENCE_N
 
-# Reference one-vs-rest cells and the statistics they must reproduce
-# (population 731867). Values are frozen at their 5-decimal print precision;
-# None marks an undefined metric.
-REFERENCE_N = 731867
-REFERENCE_CELLS = {
-    1: BinaryCells(tp=318277, fp=57, fn=60, tn=413473),
-    2: BinaryCells(tp=1846, fp=3487, fn=1734, tn=724800),
-    4: BinaryCells(tp=449, fp=29, fn=55, tn=731334),
-    5: BinaryCells(tp=0, fp=0, fn=107, tn=731760),
-}
+# The statistics the reference cells must reproduce. Values are frozen at
+# their 5-decimal print precision; None marks an undefined metric.
 REFERENCE_STATS = {
     1: dict(acc=0.99984, agf=0.99983, agm=0.99985, auc=0.99984, auci="Excellent",
             err=0.00016, f1=0.99982, precision=0.99982, youden=0.99967,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -103,11 +104,16 @@ def _briefly_trained(dtype):
     return p
 
 
-def _assert_fresh(results, workspace):
-    """No result shares memory with another result or with a workspace buffer."""
+def _assert_fresh(results, work):
+    """No result shares memory with another result or with a work buffer."""
     for i, probs in enumerate(results):
-        for other in results[:i] + list(workspace.values()):
+        for other in results[:i] + list(work.values()):
             assert not np.shares_memory(probs, other)
+
+
+def _fresh_probs(p, x):
+    """Infer-mode probs of the same weights with no work buffers kept yet."""
+    return network.forward(replace(p, work={}), x, mode="infer")[0]
 
 
 class TestInferMode:
@@ -141,14 +147,14 @@ class TestInferMode:
             network.forward(p, x, mode="infer")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_shared_workspace_matches_fresh_calls(self, trained, dtype):
-        p, workspace, results = trained[dtype], {}, []
+    def test_kept_work_matches_a_fresh_model(self, trained, dtype):
+        p, results = trained[dtype], []
         for i, n in enumerate([512, 512, 37, 512]):
             x = make_rng(50 + i).uniform(0, 1, size=(n, 16, 1)).astype(dtype)
-            probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
-            assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
+            probs, _ = network.forward(p, x, mode="infer")
+            assert probs.tobytes() == _fresh_probs(p, x).tobytes()
             results.append(probs)
-        _assert_fresh(results, workspace)
+        _assert_fresh(results, p.work)
 
     def test_single_precision_scores_the_cast_input(self, trained):
         # eval hands float64 chunks to a float32 model: the engine casts them
@@ -160,47 +166,26 @@ class TestInferMode:
         assert probs.tobytes() == network.forward(p, x.astype(np.float32),
                                                   mode="infer")[0].tobytes()
 
-    def test_one_dict_keeps_buffers_per_dtype_and_architecture(self, trained):
-        # the single-precision and the smaller model run in the front of the
-        # buffers the double-precision model made; in any order, each call
-        # scores as a fresh one
-        models = [trained[np.float64], trained[np.float32],
-                  _randomized(53, Architecture(filters=8, gru_units=4))]
-        x = make_rng(54).uniform(0, 1, size=(512, 16, 1))
-        workspace, results = {}, []
-        for _ in range(2):
-            for p in models:
-                probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
-                assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
-                results.append(probs)
-        buffers = list(workspace.values())
-        for i, buf in enumerate(buffers):
-            assert not any(np.shares_memory(buf, other) for other in buffers[i + 1:])
-        _assert_fresh(results, workspace)
-
-    def test_workspace_stays_valid_after_a_training_step(self):
+    def test_work_stays_valid_after_a_training_step(self):
         p = _randomized(55)
         x = make_rng(56).uniform(0, 1, size=(600, 16, 1))
-        workspace = {}
-        before, _ = network.forward(p, x, mode="infer", workspace=workspace)
+        before, _ = network.forward(p, x, mode="infer")
         probs, caches = network.forward(p, x[:10], mode="train")
         _, dlogits = training.cross_entropy(probs, np.arange(10) % 6)
         training.rmsprop_step(p, network.backward(p, caches, dlogits),
                               np.zeros_like(p.flat), 1e-2)
-        after, _ = network.forward(p, x, mode="infer", workspace=workspace)
+        after, _ = network.forward(p, x, mode="infer")
         assert after.tobytes() != before.tobytes()
-        assert after.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
+        assert after.tobytes() == _fresh_probs(p, x).tobytes()
 
-    def test_workspace_holds_the_concatenation_and_one_stage(self, trained):
+    def test_work_holds_the_concatenation_and_one_stage(self, trained):
         # the conv's padded input and accumulators are dead before the GRU
         # cuts its states, pre-activations and diff, so both run in one
         # stage buffer sized for the larger of the two; every array but a
         # buffer's last starts the next one on a 64-byte boundary
-        p, rows, item = trained[np.float64], 512, 8
+        p, rows, item = replace(trained[np.float64], work={}), 512, 8
         a = p.arch
-        workspace = {}
-        network.forward(p, make_rng(61).uniform(0, 1, size=(rows, 16, 1)), mode="infer",
-                        workspace=workspace)
+        network.forward(p, make_rng(61).uniform(0, 1, size=(rows, 16, 1)), mode="infer")
 
         def cut(*sizes):
             *padded, last = (n * item for n in sizes)
@@ -211,35 +196,35 @@ class TestInferMode:
                    rows * a.filters, rows * a.filters)
         gru = cut((a.seq_len + 1) * (a.gru_units + a.in_channels + 1) * rows,
                   4 * a.gru_units * rows, a.gru_units * rows)
-        assert len(workspace) == 2
-        assert sum(buf.nbytes for buf in workspace.values()) == concat + max(conv, gru)
+        assert len(p.work) == 2
+        assert sum(buf.nbytes for buf in p.work.values()) == concat + max(conv, gru)
 
     def test_cold_pass_peaks_at_its_two_buffers(self):
         # a first 512-row pass makes the 2.3 MB of work buffers in double,
         # and the dense head's temporaries stay small beside them; one
         # buffer per work array peaked at 3.5 MB
         p = _randomized(57)
+        assert p.work == {}
         x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            network.forward(p, x, mode="infer", workspace={})
+            network.forward(p, x, mode="infer")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - start <= 2_600_000
 
-    def test_reused_workspace_allocates_little(self):
-        # tracemalloc sees numpy's data buffers: without a workspace a
-        # 512-row pass peaks at about 2.5 MB, 2.3 MB of it the work buffers
+    def test_second_call_allocates_little(self):
+        # tracemalloc sees numpy's data buffers: a model's first 512-row pass
+        # peaks at about 2.5 MB, 2.3 MB of it the work buffers it keeps
         p = _randomized(57)
         x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
-        workspace = {}
-        network.forward(p, x, mode="infer", workspace=workspace)
+        network.forward(p, x, mode="infer")
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            network.forward(p, x, mode="infer", workspace=workspace)
+            network.forward(p, x, mode="infer")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -249,20 +234,18 @@ class TestInferMode:
     def test_partial_chunk_reuses_the_buffers(self, trained, dtype):
         # a short chunk after a full one runs in the front of the full
         # chunk's work buffers: no second pair (1.8 MB in double) is made
-        p = trained[dtype]
-        workspace = {}
-        network.forward(p, make_rng(59).uniform(0, 1, size=(512, 16, 1)), mode="infer",
-                        workspace=workspace)
+        p = replace(trained[dtype], work={})
+        network.forward(p, make_rng(59).uniform(0, 1, size=(512, 16, 1)), mode="infer")
         x = make_rng(60).uniform(0, 1, size=(392, 16, 1)).astype(dtype)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            probs, _ = network.forward(p, x, mode="infer", workspace=workspace)
+            probs, _ = network.forward(p, x, mode="infer")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - start < 256 * 1024
-        assert probs.tobytes() == network.forward(p, x, mode="infer")[0].tobytes()
+        assert probs.tobytes() == _fresh_probs(p, x).tobytes()
 
 
 class TestSummary:

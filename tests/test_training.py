@@ -273,8 +273,8 @@ class TestFit:
     def test_deterministic_runs(self):
         ds = synth.make_dataset(300, seed=5)
         cfg = TrainConfig(epochs=2, seed=9)
-        p1, h1 = training.fit(network.build(9), ds, cfg)
-        p2, h2 = training.fit(network.build(9), ds, cfg)
+        p1, p2 = network.build(9), network.build(9)
+        h1, h2 = training.fit(p1, ds, cfg), training.fit(p2, ds, cfg)
         for (_, a), (_, b) in zip(p1.named_arrays(), p2.named_arrays()):
             npt.assert_array_equal(a, b)
         assert [s.line().rsplit(" seconds=", 1)[0] for s in h1] == \
@@ -295,7 +295,7 @@ class TestFit:
         cfg = TrainConfig(epochs=1, batch_size=120, learning_rate=0.0, seed=14)
         p = network.build(14)
         fresh = copy.deepcopy(p)
-        _, history = training.fit(p, ds, cfg)
+        history = training.fit(p, ds, cfg)
         features, labels = np.asarray(ds.features), np.asarray(ds.labels)
         train_idx, _ = training._split_indices(labels.size, cfg.validation_fraction,
                                                cfg.seed, labels, cfg.stratified)
@@ -306,8 +306,8 @@ class TestFit:
     def test_epoch_stats_contract(self):
         ds = synth.make_dataset(200, seed=7)
         seen = []
-        _, history = training.fit(network.build(11), ds, TrainConfig(epochs=3, seed=7),
-                                  progress_sink=seen.append)
+        history = training.fit(network.build(11), ds, TrainConfig(epochs=3, seed=7),
+                               progress_sink=seen.append)
         assert len(history) == 3
         assert seen == history
         for i, st in enumerate(history):
@@ -320,8 +320,8 @@ class TestFit:
 
     def test_loss_finite_under_training(self):
         ds = synth.make_dataset(200, seed=8, noise=0.3)
-        _, history = training.fit(network.build(12), ds,
-                                  TrainConfig(epochs=2, seed=8, learning_rate=5e-3))
+        history = training.fit(network.build(12), ds,
+                               TrainConfig(epochs=2, seed=8, learning_rate=5e-3))
         assert all(math.isfinite(s.train_loss) for s in history)
 
     def test_memory_grows_by_indices_not_copies(self):
@@ -359,8 +359,8 @@ class TestFit:
 
     def test_stratified_split(self):
         ds = synth.make_dataset(600, seed=13)
-        _, history = training.fit(network.build(13), ds,
-                                  TrainConfig(epochs=1, seed=13, stratified=True))
+        history = training.fit(network.build(13), ds,
+                               TrainConfig(epochs=1, seed=13, stratified=True))
         assert len(history) == 1
 
 
@@ -415,7 +415,8 @@ class TestEvaluate:
     def test_validation_is_evaluate_on_the_held_out_rows(self):
         ds = synth.make_dataset(200, seed=26)
         cfg = TrainConfig(epochs=1, seed=26)
-        p, history = training.fit(network.build(26), ds, cfg)
+        p = network.build(26)
+        history = training.fit(p, ds, cfg)
         _, val_idx = training._split_indices(200, cfg.validation_fraction, cfg.seed,
                                              ds.labels, cfg.stratified)
         cm, loss = training.evaluate(p, [(ds.features[val_idx], ds.labels[val_idx])])
