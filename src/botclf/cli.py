@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 
@@ -73,10 +74,8 @@ def cmd_summary(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     spec, schema, label_map = _io_setup(cfg)
     arch = _architecture(cfg, spec, label_map)
-    train_cfg = training.TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        validation_fraction=cfg.validation_fraction, seed=cfg.seed,
-        stratified=cfg.stratified)
+    train_cfg = training.TrainConfig(**{f.name: getattr(cfg, f.name)
+                                        for f in fields(training.TrainConfig)})
     data_path = _require_data(cfg)
     stats_path = cfg.report or (cfg.weights + ".stats")
     require_output_path(cfg.weights)
@@ -141,6 +140,18 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
+_HELP = {
+    "data": "input CSV path",
+    "weights": "weight manifest path",
+    "report": "report / stats output path",
+    "features": "features config file (columns, label map)",
+    "policy": "malformed CSV row handling",
+    "stratified": "stratify the train/validation split by class",
+    "probes": "gradient-check probe count",
+    "tolerance": "gradient-check tolerance",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="botclf",
@@ -149,24 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--data", help="input CSV path")
-    common.add_argument("--weights", help="weight manifest path")
-    common.add_argument("--report", help="report / stats output path")
-    common.add_argument("--features", help="features config file (columns, label map)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", type=int, dest="batch_size")
-    common.add_argument("--learning-rate", type=float, dest="learning_rate")
-    common.add_argument("--precision", choices=tuple(PRECISIONS))
-    common.add_argument("--policy", choices=dataio.POLICIES,
-                        help="malformed CSV row handling")
-    common.add_argument("--stratified", action="store_true", default=None,
-                        help="stratify the train/validation split by class")
-    common.add_argument("--gru-units", type=int, dest="gru_units")
-    common.add_argument("--filters", type=int)
-    common.add_argument("--probes", type=int, help="gradient-check probe count")
-    common.add_argument("--tolerance", type=float, help="gradient-check tolerance")
-    common.add_argument("--verbose", "-v", action="store_true", default=None)
+    # one flag per setting, whose text config.resolve converts as it does
+    # an environment or config-file value
+    for f in fields(RunConfig):
+        flags = ["--" + f.name.replace("_", "-")] + (["-v"] if f.name == "verbose" else [])
+        no_value = isinstance(f.default, bool)  # a bool setting's flag takes no value
+        common.add_argument(*flags, action="store_const" if no_value else "store",
+                            const="true" if no_value else None, help=_HELP.get(f.name))
 
     sub.add_parser("summary", parents=[common],
                    help="print the layer table and parameter totals")
@@ -194,10 +194,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and on a malformed command line
         return exc.code
-    cli_values = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "config")}
     try:
-        cfg = resolve(cli_values, config_path=args.config)
+        cfg = resolve(vars(args), config_path=args.config)
         logging.basicConfig(level=logging.DEBUG if cfg.verbose else logging.INFO,
                             format="%(levelname)s %(name)s: %(message)s")
         # the finiteness checks report an overflow; numpy's warnings would repeat it

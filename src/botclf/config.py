@@ -60,7 +60,8 @@ def _coerce(name: str, default, raw: str):
 
 
 def read_kv_file(path) -> dict:
-    """Parse `key = value` lines; # starts a comment, blank lines ignored."""
+    """Parse `key = value` lines; # starts a comment, blank lines ignored,
+    and a key given twice is refused."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -71,7 +72,10 @@ def read_kv_file(path) -> dict:
                 if "=" not in stripped:
                     raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
                 key, _, value = stripped.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key in out:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+                out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -82,30 +86,29 @@ def read_kv_file(path) -> dict:
 def resolve(cli_values: dict, config_path: str | None = None) -> RunConfig:
     """Merge flag values, env vars, and a config file into a RunConfig.
 
-    `cli_values` holds only options the user actually passed (unset flags
-    are absent or None). Range checks belong to what uses each setting
+    Each setting's text comes from its flag in `cli_values` (None or absent
+    when not passed), else its env var, else the config file, and is
+    converted once. Range checks belong to what uses each setting
     (`TrainConfig`, `Architecture`, `gradient_check`), which the commands
     build before they read any file.
     """
-    file_values = read_kv_file(config_path) if config_path else {}
     names = [f.name for f in fields(RunConfig)]
-    # keys in files may be spelled with dashes
-    normalized_file = {}
-    for key, value in file_values.items():
-        name = key.replace("-", "_")
+    file_values = {}
+    for key, value in (read_kv_file(config_path) if config_path else {}).items():
+        name = key.replace("-", "_")  # keys in files may be spelled with dashes
         if name not in names:
             raise ConfigError(f"unknown config key {key!r}")
-        normalized_file[name] = value
+        if name in file_values:
+            raise ConfigError(f"{config_path}: {key!r} repeats option {name}")
+        file_values[name] = value
 
     cfg = RunConfig()
     for name in names:
-        default = getattr(cfg, name)
-        if name in cli_values and cli_values[name] is not None:
-            setattr(cfg, name, cli_values[name])
-        elif (env_val := os.environ.get(ENV_PREFIX + name.upper())) is not None:
-            setattr(cfg, name, _coerce(name, default, env_val))
-        elif name in normalized_file:
-            setattr(cfg, name, _coerce(name, default, normalized_file[name]))
+        raw = cli_values.get(name)
+        if raw is None:
+            raw = os.environ.get(ENV_PREFIX + name.upper(), file_values.get(name))
+        if raw is not None:
+            setattr(cfg, name, _coerce(name, getattr(cfg, name), raw))
     for name, allowed in (("precision", PRECISIONS), ("policy", POLICIES)):
         value = getattr(cfg, name)
         if value not in allowed:
@@ -151,7 +154,9 @@ def load_features_config(path) -> tuple[FeatureSpec, CsvSchema, LabelMap]:
             try:
                 idx = int(key.split(".", 1)[1])
             except ValueError:
-                raise ConfigError(f"{path}: bad class key {key!r}") from None
+                idx = -1
+            if idx < 0 or key != f"class.{idx}":  # plain ASCII digits, no leading zero
+                raise ConfigError(f"{path}: bad class key {key!r}")
             parts = [_check_name(path, "class cell", tok.strip()) for tok in value.split(",")]
             if len(parts) != 3:
                 raise ConfigError(f"{path}: class entries need "

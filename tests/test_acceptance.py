@@ -14,23 +14,9 @@ from botclf import cli, layers, metrics, network, synth, training
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.metrics import ConfusionMatrix
 from botclf.numerics import make_rng, softmax
-from oracles import REFERENCE_CELLS, REFERENCE_N, gru_oracle, random_gru_params
+from oracles import (REFERENCE_CELLS, REFERENCE_N, REFERENCE_STATS, gru_oracle,
+                     random_gru_params)
 
-# The published statistics of the reference cells' classes.
-REFERENCE_STATS = {
-    1: dict(acc=0.99984, err=0.00016, precision=0.99982, f1=0.99982,
-            auc=0.99984, auci="Excellent", agf=0.99983, agm=0.99985,
-            youden=0.99967, dind=0.00023, sind=0.99983),
-    2: dict(acc=0.99287, err=0.00713, precision=0.34615, f1=0.41423,
-            auc=0.75543, auci="Good", agf=0.68433, agm=0.85544,
-            youden=0.51085, dind=0.48438, sind=0.65749),
-    4: dict(acc=0.99989, err=0.00011, precision=0.93933, f1=0.91446,
-            auc=0.94542, auci="Excellent", agf=0.94874, agm=0.97189,
-            youden=0.89083, dind=0.10913, sind=0.92284),
-    5: dict(acc=0.99985, err=0.00015, precision=None, f1=0.0,
-            auc=0.5, auci="Poor", agf=0.0, agm=0.0,
-            youden=0.0, dind=1.0, sind=0.29289),
-}
 REFERENCE_ACCURACY = 0.99259
 REFERENCE_CI = (0.99239, 0.99279)
 # Class marginals of the reference evaluation. ACTUAL_MARGINALS sums to

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from botclf import cli, dataio, network, synth, training
 from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
+from botclf.config import RunConfig, resolve
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.errors import NumericError
 
@@ -701,6 +703,31 @@ class TestDecodingFailsClosed:
         assert err.splitlines() == [f"botclf: data error: {bad}: not UTF-8 text "
                                     "(byte 0xff: invalid start byte)"]
 
+    def test_blank_manifest_lines_are_skipped(self, tmp_path, trained_weights, eval_csv):
+        spaced = tmp_path / "spaced.weights"
+        spaced.write_text(trained_weights.read_text().replace("\ntensor ", "\n\n  \ntensor "))
+        reports = {}
+        for weights in (trained_weights, spaced):
+            reports[weights] = tmp_path / f"{weights.stem}.txt"
+            assert run(["predict", "--data", eval_csv, "--weights", weights,
+                        "--report", reports[weights]]) == EXIT_OK
+        assert reports[spaced].read_bytes() == reports[trained_weights].read_bytes()
+
+    @pytest.mark.parametrize("line,edited,message", [
+        ("meta filters 128", "meta filters", "malformed meta line"),
+        ("tensor conv.bias 128", "tensor", "malformed tensor line"),
+        (None, "", "empty weight manifest"),
+    ], ids=["meta-without-value", "tensor-without-name", "empty-file"])
+    def test_malformed_manifest_line_cites_byte(self, tmp_path, trained_weights, eval_csv,
+                                                capsys, line, edited, message):
+        text = trained_weights.read_text()
+        bad = tmp_path / "edited.weights"
+        bad.write_text(edited if line is None else text.replace(f"{line}\n", f"{edited}\n"))
+        at = 0 if line is None else text.index(f"{line}\n")
+        assert run(["predict", "--data", eval_csv, "--weights", bad]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: {bad}: {message} (at byte {at})"]
+
 
 class TestCsvFieldLimit:
     @staticmethod
@@ -853,6 +880,68 @@ class TestConfigResolution:
         assert run(["summary", "--gru-units", "10"]) == EXIT_OK
         assert "4370" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    @pytest.mark.parametrize("name,value,message", [
+        ("epochs", "abc", "bad value 'abc' for option epochs"),
+        ("precision", "quad", "precision must be 'double' or 'single', got 'quad'"),
+        ("policy", "lenient", "policy must be 'skip' or 'fail', got 'lenient'"),
+    ], ids=["epochs", "precision", "policy"])
+    def test_bad_value_is_one_line_from_every_source(self, tmp_path, monkeypatch, capsys,
+                                                     source, name, value, message):
+        argv = ["summary"]
+        if source == "flag":
+            argv += [f"--{name}", value]
+        elif source == "env":
+            monkeypatch.setenv(f"BOTCLF_{name.upper()}", value)
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = {value}\n")
+            argv += ["--config", cfg]
+        assert run(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"botclf: config error: {message}"]
+
+    @pytest.mark.parametrize("source", ["env", "file"])
+    def test_bad_bool_value_is_a_config_error(self, tmp_path, monkeypatch, capsys, source):
+        argv = ["summary"]
+        if source == "env":
+            monkeypatch.setenv("BOTCLF_STRATIFIED", "maybe")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("stratified = maybe\n")
+            argv += ["--config", cfg]
+        assert run(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: config error: bad value 'maybe' for option stratified"]
+
+    def test_bool_settings_from_every_source(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("verbose = off\nstratified = no\n")
+        monkeypatch.setenv("BOTCLF_STRATIFIED", "yes")
+        resolved = resolve({}, config_path=str(cfg))
+        assert (resolved.stratified, resolved.verbose) == (True, False)
+        args = cli.build_parser().parse_args(["train", "-v", "--config", str(cfg)])
+        resolved = resolve(vars(args), config_path=args.config)
+        assert (resolved.stratified, resolved.verbose) == (True, True)
+
+    def test_every_setting_is_a_flag(self):
+        args = cli.build_parser().parse_args(["summary"])
+        assert sorted(vars(args)) == sorted(["command", "config"] + [
+            f.name for f in dataclasses.fields(RunConfig)])
+
+    def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nfilters = 4\nseed = 5\n")
+        assert run(["summary", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: config error: {cfg}:3: key 'seed' given twice"]
+
+    def test_option_spelled_two_ways_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch_size = 3\nbatch-size = 5\n")
+        assert run(["summary", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: config error: {cfg}: 'batch-size' repeats option batch_size"]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp_factor = 9\n")
@@ -906,6 +995,29 @@ class TestConfigResolution:
         assert run(["summary", "--features", feats]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             f"botclf: config error: {feats}: features: {message}"]
+
+
+class TestFeaturesConfigErrors:
+    @pytest.mark.parametrize("lines,message", [
+        (["class.x = a, b, c"], "{feats}: bad class key 'class.x'"),
+        (["class.0 = a, b, c", "class.01 = d, e, f"], "{feats}: bad class key 'class.01'"),
+        (["class.0 = a, b, c", "class.+1 = d, e, f"], "{feats}: bad class key 'class.+1'"),
+        (["class.-1 = a, b, c"], "{feats}: bad class key 'class.-1'"),
+        (["class.0 = a, b"], "{feats}: class entries need 'category, subcategory, name', "
+                             "got 'a, b'"),
+        (["column = pkts"], "{feats}: unknown features-config key 'column'"),
+        (["class.0 = a, b, c", "class.2 = d, e, f"], "{feats}: class indices "
+                                                     "must be 0..K-1 without gaps"),
+        (["class.0 = a, b, c", "class.1 = d, e, f", "class.1 = g, h, i"],
+         "{feats}:3: key 'class.1' given twice"),
+    ], ids=["not-a-number", "leading-zero", "sign", "negative", "two-cells", "unknown-key",
+            "gap", "repeated-key"])
+    def test_refused_with_one_line(self, tmp_path, capsys, lines, message):
+        feats = tmp_path / "features.cfg"
+        feats.write_text("".join(f"{line}\n" for line in lines))
+        assert run(["summary", "--features", feats]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: config error: " + message.format(feats=feats)]
 
 
 def _class_map_files(folder, classes, rows=60, features=16, display="name-{k}"):
@@ -1169,6 +1281,15 @@ def _mostly(valid, *invalid):
     return st.integers(0, 7).flatmap(lambda i: valid if i < 6 else st.sampled_from(invalid))
 
 
+# argvs of test_argparse_exit_is_returned whose flags parse, and the config
+# error that their value gets
+_BAD_SETTING_VALUES = {
+    ("train", "--epochs", "abc"): "bad value 'abc' for option epochs",
+    ("summary", "--learning-rate", "x"): "bad value 'x' for option learning_rate",
+    ("summary", "--precision", "quad"): "precision must be 'double' or 'single', got 'quad'",
+}
+
+
 class TestNeverRaises:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -1193,7 +1314,7 @@ class TestNeverRaises:
                 "config": config, "out": out, "missing": folder / "no_such_dir" / "f"}
 
     # Most values are valid, so that most examples get past the settings
-    # checks; some are mistyped or out of a flag's choices, and some argvs
+    # checks; some are mistyped or not an allowed value, and some argvs
     # carry an unknown flag, which argparse refuses. Epochs, sizes and row
     # counts are small, so no example runs long. Derandomized, with a bounded
     # example count and no example database.
@@ -1247,4 +1368,10 @@ class TestNeverRaises:
     def test_argparse_exit_is_returned(self, argv, code, capsys):
         assert cli.main(argv) == code
         out, err = capsys.readouterr()
-        assert "usage: botclf" in out + err and "Traceback" not in err
+        assert "Traceback" not in err
+        if tuple(argv) in _BAD_SETTING_VALUES:
+            # a malformed setting is refused by config.resolve, as from any source
+            assert err.splitlines() == [
+                f"botclf: config error: {_BAD_SETTING_VALUES[tuple(argv)]}"]
+        else:  # a grammar error, which argparse reports with its usage
+            assert "usage: botclf" in out + err

@@ -8,24 +8,8 @@ from botclf import metrics
 from botclf.errors import DataError
 from botclf.metrics import ConfusionMatrix
 from botclf.numerics import make_rng
-from oracles import REFERENCE_CELLS, REFERENCE_N
+from oracles import REFERENCE_CELLS, REFERENCE_N, REFERENCE_STATS
 
-# The statistics the reference cells must reproduce. Values are frozen at
-# their 5-decimal print precision; None marks an undefined metric.
-REFERENCE_STATS = {
-    1: dict(acc=0.99984, agf=0.99983, agm=0.99985, auc=0.99984, auci="Excellent",
-            err=0.00016, f1=0.99982, precision=0.99982, youden=0.99967,
-            dind=0.00023, sind=0.99983),
-    2: dict(acc=0.99287, agf=0.68433, agm=0.85544, auc=0.75543, auci="Good",
-            err=0.00713, f1=0.41423, precision=0.34615, youden=0.51085,
-            dind=0.48438, sind=0.65749),
-    4: dict(acc=0.99989, agf=0.94874, agm=0.97189, auc=0.94542, auci="Excellent",
-            err=0.00011, f1=0.91446, precision=0.93933, youden=0.89083,
-            dind=0.10913, sind=0.92284),
-    5: dict(acc=0.99985, agf=0.0, agm=0.0, auc=0.5, auci="Poor",
-            err=0.00015, f1=0.0, precision=None, youden=0.0,
-            dind=1.0, sind=0.29289),
-}
 PRINT_PRECISION = 5e-5
 
 

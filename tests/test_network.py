@@ -78,6 +78,10 @@ class TestForward:
         with pytest.raises(ShapeError, match="16"):
             network.forward(p, np.zeros((2, 12, 1)), mode="train")
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="^mode must be 'train' or 'infer', got 'eval'$"):
+            network.forward(network.build(0), np.zeros((2, 16, 1)), mode="eval")
+
     def test_composition_oracle(self):
         # forward must equal applying the individual layer ops by hand
         p = network.build(21)
