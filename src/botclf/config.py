@@ -45,7 +45,9 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 def _coerce(name: str, default, raw: str):
     """`raw` as the type of the option's `default`; a default of None marks a
-    path, which stays text."""
+    path, which stays text. A number must be ASCII without `_`: `int()` and
+    `float()` alone would also take digit separators and other scripts'
+    digits."""
     try:
         if isinstance(default, bool):
             lowered = raw.strip().lower()
@@ -53,6 +55,8 @@ def _coerce(name: str, default, raw: str):
                 return True
             if lowered in _BOOL_FALSE:
                 return False
+            raise ValueError(raw)
+        if isinstance(default, (int, float)) and (not raw.isascii() or "_" in raw):
             raise ValueError(raw)
         return raw if default is None else type(default)(raw)
     except ValueError:

@@ -31,7 +31,8 @@ DEFAULT_FEATURES = (
 )
 
 # Kept rows per chunk of `CsvStream.chunks()`, one array per chunk instead of
-# per row, and per pass of the inference engine, which bounds its memory.
+# per row. The inference engine scores each chunk in passes of
+# network.PASS_ROWS rows, which divides it.
 CHUNK_ROWS = 512
 
 # The malformed-row policies of `CsvStream`, the default first.

@@ -40,7 +40,7 @@ class Cache:
         return self.data
 
 
-# The work buffer that each stage of an infer chunk cuts its temporaries
+# The work buffer that each stage of an infer pass cuts its temporaries
 # from in turn: first the conv's (`network._conv_max_over_time`), then the GRU's.
 STAGE = "stage"
 
@@ -56,7 +56,7 @@ def work_arrays(work: dict | None, name: str, *specs) -> list:
     The boundary is absolute, not just an offset into the buffer: malloc
     returns 16-byte aligned memory, and in an in-process microbenchmark the
     infer forward took about 15 % longer with every work array 16 bytes off
-    a cache line than on one (20,480 rows in 512-row chunks, AVX-512 x86-64,
+    a cache line than on one (20,480 rows in 256-row passes, AVX-512 x86-64,
     one BLAS thread). The bench's end-to-end `rows_per_s` is too noisy to
     resolve that difference either way."""
     if work is None:

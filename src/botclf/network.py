@@ -21,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import layers
-from .dataio import CHUNK_ROWS, FeatureSpec, LabelMap
+from .dataio import FeatureSpec, LabelMap
 from .errors import ConfigError, DataError, NumericError, ShapeError, WeightFormatError
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
@@ -40,6 +40,12 @@ _VALUES_PER_LINE = 8
 
 # standard deviation of the GRU weights' truncated-normal init
 TRUNCATED_NORMAL_STDDEV = 0.05
+
+# Rows per pass of the infer-mode forward, which sizes its two work buffers
+# (1,150,976 B in double for the default model, within a 2 MB L2 cache).
+# It divides dataio.CHUNK_ROWS, so the reader's chunks split into the same
+# passes as one call over the whole set and score bit for bit alike.
+PASS_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -121,14 +127,14 @@ class NetworkParameters:
     arrays are updated in place, and rebinding one (which would detach it
     from `flat`) raises FrozenInstanceError.
 
-    `work` holds the infer-mode forward's two byte buffers, kept for the
-    next chunk and the next call: "concat", the [B, concat_width]
-    concatenation that the pool and the GRU's hidden states are written
-    into, and `layers.STAGE`, which holds first the conv's padded input and
-    accumulators and then, once they are dead, the GRU's states,
-    pre-activations and diff. It starts empty, and nothing derived from the
-    weights is kept in it; two infer calls on one model must not run at
-    once."""
+    `work` holds the infer-mode forward's two byte buffers, sized for one
+    pass of at most PASS_ROWS rows and kept for the next pass and the next
+    call: "concat", the [B, concat_width] concatenation that the pool and
+    the GRU's hidden states are written into, and `layers.STAGE`, which
+    holds first the conv's padded input and accumulators and then, once
+    they are dead, the GRU's states, pre-activations and diff. It starts
+    empty, and nothing derived from the weights is kept in it; two infer
+    calls on one model must not run at once."""
 
     conv: Conv1DParams
     bn: BatchNormParams
@@ -247,13 +253,13 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     the batchnorm uses the batch statistics and updates the moving ones,
     and the caches feed `backward`; `fit` trains in it and `gradient_check`
     differentiates it. "infer" mode scores with the moving statistics, in
-    the parameters' precision and in chunks of dataio.CHUNK_ROWS rows, and
+    the parameters' precision and in passes of PASS_ROWS rows, and
     returns (probs, None). There the batchnorm is folded into the conv, and
     the max over time runs before the ReLU, which is exact because ReLU is
     monotone non-decreasing; the ReLU then sees [B, filters] instead of
     [B, seq_len, filters]. Infer mode raises NumericError if any
     probability is non-finite, so a broken model never yields a prediction.
-    Its chunks run in arrays cut from `params.work`, which the returned
+    Its passes run in arrays cut from `params.work`, which the returned
     probs never share.
     """
     a = params.arch
@@ -275,8 +281,8 @@ def forward(params: NetworkParameters, x: np.ndarray, mode: str = "infer"):
     work = params.work
     conv = _folded_conv(params)
     out = np.empty((x.shape[0], a.classes), dtype=params.dtype)
-    for start in range(0, x.shape[0], CHUNK_ROWS):
-        xb = x[start:start + CHUNK_ROWS]
+    for start in range(0, x.shape[0], PASS_ROWS):
+        xb = x[start:start + PASS_ROWS]
         rows = xb.shape[0]
         concat_y, = layers.work_arrays(work, "concat", ((rows, a.concat_width), params.dtype))
         pooled = concat_y[:, :a.filters]

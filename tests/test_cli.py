@@ -195,8 +195,9 @@ class TestEval:
         assert large - small <= 30 * 512 * 8 + 64 * 1024
 
     def test_partial_last_chunk_adds_no_peak(self, tmp_path, trained_weights):
-        # a 392-row last chunk runs in the front of the 512-row chunks' work
-        # buffers instead of a second pair of its own (about 1.8 MB)
+        # a 392-row last chunk scores a 256-row pass and a 136-row one, both
+        # in the work buffers of the full chunks' passes, instead of a second
+        # pair of its own (about 0.6 MB for the 136 rows)
         partial = _peak(tmp_path, trained_weights, 5000)
         whole = _peak(tmp_path, trained_weights, 10 * dataio.CHUNK_ROWS)
         assert partial <= whole + 64 * 1024
@@ -885,17 +886,19 @@ class TestConfigResolution:
         ("epochs", "abc", "bad value 'abc' for option epochs"),
         ("precision", "quad", "precision must be 'double' or 'single', got 'quad'"),
         ("policy", "lenient", "policy must be 'skip' or 'fail', got 'lenient'"),
-    ], ids=["epochs", "precision", "policy"])
+        ("learning_rate", "1_0e-3", "bad value '1_0e-3' for option learning_rate"),
+        ("filters", "١٢٨", "bad value '١٢٨' for option filters"),
+    ], ids=["epochs", "precision", "policy", "learning_rate", "filters"])
     def test_bad_value_is_one_line_from_every_source(self, tmp_path, monkeypatch, capsys,
                                                      source, name, value, message):
         argv = ["summary"]
         if source == "flag":
-            argv += [f"--{name}", value]
+            argv += [f"--{name.replace('_', '-')}", value]
         elif source == "env":
             monkeypatch.setenv(f"BOTCLF_{name.upper()}", value)
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{name} = {value}\n")
+            cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
             argv += ["--config", cfg]
         assert run(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"botclf: config error: {message}"]

@@ -125,9 +125,10 @@ class TestInferMode:
     def trained(self):
         return {dtype: _briefly_trained(dtype) for dtype in (np.float64, np.float32)}
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1100])
     def test_matches_reference_forward(self, trained, n):
-        # n crosses the CHUNK_ROWS boundaries of the chunked engine
+        # n crosses both the engine's PASS_ROWS boundaries and the reader's
+        # CHUNK_ROWS boundaries
         x = make_rng(n).uniform(0, 1, size=(n, 16, 1))
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             p = trained[dtype]
@@ -186,10 +187,11 @@ class TestInferMode:
         # the conv's padded input and accumulators are dead before the GRU
         # cuts its states, pre-activations and diff, so both run in one
         # stage buffer sized for the larger of the two; every array but a
-        # buffer's last starts the next one on a 64-byte boundary
-        p, rows, item = replace(trained[np.float64], work={}), 512, 8
+        # buffer's last starts the next one on a 64-byte boundary. A 512-row
+        # call scores in passes of PASS_ROWS rows, which size the buffers.
+        p, rows, item = replace(trained[np.float64], work={}), network.PASS_ROWS, 8
         a = p.arch
-        network.forward(p, make_rng(61).uniform(0, 1, size=(rows, 16, 1)), mode="infer")
+        network.forward(p, make_rng(61).uniform(0, 1, size=(512, 16, 1)), mode="infer")
 
         def cut(*sizes):
             *padded, last = (n * item for n in sizes)
@@ -204,9 +206,10 @@ class TestInferMode:
         assert sum(buf.nbytes for buf in p.work.values()) == concat + max(conv, gru)
 
     def test_cold_pass_peaks_at_its_two_buffers(self):
-        # a first 512-row pass makes the 2.3 MB of work buffers in double,
-        # and the dense head's temporaries stay small beside them; one
-        # buffer per work array peaked at 3.5 MB
+        # a first 512-row call scores two 256-row passes in the 1.15 MB of
+        # work buffers it makes in double, and the dense head's temporaries
+        # stay small beside them; it peaked at 1.36 MB, where one buffer per
+        # work array peaked at 1.88 MB and 512-row passes at 2.5 MB
         p = _randomized(57)
         assert p.work == {}
         x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
@@ -217,11 +220,11 @@ class TestInferMode:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 2_600_000
+        assert peak - start <= 1_500_000
 
     def test_second_call_allocates_little(self):
-        # tracemalloc sees numpy's data buffers: a model's first 512-row pass
-        # peaks at about 2.5 MB, 2.3 MB of it the work buffers it keeps
+        # tracemalloc sees numpy's data buffers: a model's first 512-row call
+        # peaks at about 1.36 MB, 1.15 MB of it the work buffers it keeps
         p = _randomized(57)
         x = make_rng(58).uniform(0, 1, size=(512, 16, 1))
         network.forward(p, x, mode="infer")
@@ -236,8 +239,9 @@ class TestInferMode:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_partial_chunk_reuses_the_buffers(self, trained, dtype):
-        # a short chunk after a full one runs in the front of the full
-        # chunk's work buffers: no second pair (1.8 MB in double) is made
+        # the short last pass of a 392-row chunk runs in the front of the
+        # work buffers a full pass made: no second pair (0.61 MB in double
+        # for its 136 rows) is made
         p = replace(trained[dtype], work={})
         network.forward(p, make_rng(59).uniform(0, 1, size=(512, 16, 1)), mode="infer")
         x = make_rng(60).uniform(0, 1, size=(392, 16, 1)).astype(dtype)
