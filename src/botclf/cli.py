@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("predict", parents=[common],
                    help="classify an unlabeled flow CSV")
     sub.add_parser("gradcheck", parents=[common],
-                   help="verify backprop against finite differences")
+                   help="verify backprop against complex-step derivatives")
     return parser
 
 

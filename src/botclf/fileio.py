@@ -2,7 +2,8 @@
 
 An output file is written under a temporary name in its own directory and
 renamed over the destination only once it is complete, so a run that fails
-or is interrupted part-way leaves the previous file as it was.
+or is interrupted part-way leaves the previous file as it was; the directory
+is synced after the rename, so a crash does not undo a finished one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def atomic_write(path):
     A symlink is followed, so the file it points to is the one replaced.
     The text goes to a new file beside that target, which takes the
     previous file's permission bits (or the usual umask-derived ones), is
-    flushed to disk and then renamed over the target with `os.replace`. If
+    flushed to disk and then renamed over the target with `os.replace`,
+    and the directory is synced after the rename so that it is on disk. If
     the block raises, the temporary file is removed and the target is
     untouched. A target that exists but is not a regular file (/dev/null,
     a terminal, a FIFO) holds no previous contents to keep and cannot be
@@ -62,3 +64,9 @@ def atomic_write(path):
     except BaseException:
         os.unlink(tmp)
         raise
+    # the rename lives in the directory, which is synced for it to outlast a crash
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -1,4 +1,5 @@
-"""Training loop: softmax cross-entropy, RMSProp, epoch schedule, grad checks.
+"""Training loop: softmax cross-entropy, RMSProp, epoch schedule, and the
+gradient check, which holds backprop to complex-step derivatives.
 
 The default schedule is 4 epochs of mini-batches of 10 over a seeded
 90/10 train/validation split. Everything is deterministic for a fixed
@@ -230,7 +231,7 @@ def evaluate(params: NetworkParameters, batches):
 
 
 # --------------------------------------------------------------------------
-# finite-difference gradient verification
+# gradient verification by the complex step
 
 
 @dataclass(frozen=True)
@@ -269,37 +270,40 @@ class GradCheckReport:
 # Default probe count and relative-error tolerance of `gradient_check`.
 CHECK_PROBES = 100
 CHECK_TOLERANCE = 1e-5
-# Central-difference step and batch size of `gradient_check`.
-_FD_STEP = 1e-6
+# Imaginary step and batch size of `gradient_check`. At this step the complex
+# step's h^2 truncation term is negligible against double's round-off.
+_CX_STEP = 1e-30
 _CHECK_BATCH = 4
-# Coordinates whose analytic gradient is below this cannot be resolved by
-# central differences at _FD_STEP to better than ~1e-5 relative error, so
-# probe selection redraws instead of probing them. The differences are taken
-# in long double: with its 64-bit mantissa (x86-64 Linux) round-off in the
-# loss contributes ~1e-13 absolute, against ~4e-10 in double, which needed a
-# floor of 1e-4. Tensors with no resolvable coordinate are checked at their
-# largest entry for absolute agreement instead.
+# Probe selection redraws coordinates whose analytic gradient is below this:
+# so small a gradient can be mostly the round-off of the sums that form it,
+# and its relative error then says little. Tensors with no coordinate above
+# it are checked at their largest entry instead.
 _GRAD_FLOOR = 1e-6
-_ABS_AGREEMENT = 1e-8
 _REDRAW_LIMIT = 50
 
 
 def gradient_check(params: NetworkParameters, probes: int = CHECK_PROBES,
                    tolerance: float = CHECK_TOLERANCE, seed: int = 0) -> GradCheckReport:
-    """Check hand-written backprop against central finite differences.
+    """Check hand-written backprop against complex-step derivatives.
 
     The loss is the train-mode one that `fit` descends: for a fixed batch,
     batchnorm with the batch statistics is a deterministic function of the
     weights. The moving statistics that every train-mode forward updates
     are restored after it, so `params` come back byte-identical. The
     analytic gradient is `network.backward` in double precision, as in
-    training; the differences are taken on a long-double copy of the
-    weights, with the loss kept in long double. Where long double is no
-    wider than double, they carry double's round-off, and probes near the
-    floor can fail. Probes are spread round-robin over every trainable
-    tensor (so all five parametered layers are covered), with a random
-    coordinate per probe; coordinates whose gradient sits below the
-    finite-difference resolution floor are redrawn.
+    training. Each numeric derivative is loss.imag / h from one train-mode
+    forward of a complex128 copy of the weights with the probed weight
+    moved by h*1j: nothing is subtracted, so it carries no cancellation
+    error, and the rel_error of a correct gradient sits near double's
+    round-off.
+    This holds only while every operation on the train-mode path is the
+    analytic extension of its real version. numpy orders complex values by
+    their real part first, so `np.maximum`, `argmax` and comparisons
+    follow the real branch; an `abs`, `conj` or `.real` on the path drops
+    the derivative, and the check then fails. Probes are spread
+    round-robin over every trainable tensor (so all five parametered
+    layers are covered), with a random coordinate per probe; coordinates
+    whose gradient sits below _GRAD_FLOOR are redrawn.
     """
     if probes < 1:
         raise ConfigError(f"probes must be at least 1, got {probes}")
@@ -321,13 +325,10 @@ def gradient_check(params: NetworkParameters, probes: int = CHECK_PROBES,
     probs, caches = train_forward(params)
     grads = params.trainable_views(
         network.backward(params, caches, cross_entropy(probs, labels)[1]))
-    wide = network._assemble({name: a.astype(np.longdouble)
-                              for name, a in params.named_arrays()}, arch)
+    cx = network._assemble({name: a.astype(np.complex128)
+                            for name, a in params.named_arrays()}, arch)
 
-    def loss_fn():
-        return _mean_nll(train_forward(wide)[0][np.arange(labels.size), labels])
-
-    tensors = wide.trainable_arrays()
+    tensors = cx.trainable_arrays()
     results = []
     for i in range(probes):
         name, theta = tensors[i % len(tensors)]
@@ -342,20 +343,15 @@ def gradient_check(params: NetworkParameters, probes: int = CHECK_PROBES,
             # the whole tensor's gradient is (near) zero; probe its largest entry
             index = np.unravel_index(int(np.argmax(np.abs(g))), theta.shape)
         original = theta[index]
-        theta[index] = original + _FD_STEP
-        loss_plus = loss_fn()
-        theta[index] = original - _FD_STEP
-        loss_minus = loss_fn()
+        theta[index] = original + _CX_STEP * 1j
+        loss = _mean_nll(train_forward(cx)[0][np.arange(labels.size), labels])
         theta[index] = original
-        numeric = float((loss_plus - loss_minus) / (2.0 * _FD_STEP))
-        analytic = float(grads[name][index])
+        numeric = float(loss.imag / _CX_STEP)
+        analytic = float(g[index])
         diff = abs(analytic - numeric)
         scale = max(abs(analytic), abs(numeric))
         rel = diff / scale if scale > 0.0 else 0.0
-        # coordinates below the resolution floor (reachable only through the
-        # all-tiny-tensor fallback) are held to absolute agreement instead
-        passed = rel < tolerance if scale >= _GRAD_FLOOR else diff < _ABS_AGREEMENT
         results.append(Probe(tensor=name, index=tuple(int(v) for v in index),
                              analytic=analytic, numeric=numeric, rel_error=rel,
-                             passed=passed))
+                             passed=rel < tolerance))
     return GradCheckReport(probes=tuple(results), tolerance=tolerance)

@@ -18,6 +18,7 @@ from botclf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 from botclf.config import RunConfig, resolve
 from botclf.dataio import DEFAULT_LABEL_MAP, FeatureSpec
 from botclf.errors import NumericError
+from botclf.fileio import atomic_write
 
 
 @pytest.fixture
@@ -793,6 +794,29 @@ class TestAtomicOutputs:
         assert report.read_bytes() == previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out.txt"]
 
+    def test_directory_is_synced_after_the_replace(self, tmp_path, monkeypatch):
+        # a rename is a change to the directory, and only a sync of it keeps
+        # the rename through a crash
+        calls = []
+        replace, fsync = os.replace, os.fsync
+
+        def recording_replace(src, dst):
+            calls.append(("replace", dst))
+            replace(src, dst)
+
+        def recording_fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        report = tmp_path / "out.txt"
+        with atomic_write(report) as fh:
+            fh.write("new\n")
+        assert calls == [("fsync", False), ("replace", os.path.realpath(report)),
+                         ("fsync", True)]
+        assert report.read_text() == "new\n"
+
     def test_train_replaces_weights_and_stats(self, tmp_path, train_csv):
         weights = tmp_path / "model.weights"
         stats = tmp_path / "model.stats"
@@ -854,7 +878,7 @@ class TestGradcheck:
         assert "worst probe" in out
 
     def test_unreachable_tolerance_fails(self, capsys):
-        assert run(["gradcheck", "--tolerance", "1e-12", "--probes", "40"]) == EXIT_NUMERIC
+        assert run(["gradcheck", "--tolerance", "1e-16", "--probes", "40"]) == EXIT_NUMERIC
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "worst probe" in out
