@@ -54,12 +54,13 @@ def _require_data(cfg: RunConfig) -> str:
 def _scoring_setup(cfg: RunConfig, labeled: bool):
     """The front half of eval (`labeled`) and predict: (params, fitted spec,
     label map, unread CSV stream), failing fast in this order on the data
-    path, the report path, the features config, then the weights bundle."""
+    path, the report path, the features config (of which only the label
+    columns are used), then the weights bundle, which holds the rest."""
     data_path = _require_data(cfg)
     if cfg.report:
         require_output_path(cfg.report)
-    spec, schema, label_map = _io_setup(cfg)
-    params, spec, label_map = network.load_bundle(cfg.weights, spec, label_map)
+    _, schema, _ = _io_setup(cfg)
+    params, spec, label_map = network.load_bundle(cfg.weights)
     stream = dataio.stream_csv(data_path, schema, spec, label_map if labeled else None,
                                policy=cfg.policy)
     return params, spec, label_map, stream

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 
 from . import layers
-from .dataio import FeatureSpec, LabelMap
+from .dataio import DEFAULT_FEATURES, DEFAULT_LABEL_MAP, FeatureSpec, LabelMap
 from .errors import ConfigError, DataError, NumericError, ShapeError, WeightFormatError
 from .fileio import atomic_write
 from .layers import (BatchNormParams, Conv1DParams, DenseParams, GRUParams,
@@ -55,10 +55,10 @@ class Architecture:
     4370-parameter model. The input channels, the conv kernel width and the
     hidden dense width are constants of the topology, not fields."""
 
-    seq_len: int = 16
+    seq_len: int = len(DEFAULT_FEATURES)
     filters: int = 128
     gru_units: int = 10
-    classes: int = 6
+    classes: int = DEFAULT_LABEL_MAP.num_classes
     in_channels = 1
     kernel_size = 3
     dense_units = 10
@@ -395,6 +395,8 @@ _CONSTANT_META = {"in_channels": str(Architecture.in_channels),
 # keys that manifests written before the topology was fixed carry.
 _FIXED_META = {**_CONSTANT_META,
                "pooling": "max", "conv_activation": "relu", "dense_activation": "relu"}
+# The meta keys whose value differs between models; none may be absent.
+_MODEL_META = ("precision", *_SIZE_FIELDS, "feature_names", "class_names", "class_pairs")
 
 
 def _digits(text: str) -> int | None:
@@ -409,18 +411,16 @@ def _digits(text: str) -> int | None:
 
 
 def _meta_architecture(meta: dict) -> Architecture:
-    """The Architecture of the manifest meta's four sizes; an absent size is
-    the default."""
+    """The Architecture of the manifest meta's four sizes. A fixed-value key
+    that is absent holds its one value."""
     for key, value in _FIXED_META.items():
         if meta.get(key, value) != value:
             raise WeightFormatError(
                 f"manifest meta {key}: only {value!r} is supported, got {meta[key]!r}")
-    sizes = {}
-    for f in fields(Architecture):
-        raw = meta.get(f.name, str(f.default))
-        sizes[f.name] = _digits(raw)
-        if sizes[f.name] is None:
-            raise WeightFormatError(f"manifest meta {f.name}: expected int, got {raw!r}")
+    sizes = {name: _digits(meta[name]) for name in _SIZE_FIELDS}
+    for name, size in sizes.items():
+        if size is None:
+            raise WeightFormatError(f"manifest meta {name}: expected int, got {meta[name]!r}")
     try:
         return Architecture(**sizes)
     except ConfigError as exc:
@@ -532,14 +532,16 @@ def load_manifest(path):
 def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     """Assemble NetworkParameters from parsed manifest content.
 
-    The meta sizes are checked first, as an Architecture (each at least 1,
-    at most MAX_PARAMETERS weights in all), and every tensor's shape against
-    them before anything is allocated, so an oversized meta size cannot
-    allocate. A value that overflows the manifest's precision, or a negative
-    moving variance, is refused by tensor name.
+    One error names every absent model meta key. Then the meta sizes are
+    checked, as an Architecture (each at least 1, at most MAX_PARAMETERS
+    weights in all), and every tensor's shape against them, all before
+    anything is allocated. A value that overflows the manifest's precision,
+    or a negative moving variance, is refused by tensor name.
     """
+    if missing := set(_MODEL_META) - meta.keys():
+        raise WeightFormatError(f"manifest is missing meta: {', '.join(sorted(missing))}")
     arch = _meta_architecture(meta)
-    precision = meta.get("precision", "double")
+    precision = meta["precision"]
     if precision not in PRECISIONS:
         raise WeightFormatError(f"manifest meta precision: unknown precision {precision!r}; "
                                 f"expected {' or '.join(map(repr, PRECISIONS))}")
@@ -565,27 +567,24 @@ def params_from_manifest(tensors: dict, meta: dict) -> NetworkParameters:
     return _assemble(arrays, arch)
 
 
-def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
-    """(params, fitted FeatureSpec, LabelMap) from a `save_weights` file.
+def load_bundle(path):
+    """(params, fitted FeatureSpec, LabelMap), each read from the one
+    `save_weights` file at `path`; nothing the file lacks is filled in.
 
-    `spec` and `label_map` stand in for feature names or a class map the
-    file lacks. A missing normalizer, one whose length differs from the
-    feature names, a feature whose norm.min is above its norm.max, a malformed
-    or one-key class map, or feature names or classes not numbering the
-    model's meta seq_len and classes is a WeightFormatError.
+    A manifest missing a model meta key or its normalizer, a normalizer
+    whose length differs from the feature names, a feature whose norm.min is
+    above its norm.max, a malformed class map, or feature names or classes
+    not numbering the model's meta seq_len and classes is a
+    WeightFormatError.
     """
     tensors, meta = load_manifest(path)
     params = params_from_manifest(tensors, meta)
-    if "feature_names" in meta:
-        try:
-            spec = FeatureSpec(names=tuple(meta["feature_names"].split(",")))
-        except DataError as exc:
-            raise WeightFormatError(f"{path}: manifest meta feature_names: {exc}") from None
+    names = tuple(meta["feature_names"].split(","))
     if "norm.min" not in tensors or "norm.max" not in tensors:
         raise WeightFormatError(f"{path}: manifest has no normalizer state; "
                                 "was it written by `botclf train`?")
     mins, maxs = tensors["norm.min"], tensors["norm.max"]
-    want = (len(spec.names),)
+    want = (len(names),)
     if mins.shape != want or maxs.shape != want:
         raise WeightFormatError(
             f"{path}: normalizer tensors norm.min {mins.shape} and norm.max {maxs.shape} "
@@ -593,25 +592,25 @@ def load_bundle(path, spec: FeatureSpec, label_map: LabelMap):
     inverted = np.flatnonzero(mins > maxs)
     if inverted.size:
         i = inverted[0]
-        raise WeightFormatError(f"{path}: normalizer of feature {spec.names[i]!r} has norm.min "
+        raise WeightFormatError(f"{path}: normalizer of feature {names[i]!r} has norm.min "
                                 f"{float(mins[i])!r} above norm.max {float(maxs[i])!r}")
-    spec = replace(spec, mins=mins, maxs=maxs)
-    if ("class_pairs" in meta) != ("class_names" in meta):
-        raise WeightFormatError(f"{path}: manifest meta holds class_pairs or class_names alone")
-    if "class_pairs" in meta:
-        pairs = tuple(tuple(entry.split(",", 1)) for entry in meta["class_pairs"].split(";"))
-        names = tuple(meta["class_names"].split(","))
-        if len(names) != len(pairs) or any(len(pair) != 2 for pair in pairs):
-            raise WeightFormatError(f"{path}: manifest meta class_pairs and class_names "
-                                    "do not form one class map")
-        try:
-            label_map = LabelMap(pairs=pairs, names=names)
-        except DataError as exc:
-            raise WeightFormatError(f"{path}: manifest meta class_pairs: {exc}") from None
+    try:
+        spec = FeatureSpec(names=names, mins=mins, maxs=maxs)
+    except DataError as exc:
+        raise WeightFormatError(f"{path}: manifest meta feature_names: {exc}") from None
+    pairs = tuple(tuple(entry.split(",", 1)) for entry in meta["class_pairs"].split(";"))
+    class_names = tuple(meta["class_names"].split(","))
+    if len(class_names) != len(pairs) or any(len(pair) != 2 for pair in pairs):
+        raise WeightFormatError(f"{path}: manifest meta class_pairs and class_names "
+                                "do not form one class map")
+    try:
+        label_map = LabelMap(pairs=pairs, names=class_names)
+    except DataError as exc:
+        raise WeightFormatError(f"{path}: manifest meta class_pairs: {exc}") from None
     arch = params.arch
-    if len(spec.names) != arch.seq_len:
+    if len(names) != arch.seq_len:
         raise WeightFormatError(f"{path}: manifest meta seq_len {arch.seq_len} does not "
-                                f"match the {len(spec.names)} feature names")
+                                f"match the {len(names)} feature names")
     if label_map.num_classes != arch.classes:
         raise WeightFormatError(f"{path}: manifest meta classes {arch.classes} does not "
                                 f"match the {label_map.num_classes} classes of the class map")

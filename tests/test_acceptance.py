@@ -160,7 +160,7 @@ def test_criterion_5_gradient_verification(monkeypatch):
     ok = ok and not mutated.passed
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
-    assert verdict(5, "finite-difference check passes; sign-flip mutation fails",
+    assert verdict(5, "complex-step check passes; sign-flip mutation fails",
                    ok, f"worst rel {report.worst.rel_error:.2e}, {elapsed:.1f}s")
 
 

@@ -24,9 +24,7 @@ class TestBundle:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "b.weights"
         params, spec = _save_small_bundle(path)
-        fallback = LabelMap(pairs=(("a", "b"),), names=("c",))
-        got, got_spec, label_map = network.load_bundle(path, FeatureSpec(names=("x",)),
-                                                       fallback)
+        got, got_spec, label_map = network.load_bundle(path)
         for (name, a), (_, b) in zip(params.named_arrays(), got.named_arrays()):
             npt.assert_array_equal(a, b, err_msg=name)
         assert got.arch == params.arch
@@ -48,7 +46,7 @@ class TestBundle:
         label_map = LabelMap(pairs=(("Normal", "Normal"), ("DoS", "HTTP")),
                              names=("Normal", "DoS-HTTP"))
         network.save_weights(params, path, spec, label_map)
-        got, got_spec, got_map = network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+        got, got_spec, got_map = network.load_bundle(path)
         assert got.dtype == dtype and got.arch == params.arch
         for (name, a), (_, b) in zip(params.named_arrays(), got.named_arrays()):
             assert a.tobytes() == b.tobytes(), name
@@ -67,7 +65,7 @@ class TestBundle:
         text = path.read_text()
         path.write_text(text[:text.index("tensor norm.min ")])
         with pytest.raises(WeightFormatError, match="no normalizer state"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     def test_duplicate_feature_names_are_rejected(self, tmp_path):
         path = tmp_path / "b.weights"
@@ -75,7 +73,7 @@ class TestBundle:
         path.write_text(path.read_text().replace("sbytes,dbytes", "dbytes,dbytes"))
         with pytest.raises(WeightFormatError, match="feature_names: feature names must be "
                                                     "unique"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     def test_normalizer_min_above_max_is_rejected(self, tmp_path):
         # a constant feature (min == max) loads, but one whose min is above its
@@ -85,28 +83,36 @@ class TestBundle:
         mins, maxs = np.zeros(16), np.ones(16)
         maxs[0] = 0.0
         network.save_weights(params, path, FeatureSpec(mins=mins, maxs=maxs), DEFAULT_LABEL_MAP)
-        network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+        network.load_bundle(path)
         mins[[3, 9]] = 2.5
         network.save_weights(params, path, FeatureSpec(mins=mins, maxs=maxs), DEFAULT_LABEL_MAP)
         with pytest.raises(WeightFormatError, match="normalizer of feature 'dur' has norm.min "
                                                     "2.5 above norm.max 1.0$"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     def test_class_names_and_pairs_must_agree(self, tmp_path):
         path = tmp_path / "b.weights"
         _save_small_bundle(path)
         path.write_text(path.read_text().replace(",Data-Exfiltration\n", "\n"))
         with pytest.raises(WeightFormatError, match="do not form one class map"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
-    @pytest.mark.parametrize("key", ["class_pairs", "class_names"])
-    def test_half_a_class_map_is_rejected(self, tmp_path, key):
+    def test_one_error_names_every_missing_model_key(self, tmp_path):
+        # no default stands in for a fact of the model; the keys of the fixed
+        # topology's constants may be absent
         path = tmp_path / "b.weights"
         _save_small_bundle(path)
-        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
-                                if not line.startswith(f"meta {key} ")))
-        with pytest.raises(WeightFormatError, match="holds class_pairs or class_names alone"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+        keys = ("precision", "seq_len", "filters", "gru_units", "classes", "feature_names",
+                "class_names", "class_pairs", "bn_epsilon", "kernel_size")
+        lines = path.read_text().splitlines(keepends=True)
+        kept = [line for line in lines
+                if not line.startswith(tuple(f"meta {key} " for key in keys))]
+        assert len(lines) - len(kept) == len(keys)
+        path.write_text("".join(kept))
+        with pytest.raises(WeightFormatError, match="^manifest is missing meta: class_names, "
+                                                    "class_pairs, classes, feature_names, "
+                                                    "filters, gru_units, precision, seq_len$"):
+            network.load_bundle(path)
 
     def test_class_pair_splits_at_its_first_comma(self, tmp_path):
         # a category holds no comma, so one in a subcategory is part of it
@@ -115,7 +121,7 @@ class TestBundle:
                              names=("Normal", "DoS-slow"))
         network.save_weights(network.build(41, Architecture(filters=4, gru_units=2, classes=2)),
                              path, FeatureSpec(mins=np.zeros(16), maxs=np.ones(16)), label_map)
-        assert network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)[2] == label_map
+        assert network.load_bundle(path)[2] == label_map
 
     def test_feature_names_must_number_meta_seq_len(self, tmp_path):
         path = tmp_path / "b.weights"
@@ -124,7 +130,7 @@ class TestBundle:
         network.save_weights(params, path, spec, DEFAULT_LABEL_MAP)
         with pytest.raises(WeightFormatError, match="manifest meta seq_len 16 does not "
                                                     "match the 15 feature names$"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     def test_negative_tensor_dims_are_rejected(self, tmp_path):
         # -2 x -2 has the 4 values conv.bias holds, but is no shape
@@ -133,7 +139,7 @@ class TestBundle:
         path.write_text(path.read_text().replace("tensor conv.bias 4\n",
                                                  "tensor conv.bias -2 -2\n"))
         with pytest.raises(WeightFormatError, match="bad tensor dims for conv.bias"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     def test_repeated_tensor_is_rejected(self, tmp_path):
         # a second block of a tensor would otherwise replace the first
@@ -143,7 +149,7 @@ class TestBundle:
         path.write_bytes(text + b"tensor dense_out.bias 6\n" + b"50.0 " * 5 + b"50.0\n")
         with pytest.raises(WeightFormatError, match=f"tensor dense_out.bias given twice "
                                                     f"\\(at byte {len(text)}\\)$"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     def test_repeated_meta_key_is_rejected(self, tmp_path):
         # a second class_names line, here with classes 0 and 1 swapped, would
@@ -159,7 +165,7 @@ class TestBundle:
         path.write_bytes(text[:at] + swapped + text[at:])
         with pytest.raises(WeightFormatError, match=f"meta class_names given twice "
                                                     f"\\(at byte {at}\\)$"):
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
 
     @pytest.fixture(scope="class")
     def bundle_lines(self, tmp_path_factory):
@@ -208,6 +214,6 @@ class TestBundle:
         path = tmp_path / "mutated.weights"
         path.write_bytes(b"".join(lines))
         try:
-            network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)
+            network.load_bundle(path)
         except WeightFormatError:
             pass

@@ -308,8 +308,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_non_finite_output_is_numeric_error(self, tmp_path, trained_weights, eval_csv,
                                                 command, capsys):
-        params, spec, label_map = network.load_bundle(trained_weights, FeatureSpec(),
-                                                      DEFAULT_LABEL_MAP)
+        params, spec, label_map = network.load_bundle(trained_weights)
         # finite weights whose output logits are all +inf
         params.dense_hidden.bias[:] = 1e308
         params.dense_out.weights[:] = 1e308
@@ -360,7 +359,7 @@ class TestFailClosed:
         bad.write_text(text.replace("tensor norm.min ", "tensor norm.swap ")
                        .replace("tensor norm.max ", "tensor norm.min ")
                        .replace("tensor norm.swap ", "tensor norm.max "))
-        _, spec, _ = network.load_bundle(trained_weights, FeatureSpec(), DEFAULT_LABEL_MAP)
+        _, spec, _ = network.load_bundle(trained_weights)
         i = int(np.flatnonzero(spec.mins < spec.maxs)[0])
         out_path = tmp_path / "out.txt"
         assert run([command, "--data", eval_csv, "--weights", bad,
@@ -1175,13 +1174,88 @@ class TestClassMap:
 
     def test_class_names_without_pairs_are_refused(self, tmp_path, trained_weights, eval_csv,
                                                    capsys):
-        # loading them would print the default names of the default pairs
+        # no default pairs stand in for the absent ones
         text = re.sub(r"meta class_pairs .*\n", "", trained_weights.read_text())
         bad = tmp_path / "half.weights"
         bad.write_text(re.sub(r"meta class_names .*\n", "meta class_names A,B,C,D,E,F\n", text))
         assert run(["predict", "--data", eval_csv, "--weights", bad]) == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [
-            f"botclf: data error: {bad}: manifest meta holds class_pairs or class_names alone"]
+            "botclf: data error: manifest is missing meta: class_pairs"]
+
+
+def _without_meta(weights, folder, *keys):
+    """A copy of the bundle `weights`, written in `folder`, without the meta
+    lines of `keys`."""
+    lines = weights.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(tuple(f"meta {k} " for k in keys))]
+    assert len(lines) - len(kept) == len(keys)
+    stripped = folder / "stripped.weights"
+    stripped.write_text("".join(kept))
+    return stripped
+
+
+class TestBundleAloneDescribesTheModel:
+    @pytest.fixture(scope="class")
+    def reordered(self, tmp_path_factory):
+        """(features config, model, CSV): a one-epoch model trained with the
+        16 default columns in reverse order and the 6 default classes in
+        reverse order, and 200 rows to score."""
+        folder = tmp_path_factory.mktemp("reordered")
+        feats = folder / "features.cfg"
+        classes = list(zip(DEFAULT_LABEL_MAP.pairs, DEFAULT_LABEL_MAP.names))[::-1]
+        feats.write_text("features = " + ", ".join(dataio.DEFAULT_FEATURES[::-1]) + "\n"
+                         + "".join(f"class.{k} = {cat}, {sub}, {name}\n"
+                                   for k, ((cat, sub), name) in enumerate(classes)))
+        train, data = folder / "train.csv", folder / "data.csv"
+        synth.write_csv(train, 600, seed=3, noise=0.03)
+        synth.write_csv(data, 200, seed=4, noise=0.03)
+        weights = folder / "model.weights"
+        assert run(["train", "--data", train, "--features", feats, "--weights", weights,
+                    "--epochs", "1"]) == EXIT_OK
+        return feats, weights, data
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_features_config_adds_only_the_label_columns(self, tmp_path, reordered, command):
+        feats, weights, data = reordered
+        outputs = []
+        for extra in ([], ["--features", feats]):
+            outputs.append(tmp_path / f"out{len(extra)}.txt")
+            assert run([command, "--data", data, "--weights", weights,
+                        "--report", outputs[-1], *extra]) == EXIT_OK
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        _, spec, label_map = network.load_bundle(weights)
+        assert spec.names == dataio.DEFAULT_FEATURES[::-1]
+        assert label_map.names == DEFAULT_LABEL_MAP.names[::-1]
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["bundle-alone", "with-features"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_bundle_without_columns_and_class_map_is_refused(self, tmp_path, reordered,
+                                                             capsys, command, extra):
+        # The default columns and class map would score the reversed columns
+        # under the wrong class names and exit 0; a features config does not
+        # stand in for them either.
+        feats, weights, data = reordered
+        bad = _without_meta(weights, tmp_path, "feature_names", "class_names", "class_pairs")
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", data, "--weights", bad, "--report", out_path,
+                    *(["--features", feats] if extra else [])]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "botclf: data error: manifest is missing meta: class_names, class_pairs, "
+            "feature_names"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("key", ["precision", "seq_len", "filters", "gru_units", "classes",
+                                     "feature_names", "class_names", "class_pairs"])
+    def test_bundle_missing_a_model_key_is_refused(self, tmp_path, trained_weights, eval_csv,
+                                                   capsys, key, command):
+        bad = _without_meta(trained_weights, tmp_path, key)
+        out_path = tmp_path / "out.txt"
+        assert run([command, "--data", eval_csv, "--weights", bad,
+                    "--report", out_path]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"botclf: data error: manifest is missing meta: {key}"]
+        assert not out_path.exists()
 
 
 class TestFeaturesConfigSizesTheModel:

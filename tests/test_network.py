@@ -326,7 +326,7 @@ def _save_bundle(params, path):
 
 
 def _load_params(path):
-    return network.load_bundle(path, FeatureSpec(), DEFAULT_LABEL_MAP)[0]
+    return network.load_bundle(path)[0]
 
 
 class TestWeightsIO:
@@ -552,23 +552,25 @@ def _layerwise(p, x, labels):
     return probs, dlogits, grads
 
 
+# The reference's precision: long double where it is wider than double
+# (x86-64 and aarch64 Linux), else double (arm64 macOS, MSVC).
+WIDE = np.longdouble if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps else np.float64
+
+
 def _compare_step(p, x, labels, tol, mode):
     """Check the fused forward of `p` on x in `mode`, and in train mode its
     backward, against the layer-by-layer reference run on the same weights
-    widened to extended precision, so that the bound measures the fused
-    path's rounding, not the reference's. Every compared value must lie
-    within tol * max(1, |ref|)."""
-    assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps, \
-        "the reference needs a long double wider than double (x86-64 or aarch64 Linux)"
-    wide = network._assemble({n: a.astype(np.longdouble) for n, a in p.named_arrays()},
-                             p.arch)
+    widened to WIDE, so that the bound measures the fused path's rounding
+    more than the reference's. Every compared value must lie within
+    tol * max(1, |ref|)."""
+    wide = network._assemble({n: a.astype(WIDE) for n, a in p.named_arrays()}, p.arch)
     moving = p.bn.moving_mean.copy(), p.bn.moving_var.copy()
     probs, caches = network.forward(p, x, mode=mode)
     if mode == "train":
-        ref_probs, ref_dlogits, ref_grads = _layerwise(wide, x.astype(np.longdouble), labels)
+        ref_probs, ref_dlogits, ref_grads = _layerwise(wide, x.astype(WIDE), labels)
         grads = p.trainable_views(network.backward(p, caches, ref_dlogits.astype(p.dtype)))
     else:
-        ref_probs, _ = _layerwise_forward(wide, x.astype(np.longdouble), mode)
+        ref_probs, _ = _layerwise_forward(wide, x.astype(WIDE), mode)
         grads = {}
 
     pairs = [("probs", probs, ref_probs),
